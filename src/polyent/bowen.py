@@ -11,16 +11,16 @@ along the first n iterates (steps 0 through n-1). On top of it sit:
 * an exact maximum-separated-set search for tiny samples, used to audit the
   greedy lower-bound quality in tests.
 
-All bulk routines are chunked so no full pairwise matrix is materialized,
-and they dispatch to a system's vectorized kernel when one is declared and
-the scale sits inside the kernel's exact range (``exact_cap``). Outside
-that range they fall back to pointwise evaluation, which is always exact.
+All bulk routines are chunked so no full pairwise matrix is materialized.
+Each call packs its points once and uses the system's block kernel when the
+threshold it decides sits inside the kernel's exact range (``exact_cap``),
+else the stepping reference :func:`bowen_dist`, which is always exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .systems import SystemHandle
 
 __all__ = [
     "bowen_dist",
-    "pair_bowen",
     "bowen_block",
     "CountRecord",
     "BOUND_SEPARATED_LOWER",
@@ -75,36 +74,50 @@ def bowen_dist(system: SystemHandle, x: Any, y: Any, n: int,
     return best
 
 
-def pair_bowen(system: SystemHandle, x: Any, y: Any, n: int,
-               stop_at: float | None = None) -> float:
-    """Orbit distance via the cheapest exact route available."""
-    if system.orbit_dist is not None:
-        return system.orbit_dist(x, y, n)
-    return bowen_dist(system, x, y, n, stop_at=stop_at)
+def _check_scale(n: int, eps: float) -> None:
+    if eps <= 0.0:
+        raise ValueError(f"scale must be positive, got {eps}")
+    if n < 1:
+        raise ValueError(f"window must be >= 1, got {n}")
 
 
-def _kernel_ok(system: SystemHandle, eps: float) -> bool:
-    return system.orbit_cdist is not None and eps <= system.exact_cap
+def _distance_path(system: SystemHandle, threshold: float) -> tuple[Callable, Callable]:
+    """A (pack, orbit_cdist) pair that decides d >= threshold correctly:
+    the system kernel, or object arrays stepped by :func:`bowen_dist`."""
+    # A kernel is exact below exact_cap and reports >= exact_cap above it,
+    # so it decides d >= t for every t <= exact_cap. Separation checks ask
+    # d >= eps and pass eps; covering checks ask d <= eps, which is
+    # "not d >= nextafter(eps)", and pass that. At eps == exact_cap a
+    # distance just above eps may come back as exactly exact_cap and read as
+    # covered, so covering then takes the reference path.
+    if system.orbit_cdist is not None and threshold <= system.exact_cap:
+        return system.pack, system.orbit_cdist
+
+    def pack(points: Sequence, n: int) -> np.ndarray:
+        return np.fromiter(points, dtype=object, count=len(points))
+
+    def block(pa: np.ndarray, pb: np.ndarray, n: int,
+              cap: float | None = None) -> np.ndarray:
+        out = np.empty((len(pa), len(pb)), dtype=np.float64)
+        for i, p in enumerate(pa):
+            for j, q in enumerate(pb):
+                out[i, j] = bowen_dist(system, p, q, n, stop_at=cap)
+        return out
+
+    return pack, block
 
 
 def bowen_block(system: SystemHandle, pa: Sequence, pb: Sequence, n: int,
-                stop_at: float | None = None,
-                use_kernel: bool = True) -> np.ndarray:
+                stop_at: float | None = None) -> np.ndarray:
     """Pairwise orbit distances between two point lists.
 
-    Kernel path when allowed, else pointwise. ``stop_at`` is a shortcut
-    threshold for both paths: entries reported below it are exact, entries
-    at or above it may be partial maxima or kernel lower bounds, so pass it
-    only when the caller merely compares against that same threshold.
+    ``stop_at`` is a shortcut threshold: entries reported below it are
+    exact, entries at or above it may be partial maxima or kernel lower
+    bounds, so pass it only when the caller merely compares against that
+    same threshold. Without it every entry is exact.
     """
-    if use_kernel and system.orbit_cdist is not None:
-        return np.asarray(system.orbit_cdist(pa, pb, n, stop_at),
-                          dtype=np.float64)
-    out = np.empty((len(pa), len(pb)), dtype=np.float64)
-    for i, p in enumerate(pa):
-        for j, q in enumerate(pb):
-            out[i, j] = pair_bowen(system, p, q, n, stop_at=stop_at)
-    return out
+    pack, block = _distance_path(system, np.inf if stop_at is None else stop_at)
+    return block(pack(pa, n), pack(pb, n), n, stop_at)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,32 +157,27 @@ def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
     so the result both certifies a separation lower bound and covers the
     sample. The chunked evaluation reproduces the sequential rule exactly.
     """
-    if eps <= 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    kernel = _kernel_ok(system, eps)
-    kept: list = []
-    for lo in range(0, len(sample), chunk):
-        block = list(sample[lo:lo + chunk])
-        alive = np.ones(len(block), dtype=bool)
-        if kept:
-            mins = np.full(len(block), np.inf)
+    _check_scale(n, eps)
+    pack, block = _distance_path(system, eps)
+    packed = pack(sample, n)
+    keep = np.ones(len(packed), dtype=bool)
+    for lo in range(0, len(packed), chunk):
+        rows = packed[lo:lo + chunk]
+        alive = keep[lo:lo + chunk]
+        kept = packed[:lo][keep[:lo]]
+        if len(kept):
+            mins = np.full(len(rows), np.inf)
             for clo in range(0, len(kept), chunk):
-                d = bowen_block(system, block, kept[clo:clo + chunk], n,
-                                stop_at=eps, use_kernel=kernel)
+                d = block(rows, kept[clo:clo + chunk], n, eps)
                 np.minimum(mins, d.min(axis=1), out=mins)
             alive &= mins >= eps
-        for i in range(len(block)):
+        for i in range(len(rows)):
             if not alive[i]:
                 continue
-            kept.append(block[i])
             rest = alive[i + 1:]
             if rest.any():
-                row = bowen_block(system, [block[i]], block[i + 1:], n,
-                                  stop_at=eps, use_kernel=kernel)[0]
-                rest &= row >= eps
-    return kept
+                rest &= block(rows[i:i + 1], rows[i + 1:], n, eps)[0] >= eps
+    return [sample[i] for i in np.flatnonzero(keep)]
 
 
 def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
@@ -181,28 +189,25 @@ def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
     are covered. The result size is an upper bound on the minimal cover of
     the sample at this scale.
     """
-    if eps <= 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    kernel = system.orbit_cdist is not None and eps < system.exact_cap
+    _check_scale(n, eps)
     # coverage tests only compare against eps; values equal to eps count as
     # covered, so the cap sits one ulp above to keep those entries exact
     cap = float(np.nextafter(eps, np.inf))
-    m = len(sample)
+    pack, block = _distance_path(system, cap)
+    packed = pack(sample, n)
+    m = len(packed)
     uncovered = np.ones(m, dtype=bool)
     chosen: list = []
     while uncovered.any():
         unc_idx = np.nonzero(uncovered)[0]
-        unc_pts = [sample[i] for i in unc_idx]
+        unc_pts = packed[unc_idx]
         best_i = -1
         best_gain = 0
         for lo in range(0, m, chunk):
-            cand = list(sample[lo:lo + chunk])
+            cand = packed[lo:lo + chunk]
             gains = np.zeros(len(cand), dtype=np.int64)
             for clo in range(0, len(unc_pts), chunk):
-                d = bowen_block(system, cand, unc_pts[clo:clo + chunk], n,
-                                stop_at=cap, use_kernel=kernel)
+                d = block(cand, unc_pts[clo:clo + chunk], n, cap)
                 gains += (d <= eps).sum(axis=1)
             gi = int(np.argmax(gains))
             if int(gains[gi]) > best_gain:
@@ -213,8 +218,7 @@ def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
             raise RuntimeError("covering made no progress; metric violates d(x,x)=0")
         chosen.append(sample[best_i])
         for clo in range(0, len(unc_pts), chunk):
-            d = bowen_block(system, [sample[best_i]], unc_pts[clo:clo + chunk], n,
-                            stop_at=cap, use_kernel=kernel)[0]
+            d = block(packed[best_i:best_i + 1], unc_pts[clo:clo + chunk], n, cap)[0]
             uncovered[unc_idx[clo:clo + chunk][d <= eps]] = False
     return chosen
 
@@ -283,20 +287,16 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
     Exact distances throughout (no early exit); reports the worst pair and
     whether strict separation held everywhere.
     """
-    if eps <= 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    kernel = _kernel_ok(system, eps)
-    pts = list(points)
+    _check_scale(n, eps)
+    pack, block = _distance_path(system, eps)
+    pts = pack(points, n)
     m = len(pts)
     min_value = np.inf
     min_pair: tuple[int, int] | None = None
     for lo in range(0, m, chunk):
         rows = pts[lo:lo + chunk]
         for clo in range(lo, m, chunk):
-            d = bowen_block(system, rows, pts[clo:clo + chunk], n,
-                            use_kernel=kernel)
+            d = block(rows, pts[clo:clo + chunk], n)
             # keep strictly-upper-triangular entries of the global matrix
             gi = lo + np.arange(d.shape[0])[:, None]
             gj = clo + np.arange(d.shape[1])[None, :]
@@ -328,29 +328,24 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     found, so cost stays near one center pass when the cover is comfortable;
     points covered only at exactly eps are flagged via ``all_strict``.
     """
-    if eps <= 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    kernel = system.orbit_cdist is not None and eps < system.exact_cap
+    _check_scale(n, eps)
     # distances beyond eps never matter here, but the settled-vs-boundary
     # split needs values equal to eps reported exactly, hence the open cap
     cap = float(np.nextafter(eps, np.inf))
-    ctr = list(centers)
+    pack, block = _distance_path(system, cap)
+    ctr = pack(centers, n)
     m = len(sample)
     uncovered_count = 0
     boundary_count = 0
     first_uncovered: int | None = None
     for lo in range(0, m, chunk):
-        block = list(sample[lo:lo + chunk])
-        open_idx = np.arange(len(block))
-        open_min = np.full(len(block), np.inf)
+        rows = pack(sample[lo:lo + chunk], n)
+        open_idx = np.arange(len(rows))
+        open_min = np.full(len(rows), np.inf)
         for clo in range(0, len(ctr), chunk):
             if open_idx.size == 0:
                 break
-            d = bowen_block(system, [block[i] for i in open_idx],
-                            ctr[clo:clo + chunk], n, stop_at=cap,
-                            use_kernel=kernel)
+            d = block(rows[open_idx], ctr[clo:clo + chunk], n, cap)
             np.minimum(open_min, d.min(axis=1), out=open_min)
             settled = open_min < eps
             open_idx = open_idx[~settled]
@@ -387,8 +382,7 @@ def max_separated_exact(system: SystemHandle, points: Sequence, n: int,
         raise ValueError(f"exact search limited to {limit} points, got {m}")
     if m == 0:
         return 0
-    d = bowen_block(system, list(points), list(points), n,
-                    use_kernel=_kernel_ok(system, eps))
+    d = bowen_block(system, points, points, n, stop_at=eps)
     adj = d >= eps
     np.fill_diagonal(adj, False)
 

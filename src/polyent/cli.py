@@ -34,12 +34,10 @@ from .constructions import (
 )
 from .diagnostics import distality_gap, uniform_recurrence_check, word_complexity
 from .estimation import (
-    METHOD_ANALYTIC_SEPARATED,
-    METHOD_ANALYTIC_SPANNING,
     METHOD_GREEDY_SEPARATED,
     METHOD_SYMBOLIC_EXACT,
-    count_table,
-    fit_poly_slope,
+    analytic_methods,
+    eps_sweep,
 )
 from .systems import (
     PowerHeights,
@@ -288,18 +286,6 @@ def _fit_json(fit) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # method plumbing
 
-def _has_heights(system: SystemHandle) -> bool:
-    if system.parts is not None:
-        return all(_has_heights(p) for p in system.parts)
-    return system.heights is not None
-
-
-def _has_power_heights(system: SystemHandle) -> bool:
-    if system.parts is not None:
-        return all(_has_power_heights(p) for p in system.parts)
-    return isinstance(system.heights, PowerHeights)
-
-
 def _method_variants(cfg: dict[str, Any], system: SystemHandle) -> list[str]:
     method = cfg["method"]
     if method == "greedy":
@@ -307,11 +293,9 @@ def _method_variants(cfg: dict[str, Any], system: SystemHandle) -> list[str]:
             raise UsageError(f"{system.name} offers no sample for greedy counting")
         return [METHOD_GREEDY_SEPARATED]
     if method == "analytic":
-        if not _has_heights(system):
+        variants = list(analytic_methods(system))
+        if not variants:
             raise UsageError(f"analytic counts need a tower system, got {system.name}")
-        variants = [METHOD_ANALYTIC_SPANNING]
-        if _has_power_heights(system):
-            variants.append(METHOD_ANALYTIC_SEPARATED)
         return variants
     if system.word_fn is None:
         raise UsageError(f"symbolic counts need a canonical word, got {system.name}")
@@ -324,21 +308,15 @@ def _method_variants(cfg: dict[str, Any], system: SystemHandle) -> list[str]:
 def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
     variants = _method_variants(cfg, system)
     ns, epss, grid = cfg["ns"], list(cfg["eps"]), cfg["grid"]
-
-    all_records = []
-    estimates = []
-    for method in variants:
-        records = count_table(system, ns, epss, method, grid=grid)
-        all_records.extend(records)
-        per_eps = {eps: fit_poly_slope(records, eps, TAIL_FRACTION) for eps in epss}
-        estimates.append((method, per_eps, max(f.slope for f in per_eps.values())))
+    estimates = [eps_sweep(system, ns, epss, method, grid, "polynomial", TAIL_FRACTION)
+                 for method in variants]
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
 
     lines = ["n,eps,count,method,bound"]
     lines += [f"{r.n},{_fmt(r.eps)},{r.count},{r.method},{r.bound}"
-              for r in all_records]
+              for est in estimates for r in est.records]
     _write_text(os.path.join(out, "counts.csv"), "\n".join(lines) + "\n")
 
     _write_json(os.path.join(out, "fits.json"), {
@@ -348,24 +326,23 @@ def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
         "estimates": [
             {
                 "method": method,
-                "mode": "polynomial",
-                "per_eps": {_fmt(eps): _fit_json(fit) for eps, fit in per_eps.items()},
-                "headline": headline,
+                "mode": est.mode,
+                "per_eps": {_fmt(eps): _fit_json(fit) for eps, fit in est.per_eps.items()},
+                "headline": est.headline,
             }
-            for method, per_eps, headline in estimates
+            for method, est in zip(variants, estimates)
         ],
-        "headline": estimates[0][2],
+        "headline": estimates[0].headline,
     })
 
-    lead = estimates[0][0]
     for eps in epss:
-        series = [r for r in all_records if r.method == lead and r.eps == eps]
+        series = [r for r in estimates[0].records if r.eps == eps]
         data = "".join(f"{_fmt(math.log(r.n))} {_fmt(math.log(r.count))}\n"
                        for r in series)
         _write_text(os.path.join(out, f"loglog-{_fmt(eps)}.dat"), data)
 
-    for method, _, headline in estimates:
-        print(f"{method}: headline slope {_fmt(headline)}")
+    for method, est in zip(variants, estimates):
+        print(f"{method}: headline slope {_fmt(est.headline)}")
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "METHOD_ANALYTIC_SEPARATED",
     "METHOD_SYMBOLIC_EXACT",
     "COUNT_METHODS",
+    "analytic_methods",
     "count_table",
     "SlopeFit",
     "fit_poly_slope",
@@ -77,29 +78,35 @@ _BOUND_OF = {
 # ---------------------------------------------------------------------------
 # per-cell counts
 
-def _analytic_spanning_count(system: SystemHandle, n: int, eps: float) -> int:
-    if system.parts is not None:
-        a, b = system.parts
-        return _analytic_spanning_count(a, n, eps) * _analytic_spanning_count(b, n, eps)
-    if system.heights is None:
-        raise ValueError(
-            f"closed-form covering counts need a height family; {system.name} has none")
-    return (floor_reciprocal(eps) + 1) * (drift_cutoff(n, eps, system.heights) + 1)
+def _factor_heights(system: SystemHandle) -> list:
+    if system.parts is None:
+        return [system.heights]
+    return [h for part in system.parts for h in _factor_heights(part)]
 
 
-def _analytic_separated_count(system: SystemHandle, n: int, eps: float) -> int:
-    if system.parts is not None:
-        a, b = system.parts
-        return _analytic_separated_count(a, n, eps) * _analytic_separated_count(b, n, eps)
-    if not isinstance(system.heights, PowerHeights):
-        raise ValueError(
-            f"closed-form separated counts are specific to power-law towers; "
-            f"got {system.name}")
-    return floor_reciprocal(eps) * separation_levels(n, eps, system.heights.c)
+def analytic_methods(system: SystemHandle) -> tuple[str, ...]:
+    """Closed-form methods for the system; counts multiply over products, so
+    covering needs heights on every factor, separation power-law heights."""
+    heights = _factor_heights(system)
+    if any(h is None for h in heights):
+        return ()
+    if all(isinstance(h, PowerHeights) for h in heights):
+        return (METHOD_ANALYTIC_SPANNING, METHOD_ANALYTIC_SEPARATED)
+    return (METHOD_ANALYTIC_SPANNING,)
+
+
+def _analytic_count(system: SystemHandle, method: str, n: int, eps: float) -> int:
+    if method not in analytic_methods(system):
+        raise ValueError(f"closed-form {method} counts do not apply to {system.name}")
+    if method == METHOD_ANALYTIC_SPANNING:
+        return math.prod((floor_reciprocal(eps) + 1) * (drift_cutoff(n, eps, fam) + 1)
+                         for fam in _factor_heights(system))
+    return math.prod(floor_reciprocal(eps) * separation_levels(n, eps, fam.c)
+                     for fam in _factor_heights(system))
 
 
 def _dyadic_index(eps: float) -> int:
-    """Smallest j >= 0 with 2^-j >= eps (coding metrics take dyadic values)."""
+    """Largest j >= 0 with 2^-j >= eps (coding metrics take dyadic values)."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"symbolic counting needs eps in (0, 1], got {eps}")
     return max(0, math.floor(math.log2(1.0 / eps)))
@@ -160,10 +167,8 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
     records: list[CountRecord] = []
     for eps in epss:
         for n in ns:
-            if method == METHOD_ANALYTIC_SPANNING:
-                count = _analytic_spanning_count(system, n, eps)
-            elif method == METHOD_ANALYTIC_SEPARATED:
-                count = _analytic_separated_count(system, n, eps)
+            if method in (METHOD_ANALYTIC_SPANNING, METHOD_ANALYTIC_SEPARATED):
+                count = _analytic_count(system, method, n, eps)
             elif method == METHOD_SYMBOLIC_EXACT:
                 count = _symbolic_exact_count(system, n, eps)
             else:
@@ -262,11 +267,13 @@ class EntropyEstimate:
     The headline is a finite-resolution surrogate for the vanishing-scale
     limit: for true counts the per-scale exponent grows as eps shrinks, so
     the max over the supplied grid is the best available stand-in.
+    ``records`` is the count table the fits were made on.
     """
 
     mode: str
     per_eps: dict[float, SlopeFit]
     headline: float
+    records: list[CountRecord]
 
 
 def eps_sweep(system: SystemHandle, ns: list[int], epss: list[float],
@@ -280,4 +287,5 @@ def eps_sweep(system: SystemHandle, ns: list[int], epss: list[float],
     fit = fit_poly_slope if mode == "polynomial" else fit_exp_rate
     per_eps = {eps: fit(records, eps, tail_fraction) for eps in epss}
     headline = max(f.slope for f in per_eps.values())
-    return EntropyEstimate(mode=mode, per_eps=per_eps, headline=headline)
+    return EntropyEstimate(mode=mode, per_eps=per_eps, headline=headline,
+                           records=records)

@@ -12,11 +12,12 @@ Three families are provided, all with unit-time maps and explicit metrics:
 Products of any two systems use the max metric and the coordinatewise map.
 
 Each system is wrapped in a :class:`SystemHandle` carrying the metric, the
-step map, an optional inverse, a canonical sampler, and (where the orbit
-structure admits one) a vectorized Bowen-distance kernel used by the counting
-code. Kernel values are exact whenever the true orbit distance is below
-``exact_cap``; above the cap they are certified lower bounds, which is all a
-threshold comparison needs.
+step map, an optional inverse, a canonical sampler, and one vectorized
+Bowen-distance kernel over numpy batches of points (``pack`` and
+``orbit_cdist``). Kernel values are exact whenever the true orbit distance is
+below ``exact_cap``; above the cap they are certified lower bounds, which is
+all a threshold comparison needs. For thresholds beyond the cap, and for
+handles without a kernel, the counting code steps ``bowen.bowen_dist``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "frac",
     "circle_point",
     "circle_dist",
     "ExpHeights",
@@ -37,7 +37,6 @@ __all__ = [
     "CustomHeights",
     "HeightFamily",
     "TowerPoint",
-    "tower_point",
     "tower_dist",
     "tower_map",
     "tower_inverse",
@@ -64,11 +63,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # circle arithmetic
 
-def frac(x: float) -> float:
-    """Fractional part in [0, 1)."""
-    return x % 1.0
-
-
 def circle_point(angle: float) -> float:
     """Normalize an angle to the canonical representative in [0, 1)."""
     return angle % 1.0
@@ -81,12 +75,6 @@ def circle_dist(x: float, y: float) -> float:
     """
     d = abs(x % 1.0 - y % 1.0)
     return d if d <= 0.5 else 1.0 - d
-
-
-def _circle_dist_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # same formula as circle_dist, elementwise
-    d = np.abs(np.mod(a, 1.0) - np.mod(b, 1.0))
-    return np.minimum(d, 1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +200,6 @@ class TowerPoint:
         object.__setattr__(self, "angle", self.angle % 1.0)
         if self.level < 0:
             raise ValueError(f"level must be >= 0, got {self.level}")
-
-
-def tower_point(angle: float, level: int) -> TowerPoint:
-    return TowerPoint(angle, level)
 
 
 def _height_of(p: TowerPoint, fam: HeightFamily) -> float:
@@ -420,14 +404,14 @@ class SystemHandle:
 
     ``metric``/``step``/``inverse`` act on opaque points. ``sampler(res)``
     returns the canonical finite sample at the requested resolution.
-    ``orbit_dist``/``orbit_cdist`` are optional fast Bowen-distance kernels:
-    exact below ``exact_cap`` and certified lower bounds above it. The block
-    kernel takes an optional ``cap``; entries it reports below the cap are
-    exact (within the ``exact_cap`` regime) while entries at or above it may
-    be cheaper lower bounds that are themselves >= cap, which is all a
-    threshold comparison needs. ``heights`` is set for towers, ``word_fn``
-    for subshifts with a canonical word, and ``parts`` for products, so
-    closed-form counts can multiply through.
+    The optional kernel is a pair set together: ``pack(points, n)`` makes a
+    numpy batch (points on axis 0) for window n, ``orbit_cdist(a, b, n,
+    cap=None)`` the Bowen distances between two batches: exact below both
+    ``exact_cap`` and ``cap``, otherwise certified lower bounds at least as
+    large as the smaller of the two, which is all a threshold test needs.
+    ``heights`` is set for towers, ``word_fn`` for subshifts with a
+    canonical word, and ``parts`` for products, so closed-form counts can
+    multiply through.
     """
 
     name: str
@@ -435,7 +419,7 @@ class SystemHandle:
     step: Callable[[Any], Any]
     inverse: Callable[[Any], Any] | None = None
     sampler: Callable[[int], list] | None = None
-    orbit_dist: Callable[[Any, Any, int], float] | None = None
+    pack: Callable[[Sequence, int], np.ndarray] | None = None
     orbit_cdist: Callable[..., np.ndarray] | None = None
     exact_cap: float = math.inf
     heights: HeightFamily | None = None
@@ -447,12 +431,12 @@ def circle_rotation(theta: float) -> SystemHandle:
     """Rigid rotation by theta on the unit circle; points are plain angles."""
     th = theta % 1.0
 
-    def cdist(a: Sequence[float], b: Sequence[float], n: int,
+    def cdist(a: np.ndarray, b: np.ndarray, n: int,
               cap: float | None = None) -> np.ndarray:
-        # rotations are isometries: the Bowen distance is the plain distance
-        aa = np.asarray(a, dtype=np.float64)[:, None]
-        bb = np.asarray(b, dtype=np.float64)[None, :]
-        return _circle_dist_arr(aa, bb)
+        # rotations are isometries: the Bowen distance is the plain
+        # distance, computed as in circle_dist
+        d = np.abs(np.mod(a, 1.0)[:, None] - np.mod(b, 1.0)[None, :])
+        return np.minimum(d, 1.0 - d)
 
     return SystemHandle(
         name=f"rotation:{th!r}",
@@ -460,7 +444,7 @@ def circle_rotation(theta: float) -> SystemHandle:
         step=lambda x: (x + th) % 1.0,
         inverse=lambda x: (x - th) % 1.0,
         sampler=lambda res: [j / res for j in range(res)],
-        orbit_dist=lambda x, y, n: circle_dist(x, y),
+        pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
         orbit_cdist=cdist,
     )
 
@@ -497,44 +481,34 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tower_orbit_cdist(fam: HeightFamily) -> Callable[..., np.ndarray]:
-    def cdist(pa: Sequence[TowerPoint], pb: Sequence[TowerPoint], n: int,
-              cap: float | None = None) -> np.ndarray:
-        if n < 1:
-            raise ValueError(f"window must be >= 1, got {n}")
-        x1 = np.fromiter((p.angle for p in pa), np.float64, len(pa))[:, None]
-        l1 = np.fromiter((p.level for p in pa), np.int64, len(pa))[:, None]
-        x2 = np.fromiter((p.angle for p in pb), np.float64, len(pb))[None, :]
-        l2 = np.fromiter((p.level for p in pb), np.int64, len(pb))[None, :]
-        h1 = _heights_array(fam, l1)
-        h2 = _heights_array(fam, l2)
-
-        # step-0 term: height gap and initial arc offset, both cheap and
-        # both lower bounds on the window max
-        dh = h1 - h2
-        gap = np.abs(dh)
-        delta = dh - np.rint(dh)
-        theta = x1 - x2
-        u = np.rint(theta)
-        np.abs(theta - u, out=u)
-        base = np.maximum(u, gap, out=u)
-        if n == 1:
+def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int,
+                       cap: float | None = None) -> np.ndarray:
+    if n < 1:
+        raise ValueError(f"window must be >= 1, got {n}")
+    # step-0 term: height gap and initial arc offset, both cheap and
+    # both lower bounds on the window max
+    dh = a["height"][:, None] - b["height"][None, :]
+    gap = np.abs(dh)
+    delta = dh - np.rint(dh)
+    theta = a["angle"][:, None] - b["angle"][None, :]
+    u = np.rint(theta)
+    np.abs(theta - u, out=u)
+    base = np.maximum(u, gap, out=u)
+    if n == 1:
+        return base
+    if cap is not None and np.isfinite(cap):
+        # pairs already at or above cap keep their step-0 lower bound;
+        # the drift scan runs only on the rest, which is what makes
+        # threshold queries (cover checks, separation pruning) cheap
+        flat = np.flatnonzero(base < cap)
+        if flat.size == 0:
             return base
-        if cap is not None and np.isfinite(cap):
-            # pairs already at or above cap keep their step-0 lower bound;
-            # the drift scan runs only on the rest, which is what makes
-            # threshold queries (cover checks, separation pruning) cheap
-            flat = np.flatnonzero(base < cap)
-            if flat.size == 0:
-                return base
-            peak = _drift_peak(theta.ravel()[flat], delta.ravel()[flat], n)
-            br = base.ravel()
-            br[flat] = np.maximum(peak, br[flat])
-            return base
-        best = _drift_peak(theta, delta, n)
-        return np.maximum(best, base, out=best)
-
-    return cdist
+        peak = _drift_peak(theta.ravel()[flat], delta.ravel()[flat], n)
+        br = base.ravel()
+        br[flat] = np.maximum(peak, br[flat])
+        return base
+    best = _drift_peak(theta, delta, n)
+    return np.maximum(best, base, out=best)
 
 
 def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
@@ -549,30 +523,74 @@ def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
     def sampler(res: int) -> list[TowerPoint]:
         return tower_sample(fam, res, list(range(0, level_cap + 1)))
 
+    def pack(points: Sequence[TowerPoint], n: int) -> np.ndarray:
+        batch = np.empty(len(points), [("angle", np.float64), ("height", np.float64)])
+        batch["angle"] = np.fromiter((p.angle for p in points), np.float64, len(points))
+        levels = np.fromiter((p.level for p in points), np.int64, len(points))
+        batch["height"] = _heights_array(fam, levels)
+        return batch
+
     return SystemHandle(
         name=f"tower-{fam.label}",
         metric=lambda p, q: tower_dist(p, q, fam),
         step=lambda p: tower_map(p, fam),
         inverse=lambda p: tower_inverse(p, fam),
         sampler=sampler,
-        orbit_cdist=_tower_orbit_cdist(fam),
+        pack=pack,
+        orbit_cdist=_tower_orbit_cdist,
         exact_cap=0.25,
         heights=fam,
     )
 
 
-def _subshift_orbit_dist(window: int) -> Callable[[SymbolicPoint, SymbolicPoint, int], float]:
-    def orbit_dist(x: SymbolicPoint, y: SymbolicPoint, n: int) -> float:
-        # Bowen max over k in [0, n) of the coding metric = 2^-(distance from
-        # the nearest differing coordinate to the index block [0, n-1])
-        if any(x.symbol(k) != y.symbol(k) for k in range(n)):
-            return 1.0
-        for j in range(1, window + 1):
-            if x.symbol(-j) != y.symbol(-j) or x.symbol(n - 1 + j) != y.symbol(n - 1 + j):
-                return 2.0 ** (-j)
-        return 0.0
+def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
+    """Shift map, coding metric and block kernel shared by the subshifts."""
+    symbol = np.min_scalar_type(alphabet_size - 1)
 
-    return orbit_dist
+    def pack(points: Sequence[SymbolicPoint], n: int) -> np.ndarray:
+        # rows hold the symbols at 0..n-1, then at -1, n, -2, n+1, ... out to
+        # the coding window, so the first mismatch in column n + m lies at
+        # distance m // 2 + 1 from the block; the central n symbols are also
+        # kept as one opaque byte string so blocks compare in a single test
+        outward = np.stack((-np.arange(1, window + 1), np.arange(n, n + window)), axis=1)
+        order = np.concatenate((np.arange(n), outward.ravel()))
+        key = np.dtype((np.void, n * symbol.itemsize))
+        batch = np.empty(len(points), [("rows", symbol, (order.size,)), ("key", key)])
+        groups: dict[Callable[[int], int], list[int]] = {}
+        for i, p in enumerate(points):
+            groups.setdefault(p.rule, []).append(i)
+        for rule, members in groups.items():
+            # shifts of one sequence overlap, so each needed index of the
+            # shared rule is evaluated once
+            offsets = np.array([points[i].offset for i in members], np.int64)
+            index = offsets[:, None] + order
+            need, where = np.unique(index, return_inverse=True)
+            values = np.array([rule(k) for k in need.tolist()], symbol)
+            batch["rows"][members] = values[where.reshape(index.shape)]
+        batch["key"] = np.ascontiguousarray(batch["rows"][:, :n]).view(key)[:, 0]
+        return batch
+
+    def cdist(a: np.ndarray, b: np.ndarray, n: int,
+              cap: float | None = None) -> np.ndarray:
+        # Bowen max over k in [0, n) of the coding metric = 2^-(distance from
+        # the nearest differing coordinate to the index block [0, n-1]); only
+        # pairs with equal central blocks need the outward scan, and it is
+        # exact, so the cap is never needed
+        same = a["key"][:, None] == b["key"][None, :]
+        out = np.where(same, 0.0, 1.0)
+        ii, jj = np.nonzero(same)
+        diff = a["rows"][ii, n:] != b["rows"][jj, n:]
+        hit = diff.any(axis=1)
+        out[ii[hit], jj[hit]] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)
+        return out
+
+    return {
+        "metric": lambda x, y: shift_metric(x, y, window),
+        "step": lambda x: x.shifted(1),
+        "inverse": lambda x: x.shifted(-1),
+        "pack": pack,
+        "orbit_cdist": cdist,
+    }
 
 
 def full_shift(alphabet_size: int = 2, window: int = 64) -> SystemHandle:
@@ -597,11 +615,8 @@ def full_shift(alphabet_size: int = 2, window: int = 64) -> SystemHandle:
 
     return SystemHandle(
         name=f"full-shift:{alphabet_size}",
-        metric=lambda x, y: shift_metric(x, y, window),
-        step=lambda x: x.shifted(1),
-        inverse=lambda x: x.shifted(-1),
         sampler=sampler,
-        orbit_dist=_subshift_orbit_dist(window),
+        **_shift_dynamics(window, alphabet_size),
     )
 
 
@@ -611,11 +626,8 @@ def sturmian_system(alpha: float, window: int = 64) -> SystemHandle:
 
     return SystemHandle(
         name=f"sturmian:{alpha!r}",
-        metric=lambda x, y: shift_metric(x, y, window),
-        step=lambda x: x.shifted(1),
-        inverse=lambda x: x.shifted(-1),
         sampler=lambda res: [base.shifted(i) for i in range(res)],
-        orbit_dist=_subshift_orbit_dist(window),
+        **_shift_dynamics(window, 2),
         word_fn=lambda lo, hi: sturmian_generate(alpha, lo, hi),
     )
 
@@ -635,20 +647,21 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         def sampler(res: int) -> list:
             return [(pa, pb) for pa in a.sampler(res) for pb in b.sampler(res)]
 
-    orbit_cdist = None
+    pack = orbit_cdist = None
     if a.orbit_cdist is not None and b.orbit_cdist is not None:
-        def orbit_cdist(pa: Sequence, pb: Sequence, n: int,
+        def pack(points: Sequence, n: int) -> np.ndarray:
+            pa = a.pack([p[0] for p in points], n)
+            pb = b.pack([p[1] for p in points], n)
+            batch = np.empty(len(points), [("a", pa.dtype), ("b", pb.dtype)])
+            batch["a"], batch["b"] = pa, pb
+            return batch
+
+        def orbit_cdist(x: np.ndarray, y: np.ndarray, n: int,
                         cap: float | None = None) -> np.ndarray:
             # a factor below cap is exact, at or above cap it is a lower
             # bound >= cap, and the max of the factors preserves both cases
-            da = a.orbit_cdist([p[0] for p in pa], [q[0] for q in pb], n, cap)
-            db = b.orbit_cdist([p[1] for p in pa], [q[1] for q in pb], n, cap)
-            return np.maximum(da, db)
-
-    orbit_dist = None
-    if a.orbit_dist is not None and b.orbit_dist is not None:
-        def orbit_dist(p, q, n: int) -> float:
-            return max(a.orbit_dist(p[0], q[0], n), b.orbit_dist(p[1], q[1], n))
+            return np.maximum(a.orbit_cdist(x["a"], y["a"], n, cap),
+                              b.orbit_cdist(x["b"], y["b"], n, cap))
 
     return SystemHandle(
         name=f"product({a.name},{b.name})",
@@ -656,7 +669,7 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         step=lambda p: (a.step(p[0]), b.step(p[1])),
         inverse=inverse,
         sampler=sampler,
-        orbit_dist=orbit_dist,
+        pack=pack,
         orbit_cdist=orbit_cdist,
         exact_cap=min(a.exact_cap, b.exact_cap),
         parts=(a, b),

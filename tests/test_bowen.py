@@ -25,7 +25,7 @@ from polyent import (
     verify_separated,
     verify_spanning,
 )
-from polyent.bowen import bowen_block, pair_bowen
+from polyent.bowen import bowen_block
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -62,20 +62,25 @@ def test_bowen_dist_stop_at_is_partial_max():
     assert bowen_dist(system, x, y, 10, stop_at=full + 1.0) == full
 
 
-def test_subshift_orbit_dist_matches_stepping():
+def _kernel(system, pa, pb, n):
+    return system.orbit_cdist(system.pack(pa, n), system.pack(pb, n), n)
+
+
+def test_subshift_kernel_matches_stepping():
     system = sturmian_system(GOLDEN)
     base = sturmian_point(GOLDEN)
     pts = [base.shifted(i) for i in (0, 1, 4, 9)]
     for n in (1, 3, 10):
-        for x in pts:
-            for y in pts:
-                assert system.orbit_dist(x, y, n) == bowen_dist(system, x, y, n)
+        got = _kernel(system, pts, pts, n)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                assert got[i, j] == bowen_dist(system, x, y, n)
 
 
-def test_pair_bowen_prefers_exact_orbit_dist():
+def test_full_shift_kernel_matches_stepping():
     system = full_shift(2)
     pts = system.sampler(4)
-    assert pair_bowen(system, pts[0], pts[3], 2) == system.orbit_dist(pts[0], pts[3], 2)
+    assert _kernel(system, [pts[0]], [pts[3]], 2)[0, 0] == bowen_dist(system, pts[0], pts[3], 2)
 
 
 def test_bowen_block_matches_pointwise_and_kernel():
@@ -84,10 +89,8 @@ def test_bowen_block_matches_pointwise_and_kernel():
     pb = tower_sample(system.heights, 2, [2])
     n = 8
     by_hand = np.array([[bowen_dist(system, p, q, n) for q in pb] for p in pa])
-    assert np.allclose(bowen_block(system, pa, pb, n, use_kernel=False), by_hand,
-                       atol=1e-12)
-    assert np.allclose(bowen_block(system, pa, pb, n, use_kernel=True), by_hand,
-                       atol=1e-12)
+    assert np.allclose(bowen_block(system, pa, pb, n), by_hand, atol=1e-12)
+    assert np.allclose(_kernel(system, pa, pb, n), by_hand, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,167 @@
+"""Every built-in block kernel against the stepping reference ``bowen_dist``.
+
+Generated point sets check the kernel contract: an entry whose true orbit
+distance is below both ``cap`` and ``exact_cap`` is exact, and any other
+entry is a lower bound at least that large. The eligibility rule is checked
+at ``eps == exact_cap``: separation checks may use the kernel there,
+covering checks may not.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from polyent import (
+    CustomHeights,
+    ExpHeights,
+    PowerHeights,
+    SymbolicPoint,
+    TowerPoint,
+    bowen_dist,
+    circle_rotation,
+    full_shift,
+    product_system,
+    sturmian_point,
+    sturmian_system,
+    tower_system,
+    verify_separated,
+    verify_spanning,
+)
+from polyent.bowen import _distance_path
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# grid angles put pairs exactly on dyadic thresholds such as 1/4
+ANGLES = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75]))
+CAPS = st.one_of(st.none(), st.floats(0.01, 0.6),
+                 st.sampled_from([0.125, 0.25, float(np.nextafter(0.25, 1.0)), 0.5, 1.0]))
+
+
+def _tower_points(fam):
+    top = 6 if fam.max_level is None else fam.max_level
+    return st.builds(TowerPoint, ANGLES, st.integers(0, top))
+
+
+def _sturmian_points():
+    base = sturmian_point(GOLDEN)
+    return st.builds(base.shifted, st.integers(-300, 300))
+
+
+@st.composite
+def _shift_batches(draw, alphabet):
+    # one periodic base per example with a few changed symbols per point, so
+    # central blocks often agree and first differences land at any distance
+    # up to the coding window
+    pattern = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=5))
+    defects = st.dictionaries(st.sampled_from(range(-80, 81)),
+                              st.integers(1, alphabet - 1), max_size=2)
+
+    def point(changes):
+        return SymbolicPoint(
+            lambda k: (pattern[k % len(pattern)] + changes.get(k, 0)) % alphabet,
+            0, alphabet)
+
+    batch = st.lists(defects.map(point), min_size=1, max_size=4)
+    return draw(batch), draw(batch)
+
+
+def _pair_batches(points):
+    batch = st.lists(points, min_size=1, max_size=4)
+    return st.tuples(batch, batch)
+
+
+# float kernels step in closed form where the reference accumulates one
+# rounding per step; coding-metric values are dyadic and must match exactly
+FLOAT_TOL = 1e-12
+
+
+def _towers(fam):
+    return tower_system(fam), _pair_batches(_tower_points(fam)), FLOAT_TOL
+
+
+KERNELS = {
+    "rotation": (circle_rotation(0.37), _pair_batches(ANGLES), FLOAT_TOL),
+    "tower-exp": _towers(ExpHeights()),
+    "tower-power:2": _towers(PowerHeights(2)),
+    "tower-power:1.5": _towers(PowerHeights(1.5)),
+    "tower-custom": _towers(CustomHeights((0.5, 0.25, 0.21, 0.125))),
+    "full-shift:2": (full_shift(2), _shift_batches(2), 0.0),
+    "full-shift:3": (full_shift(3), _shift_batches(3), 0.0),
+    "sturmian": (sturmian_system(GOLDEN), _pair_batches(_sturmian_points()), 0.0),
+    "tower-x-tower": (
+        product_system(tower_system(PowerHeights(2)), tower_system(ExpHeights())),
+        _pair_batches(st.tuples(_tower_points(PowerHeights(2)),
+                                _tower_points(ExpHeights()))),
+        FLOAT_TOL),
+    "tower-x-sturmian": (
+        product_system(tower_system(PowerHeights(1)), sturmian_system(GOLDEN)),
+        _pair_batches(st.tuples(_tower_points(PowerHeights(1)), _sturmian_points())),
+        FLOAT_TOL),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_kernel_cap_contract(name):
+    system, batches, tol = KERNELS[name]
+
+    @PROPERTY
+    @given(batches, st.integers(1, 24), CAPS)
+    def check(pair, n, cap):
+        pa, pb = pair
+        got = system.orbit_cdist(system.pack(pa, n), system.pack(pb, n), n, cap)
+        assert got.shape == (len(pa), len(pb))
+        bound = system.exact_cap if cap is None else min(cap, system.exact_cap)
+        for i, p in enumerate(pa):
+            for j, q in enumerate(pb):
+                true = bowen_dist(system, p, q, n)
+                if true < bound:
+                    assert abs(got[i, j] - true) <= tol
+                else:
+                    assert bound - tol <= got[i, j] <= true + tol
+
+    check()
+
+
+BOUNDARY = [tower_system(PowerHeights(2)),
+            product_system(tower_system(ExpHeights()), sturmian_system(GOLDEN))]
+
+
+@pytest.mark.parametrize("system", BOUNDARY, ids=lambda s: s.name)
+def test_eligibility_boundary_at_exact_cap(system):
+    eps = system.exact_cap
+    # separation at eps == exact_cap passes eps and keeps the kernel
+    assert _distance_path(system, eps)[1] is system.orbit_cdist
+    # covering at eps == exact_cap passes nextafter(eps) and steps instead
+    assert _distance_path(system, float(np.nextafter(eps, np.inf)))[1] is not system.orbit_cdist
+    # one ulp below the cap covering is back on the kernel
+    below = float(np.nextafter(eps, 0.0))
+    assert _distance_path(system, float(np.nextafter(below, np.inf)))[1] is system.orbit_cdist
+
+
+def test_covering_at_exact_cap_sees_distances_past_it():
+    system = tower_system(PowerHeights(2))
+    # step 0 sits exactly at 1/4 and the drift pushes the pair past it; a
+    # kernel capped at 1/4 could only report the step-0 value
+    p, q = TowerPoint(0.0, 0), TowerPoint(0.25, 3)
+    assert bowen_dist(system, p, q, 4) > 0.25
+    assert not verify_spanning(system, [p], [q], 4, 0.25).ok
+    assert verify_separated(system, [p, q], 4, 0.25).ok
+
+
+@PROPERTY
+@given(_tower_points(PowerHeights(2)), _tower_points(PowerHeights(2)), st.integers(1, 24))
+def test_verifiers_at_exact_cap_match_reference(p, q, n):
+    system = tower_system(PowerHeights(2))
+    eps = system.exact_cap
+    true = bowen_dist(system, p, q, n)
+    if abs(true - eps) < 1e-12 and true != eps:
+        return  # the reference and the kernel round differently here
+    assert verify_separated(system, [p, q], n, eps).ok == (true >= eps)
+    assert verify_spanning(system, [p], [q], n, eps).ok == (true <= eps)

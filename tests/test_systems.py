@@ -33,7 +33,7 @@ from polyent import (
     tower_system,
 )
 from polyent.bowen import bowen_dist
-from polyent.systems import first_difference, frac, tower_inverse
+from polyent.systems import circle_point, first_difference, tower_inverse
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
@@ -45,6 +45,10 @@ FAMILIES = [
     PowerHeights(3),
     CustomHeights((0.5, 0.25, 0.21, 0.125)),
 ]
+
+
+def _cdist(system, pa, pb, n, cap=None):
+    return system.orbit_cdist(system.pack(pa, n), system.pack(pb, n), n, cap)
 
 
 def _random_tower_points(rng, fam, count):
@@ -76,10 +80,10 @@ def test_circle_dist_is_a_metric_on_samples():
         assert circle_dist(x, z) <= circle_dist(x, y) + circle_dist(y, z) + 1e-12
 
 
-def test_frac_range():
-    assert frac(2.75) == 0.75
-    assert frac(-0.25) == 0.75
-    assert 0.0 <= frac(-1e-9) < 1.0
+def test_circle_point_range():
+    assert circle_point(2.75) == 0.75
+    assert circle_point(-0.25) == 0.75
+    assert 0.0 <= circle_point(-1e-9) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +318,7 @@ def test_circle_rotation_handle():
     assert system.inverse(system.step(0.4)) == pytest.approx(0.4, abs=1e-15)
     assert system.sampler(4) == [0.0, 0.25, 0.5, 0.75]
     # isometry: the orbit distance is the plain distance at any window
-    assert system.orbit_dist(0.0, 0.2, 50) == pytest.approx(0.2, abs=1e-15)
+    assert _cdist(system, [0.0], [0.2], 50)[0, 0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_tower_system_handle():
@@ -389,7 +393,7 @@ def test_rotation_kernel_matches_pairwise_metric():
     system = circle_rotation(0.37)
     a = [0.0, 0.2, 0.55, 0.9]
     b = [0.1, 0.8]
-    got = system.orbit_cdist(a, b, 17)
+    got = _cdist(system, a, b, 17)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             assert got[i, j] == pytest.approx(circle_dist(x, y), abs=1e-15)
@@ -402,7 +406,7 @@ def test_tower_kernel_matches_reference(fam):
     pa = _random_tower_points(rng, fam, 12)
     pb = _random_tower_points(rng, fam, 12)
     for n in (1, 2, 5, 33):
-        got = system.orbit_cdist(pa, pb, n)
+        got = _cdist(system, pa, pb, n)
         for i, p in enumerate(pa):
             for j, q in enumerate(pb):
                 true = bowen_dist(system, p, q, n)
@@ -421,9 +425,9 @@ def test_tower_kernel_cap_contract(fam):
     pa = _random_tower_points(rng, fam, 10)
     pb = _random_tower_points(rng, fam, 10)
     for n in (2, 9, 40):
-        dense = system.orbit_cdist(pa, pb, n)
+        dense = _cdist(system, pa, pb, n)
         for cap in (0.05, 0.125, 0.2, 0.2500001):
-            got = system.orbit_cdist(pa, pb, n, cap)
+            got = _cdist(system, pa, pb, n, cap)
             below = got < cap
             # threshold classification must agree with the dense kernel,
             # sub-cap entries must be the same exact values
@@ -437,17 +441,17 @@ def test_tower_kernel_window_one_is_plain_metric():
     system = tower_system(fam)
     pa = [TowerPoint(0.1, 0), TowerPoint(0.3, 2)]
     pb = [TowerPoint(0.6, 1)]
-    got = system.orbit_cdist(pa, pb, 1)
+    got = _cdist(system, pa, pb, 1)
     for i, p in enumerate(pa):
         assert got[i, 0] == pytest.approx(tower_dist(p, pb[0], fam), abs=1e-15)
     with pytest.raises(ValueError):
-        system.orbit_cdist(pa, pb, 0)
+        _cdist(system, pa, pb, 0)
 
 
 def test_tower_kernel_rejects_levels_beyond_custom_family():
     system = tower_system(CustomHeights((0.5, 0.25)))
     with pytest.raises(ValueError, match="sequence too short"):
-        system.orbit_cdist([TowerPoint(0.0, 5)], [TowerPoint(0.0, 1)], 4)
+        _cdist(system, [TowerPoint(0.0, 5)], [TowerPoint(0.0, 1)], 4)
 
 
 def test_product_kernel_is_max_of_factors_and_forwards_cap():
@@ -461,12 +465,12 @@ def test_product_kernel_is_max_of_factors_and_forwards_cap():
     pb = [(p, q) for p, q in zip(_random_tower_points(rng, a.heights, 8),
                                  _random_tower_points(rng, b.heights, 8))]
     n = 12
-    da = a.orbit_cdist([p[0] for p in pa], [q[0] for q in pb], n)
-    db = b.orbit_cdist([p[1] for p in pa], [q[1] for q in pb], n)
-    dense = prod.orbit_cdist(pa, pb, n)
+    da = _cdist(a, [p[0] for p in pa], [q[0] for q in pb], n)
+    db = _cdist(b, [p[1] for p in pa], [q[1] for q in pb], n)
+    dense = _cdist(prod, pa, pb, n)
     assert np.array_equal(dense, np.maximum(da, db))
     for cap in (0.1, 0.2):
-        got = prod.orbit_cdist(pa, pb, n, cap)
+        got = _cdist(prod, pa, pb, n, cap)
         below = got < cap
         assert np.array_equal(below, dense < cap)
         assert (got[below] == dense[below]).all()
