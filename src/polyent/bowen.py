@@ -284,19 +284,30 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
                      chunk: int = DEFAULT_CHUNK) -> SeparationCheck:
     """Audit that every pair of ``points`` has orbit distance >= eps.
 
-    Exact distances throughout (no early exit); reports the worst pair and
-    whether strict separation held everywhere.
+    Reports the minimum distance and the first pair in chunk order that
+    attains it, both exactly as an uncapped scan finds them, and whether
+    strict separation held everywhere. Other pairs are only settled as
+    lying above the running minimum: each block is capped one ulp above it.
     """
     _check_scale(n, eps)
     pack, block = _distance_path(system, eps)
     pts = pack(points, n)
     m = len(pts)
+    if m < 2:
+        return SeparationCheck(True, True, n, eps, 0, np.inf, None)
+    # Capping one ulp above the running minimum keeps every entry at or
+    # below it exact and reads every other entry strictly above it, so
+    # neither the block argmin nor the update below can change. Before any
+    # minimum exists, the distance of pair (0, 1), which the first block
+    # holding any pair contains, serves as the running minimum.
+    seed = float(block(pts[0:1], pts[1:2], n)[0, 0])
     min_value = np.inf
     min_pair: tuple[int, int] | None = None
     for lo in range(0, m, chunk):
         rows = pts[lo:lo + chunk]
         for clo in range(lo, m, chunk):
-            d = block(rows, pts[clo:clo + chunk], n)
+            cap = float(np.nextafter(min(min_value, seed), np.inf))
+            d = block(rows, pts[clo:clo + chunk], n, cap)
             # keep strictly-upper-triangular entries of the global matrix
             gi = lo + np.arange(d.shape[0])[:, None]
             gj = clo + np.arange(d.shape[1])[None, :]
@@ -306,8 +317,6 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
             if d[i, j] < min_value:
                 min_value = float(d[i, j])
                 min_pair = (lo + i, clo + j)
-    if min_pair is None:
-        return SeparationCheck(True, True, n, eps, 0, np.inf, None)
     return SeparationCheck(
         ok=min_value >= eps,
         all_strict=min_value > eps,

@@ -18,6 +18,16 @@ Bowen-distance kernel over numpy batches of points (``pack`` and
 below ``exact_cap``; above the cap they are certified lower bounds, which is
 all a threshold comparison needs. For thresholds beyond the cap, and for
 handles without a kernel, the counting code steps ``bowen.bowen_dist``.
+
+The tower kernel prunes by height when given a cap in (0, 1/4]. A pair at
+Bowen distance below cap has height gap |dh| < cap <= 1/4, so its per-step
+drift is dh itself, and consecutive iterates (dh apart) cannot jump between
+the cap-neighbourhoods of different integers; the first and last iterates
+lie within cap of one integer, so (n-1)|dh| < 2 cap. Sorting one batch by
+height turns |dh| <= min(cap, 2 cap/(n-1)), widened by a float margin, into
+one contiguous run per row; only those pairs, and among them only those
+whose step-0 term is below cap, are evaluated exactly. Every other entry
+reads ``cap``: its distance is at least cap, so cap is a valid lower bound.
 """
 
 from __future__ import annotations
@@ -426,6 +436,10 @@ class SystemHandle:
     word_fn: Callable[[int, int], SymbolicWord] | None = None
     parts: tuple["SystemHandle", "SystemHandle"] | None = None
 
+    def __post_init__(self) -> None:
+        if (self.pack is None) != (self.orbit_cdist is None):
+            raise ValueError(f"system {self.name}: pack and orbit_cdist must be set together")
+
 
 def circle_rotation(theta: float) -> SystemHandle:
     """Rigid rotation by theta on the unit circle; points are plain angles."""
@@ -447,6 +461,11 @@ def circle_rotation(theta: float) -> SystemHandle:
         pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
         orbit_cdist=cdist,
     )
+
+
+# distances below a quarter turn are exact (a wrapped drift reads at least
+# 1/2 - |delta| >= 1/4), and the height band needs cap <= 1/4
+_TOWER_EXACT_CAP = 0.25
 
 
 def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
@@ -481,34 +500,57 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
+def _tower_exact(theta: np.ndarray, dh: np.ndarray, n: int) -> np.ndarray:
+    """Tower Bowen distances from the angle and height differences of
+    (broadcast) pairs; mutates ``theta``."""
+    # step-0 term: height gap and initial arc offset, both lower bounds on
+    # the window max
+    u = np.rint(theta)
+    np.abs(theta - u, out=u)
+    base = np.maximum(u, np.abs(dh), out=u)
+    if n == 1:
+        return base
+    best = _drift_peak(theta, dh - np.rint(dh), n)
+    return np.maximum(best, base, out=best)
+
+
 def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int,
                        cap: float | None = None) -> np.ndarray:
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
-    # step-0 term: height gap and initial arc offset, both cheap and
-    # both lower bounds on the window max
-    dh = a["height"][:, None] - b["height"][None, :]
-    gap = np.abs(dh)
-    delta = dh - np.rint(dh)
-    theta = a["angle"][:, None] - b["angle"][None, :]
-    u = np.rint(theta)
-    np.abs(theta - u, out=u)
-    base = np.maximum(u, gap, out=u)
-    if n == 1:
-        return base
-    if cap is not None and np.isfinite(cap):
-        # pairs already at or above cap keep their step-0 lower bound;
-        # the drift scan runs only on the rest, which is what makes
-        # threshold queries (cover checks, separation pruning) cheap
-        flat = np.flatnonzero(base < cap)
-        if flat.size == 0:
-            return base
-        peak = _drift_peak(theta.ravel()[flat], delta.ravel()[flat], n)
-        br = base.ravel()
-        br[flat] = np.maximum(peak, br[flat])
-        return base
-    best = _drift_peak(theta, delta, n)
-    return np.maximum(best, base, out=best)
+    if n == 1 or cap is None or not 0.0 < cap <= _TOWER_EXACT_CAP:
+        return _tower_exact(a["angle"][:, None] - b["angle"][None, :],
+                            a["height"][:, None] - b["height"][None, :], n)
+    # Height band (module docstring): a pair below cap <= 1/4 has |dh| < cap,
+    # so delta = dh and its iterates, dh apart, stay within cap of one
+    # integer from first to last, hence (n-1)|dh| < 2 cap. Only the b-points
+    # with |h_a - h_b| <= w, one contiguous run of b sorted by height, can
+    # lie below cap. The margin on w absorbs the kernel's own rounding (an
+    # angle gap rounded inward can put a pair one ulp past the edge just
+    # below cap), so every pair the exact kernel puts below cap is kept.
+    w = min(cap, 2.0 * cap / (n - 1))
+    w += 1e-9 * w + 1e-9
+    order = np.argsort(b["height"], kind="stable")
+    hb = b["height"][order]
+    ab = b["angle"][order]
+    lo = np.searchsorted(hb, a["height"] - w, "left")
+    counts = np.searchsorted(hb, a["height"] + w, "right") - lo
+    ends = np.cumsum(counts)
+    # band pairs row by row, as positions in the sorted b
+    pos = np.arange(counts.sum()) + np.repeat(lo - ends + counts, counts)
+    theta = np.repeat(a["angle"], counts) - ab[pos]
+    dh = np.repeat(a["height"], counts) - hb[pos]
+    # only band pairs whose step-0 term is below cap need the drift scan
+    step0 = np.rint(theta)
+    np.abs(theta - step0, out=step0)
+    np.maximum(step0, np.abs(dh), out=step0)
+    live = np.flatnonzero(step0 < cap)
+    # every other entry reads cap, a valid lower bound: the pair is pruned
+    # by the band or settled at step 0, so its distance is at least cap
+    out = np.full((len(a), len(b)), cap)
+    rows = np.searchsorted(ends, live, "right")
+    out.ravel()[rows * len(b) + order[pos[live]]] = _tower_exact(theta[live], dh[live], n)
+    return out
 
 
 def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
@@ -538,7 +580,7 @@ def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
         sampler=sampler,
         pack=pack,
         orbit_cdist=_tower_orbit_cdist,
-        exact_cap=0.25,
+        exact_cap=_TOWER_EXACT_CAP,
         heights=fam,
     )
 

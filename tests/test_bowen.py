@@ -9,6 +9,7 @@ import pytest
 from polyent import (
     ExpHeights,
     PowerHeights,
+    SeparationCheck,
     TowerPoint,
     bowen_dist,
     circle_rotation,
@@ -25,7 +26,7 @@ from polyent import (
     verify_separated,
     verify_spanning,
 )
-from polyent.bowen import bowen_block
+from polyent.bowen import _distance_path, bowen_block
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -204,6 +205,39 @@ def test_verify_separated_matches_brute_force_min():
                for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j)
     assert check.min_value == pytest.approx(best[0], abs=1e-12)
     assert check.min_pair == best[1]
+
+
+def _separation_by_blocks(system, pts, n, eps, chunk):
+    # uncapped distances on the path verify_separated takes, scanned in its
+    # block order with the first strictly smaller block minimum winning
+    pack, block = _distance_path(system, eps)
+    packed = pack(pts, n)
+    d = block(packed, packed, n)
+    m = len(pts)
+    best, pair = np.inf, None
+    for lo in range(0, m, chunk):
+        for clo in range(lo, m, chunk):
+            for i in range(lo, min(lo + chunk, m)):
+                for j in range(max(clo, i + 1), min(clo + chunk, m)):
+                    if d[i, j] < best:
+                        best, pair = float(d[i, j]), (i, j)
+    return SeparationCheck(best >= eps, best > eps, n, eps, m * (m - 1) // 2, best, pair)
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_verify_separated_capped_scan_matches_uncapped(chunk):
+    # grid angles tie many pairs at one minimum, repeated points tie at 0,
+    # and eps = 0.3 sends the audit down the stepping path instead
+    grid = tower_sample(PowerHeights(2), 4, [0, 1, 3])
+    deep = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
+    families = [grid, grid[:5] + grid[2:4] + deep, deep + grid[::3]]
+    for system, pts in ((tower_system(PowerHeights(2)), families[0]),
+                        (tower_system(PowerHeights(2)), families[1]),
+                        (tower_system(PowerHeights(1)), families[2])):
+        for n in (1, 3, 40):
+            for eps in (0.05, 0.25, 0.3):
+                check = verify_separated(system, pts, n, eps, chunk=chunk)
+                assert check == _separation_by_blocks(system, pts, n, eps, chunk)
 
 
 def test_verify_spanning_semantics():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyent import (
     ExpHeights,
@@ -157,15 +159,22 @@ def test_word_complexity_validations():
         word_complexity(word, 4)
 
 
-def test_word_complexity_matches_brute_force():
-    rng = np.random.default_rng(21)
-    for trial in range(40):
-        size = int(rng.integers(2, 5))
-        symbols = tuple(int(s) for s in rng.integers(0, size, 40))
-        word = SymbolicWord(symbols=symbols, start=-7, alphabet_size=size)
-        for n in (1, 2, 3, 5, 8, 39, 40):
-            brute = len({symbols[i:i + n] for i in range(len(symbols) - n + 1)})
-            assert word_complexity(word, n) == brute
+@st.composite
+def _words_and_lengths(draw):
+    size = draw(st.sampled_from([2, 3, 4]))
+    symbols = tuple(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=60)))
+    n = draw(st.integers(1, len(symbols)))
+    start = draw(st.integers(-20, 20))
+    return SymbolicWord(symbols=symbols, start=start, alphabet_size=size), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_words_and_lengths())
+def test_word_complexity_matches_brute_force(case):
+    word, n = case
+    symbols = word.symbols
+    brute = len({symbols[i:i + n] for i in range(len(symbols) - n + 1)})
+    assert word_complexity(word, n) == brute
 
 
 def test_word_complexity_growth_bounds():

@@ -129,6 +129,57 @@ def test_kernel_cap_contract(name):
     check()
 
 
+@st.composite
+def _deep_tower_blocks(draw):
+    # deep levels crowd near height 0, where the height band is widest;
+    # the b side repeats some a points and ends with pairs whose |dh| sits
+    # on the band edge w and one ulp to either side, angled so their
+    # iterates straddle one integer symmetrically
+    fam = draw(st.sampled_from([PowerHeights(1), PowerHeights(2), ExpHeights()]))
+    levels = st.one_of(st.just(0), st.integers(1, 3000), st.integers(2990, 3000))
+    points = st.builds(TowerPoint, ANGLES, levels)
+    pa = draw(st.lists(points, min_size=1, max_size=8))
+    pb = draw(st.lists(st.one_of(points, st.sampled_from(pa)), min_size=1, max_size=8))
+    n = draw(st.sampled_from([1, 2, 3, 500, 20000]))
+    cap = draw(st.one_of(st.floats(0.0, 0.25, exclude_min=True),
+                         st.sampled_from([0.25, 0.1, 1e-3, 1e-9])))
+    system = tower_system(fam)
+    a, b = system.pack(pa, n), system.pack(pb, n)
+    w = cap if n < 3 else 2.0 * cap / (n - 1)
+    h = a["height"][0]
+    edge = np.empty(6, b.dtype)
+    for k, dh in enumerate((w, np.nextafter(w, 0.0), np.nextafter(w, 1.0))):
+        drift = (n - 1) * dh / 2.0 % 1.0
+        edge[2 * k] = (a["angle"][0] + drift) % 1.0, h - dh
+        edge[2 * k + 1] = (a["angle"][0] - drift) % 1.0, h + dh
+    return system, a, np.concatenate((b, edge)), n, cap
+
+
+@PROPERTY
+@given(_deep_tower_blocks())
+def test_tower_height_band_keeps_every_entry_below_cap(block):
+    system, a, b, n, cap = block
+    dense = system.orbit_cdist(a, b, n)
+    got = system.orbit_cdist(a, b, n, cap)
+    below = dense < cap
+    assert (got[below] == dense[below]).all()
+    assert (got[~below] >= cap).all()
+
+
+def test_tower_height_band_margin_covers_rounding():
+    # |dh| one ulp past the band edge 2 cap / (n-1), angles centred on the
+    # drift: rounding in the angle gap puts the exact kernel just below cap,
+    # so the band margin must keep this pair
+    system = tower_system(PowerHeights(2))
+    n, cap = 500, 0.0021
+    w = 2.0 * cap / (n - 1)
+    a = system.pack([TowerPoint(0.5, 0)], n)
+    b = np.array([(0.4979, np.nextafter(w, 1.0))], a.dtype)
+    dense = system.orbit_cdist(a, b, n)
+    assert b["height"][0] > w and dense[0, 0] < cap
+    assert system.orbit_cdist(a, b, n, cap)[0, 0] == dense[0, 0]
+
+
 BOUNDARY = [tower_system(PowerHeights(2)),
             product_system(tower_system(ExpHeights()), sturmian_system(GOLDEN))]
 

@@ -14,6 +14,7 @@ from polyent import (
     ExpHeights,
     PowerHeights,
     SymbolicWord,
+    SystemHandle,
     TowerPoint,
     circle_dist,
     circle_rotation,
@@ -319,6 +320,14 @@ def test_circle_rotation_handle():
     assert system.sampler(4) == [0.0, 0.25, 0.5, 0.75]
     # isometry: the orbit distance is the plain distance at any window
     assert _cdist(system, [0.0], [0.2], 50)[0, 0] == pytest.approx(0.2, abs=1e-15)
+
+
+def test_system_handle_sets_pack_and_kernel_together():
+    kernel = circle_rotation(0.3)
+    for half in ({"pack": kernel.pack}, {"orbit_cdist": kernel.orbit_cdist}):
+        with pytest.raises(ValueError, match="set together"):
+            SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
+    SystemHandle(name="none", metric=circle_dist, step=kernel.step)
 
 
 def test_tower_system_handle():
