@@ -45,6 +45,7 @@ from .systems import (
     SystemHandle,
     TowerPoint,
     make_system,
+    word_window,
 )
 
 __all__ = ["main"]
@@ -367,7 +368,7 @@ def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
     else:
         if system.word_fn is None:
             raise UsageError(f"factor shifts need a symbolic system, got {system.name}")
-        word = system.word_fn(0, 11 * window)
+        word = system.word_fn(0, word_window(system, window) - 1)
         report, check = certified_factor_shifts(system, word, window)
 
     doc: dict[str, Any] = {
@@ -440,7 +441,7 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
         if system.word_fn is None:
             raise UsageError(f"complexity needs a symbolic system, got {system.name}")
         n_max = cfg["n_max"]
-        word = system.word_fn(0, 11 * n_max)
+        word = system.word_fn(0, word_window(system, n_max) - 1)
         table = [{"n": n, "complexity": word_complexity(word, n)}
                  for n in range(1, n_max + 1)]
         for row in table:

@@ -27,7 +27,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_spanning
+from .diagnostics import _block_codes
 from .systems import (
     CustomHeights,
     ExpHeights,
@@ -285,19 +288,14 @@ def separated_shift_family(word: SymbolicWord, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    seen: set[tuple[int, ...]] = set()
-    indices: list[int] = []
-    for i in range(word.start, word.end - n + 1):
-        block = word.factor(i, n)
-        if block not in seen:
-            seen.add(block)
-            indices.append(i)
-            if len(indices) == n + 1:
-                return indices
-    raise ValueError(
-        f"word periodic or range too short: {len(indices)} distinct "
-        f"length-{n} blocks in [{word.start}, {word.end})"
-    )
+    codes = _block_codes(word.symbols, word.alphabet_size, n)
+    first = np.sort(np.unique(codes, return_index=True)[1])
+    if first.size <= n:
+        raise ValueError(
+            f"word periodic or range too short: {first.size} distinct "
+            f"length-{n} blocks in [{word.start}, {word.end})"
+        )
+    return [word.start + int(i) for i in first[:n + 1]]
 
 
 def backward_orbit(system: SystemHandle, x, m: int) -> list:

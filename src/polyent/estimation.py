@@ -34,7 +34,7 @@ from .constructions import (
     separation_levels,
 )
 from .diagnostics import word_complexity
-from .systems import PowerHeights, SystemHandle, tower_sample
+from .systems import PowerHeights, SystemHandle, tower_sample, word_window
 
 __all__ = [
     "METHOD_GREEDY_SEPARATED",
@@ -112,14 +112,15 @@ def _dyadic_index(eps: float) -> int:
     return max(0, math.floor(math.log2(1.0 / eps)))
 
 
-def _symbolic_exact_count(system: SystemHandle, n: int, eps: float) -> int:
-    if system.word_fn is None:
-        raise ValueError(f"{system.name} carries no canonical word to count blocks of")
-    j = _dyadic_index(eps)
+def _symbolic_span(n: int, eps: float) -> int:
     # a pair separates at scale eps iff some coordinate in [-j, n-1+j]
     # differs, i.e. iff the blocks of length n + 2j around the window differ
-    span = n + 2 * j
-    word = system.word_fn(0, 11 * span)
+    return n + 2 * _dyadic_index(eps)
+
+
+def _symbolic_exact_count(system: SystemHandle, n: int, eps: float) -> int:
+    span = _symbolic_span(n, eps)
+    word = system.word_fn(0, word_window(system, span) - 1)
     return word_complexity(word, span)
 
 
@@ -157,6 +158,10 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
     greedy = method in (METHOD_GREEDY_SEPARATED, METHOD_GREEDY_SPANNING)
     if greedy and grid is None:
         raise ValueError(f"method {method!r} needs a sample resolution (grid)")
+
+    if method == METHOD_SYMBOLIC_EXACT:
+        # the last cell needs the longest word: refuse it before counting
+        word_window(system, _symbolic_span(ns[-1], epss[-1]))
 
     fixed_sample: list | None = None
     if greedy and system.heights is None:
@@ -200,17 +205,20 @@ class SlopeFit:
     points_used: int
 
 
-def _tail_records(records: list[CountRecord], eps: float,
-                  tail_fraction: float) -> list[CountRecord]:
+def _tail_size(points: int, eps: float, tail_fraction: float) -> int:
+    """How many of ``points`` windows at one eps the tail fit uses."""
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")
+    keep = math.ceil(tail_fraction * points)
+    if keep < 3:
+        raise ValueError(f"need at least 3 tail points at eps {eps!r}, have {keep}")
+    return keep
+
+
+def _tail_records(records: list[CountRecord], eps: float,
+                  tail_fraction: float) -> list[CountRecord]:
     at_eps = sorted((r for r in records if r.eps == eps), key=lambda r: r.n)
-    keep = math.ceil(tail_fraction * len(at_eps))
-    tail = at_eps[len(at_eps) - keep:]
-    if len(tail) < 3:
-        raise ValueError(
-            f"need at least 3 tail points at eps {eps!r}, have {len(tail)}")
-    return tail
+    return at_eps[len(at_eps) - _tail_size(len(at_eps), eps, tail_fraction):]
 
 
 def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
@@ -283,6 +291,10 @@ def eps_sweep(system: SystemHandle, ns: list[int], epss: list[float],
     """Count, fit per scale, and take the max slope as the headline."""
     if mode not in ("polynomial", "topological"):
         raise ValueError(f"mode must be polynomial or topological, got {mode!r}")
+    # each eps gets one record per window, so an unfittable grid is known
+    # before any counting
+    for eps in epss:
+        _tail_size(len(ns), eps, tail_fraction)
     records = count_table(system, ns, epss, method, grid=grid)
     fit = fit_poly_slope if mode == "polynomial" else fit_exp_rate
     per_eps = {eps: fit(records, eps, tail_fraction) for eps in epss}

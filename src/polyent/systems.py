@@ -32,6 +32,7 @@ reads ``cap``: its distance is at least cap, so cap is a valid lower bound.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +53,7 @@ __all__ = [
     "tower_inverse",
     "tower_iterate",
     "tower_sample",
+    "WORD_SYMBOL_LIMIT",
     "SymbolicWord",
     "SymbolicPoint",
     "sturmian_generate",
@@ -61,6 +63,7 @@ __all__ = [
     "shift_metric",
     "first_difference",
     "SystemHandle",
+    "word_window",
     "circle_rotation",
     "tower_system",
     "full_shift",
@@ -252,16 +255,17 @@ def tower_sample(fam: HeightFamily, grid: int, levels: Sequence[int]) -> list[To
 # ---------------------------------------------------------------------------
 # symbolic words and points
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicWord:
     """A materialized window of a symbol sequence, optionally rule-backed.
 
-    ``symbols[i]`` is the symbol at index ``start + i``. When ``rule`` is set,
-    indices outside the window are computed on demand (the window itself is
-    never mutated).
+    ``symbols`` is a read-only one-dimensional integer array (a sequence
+    passed in is copied into one); ``symbols[i]`` is the symbol at index
+    ``start + i``. When ``rule`` is set, indices outside the window are
+    computed on demand (the window itself is never mutated).
     """
 
-    symbols: tuple[int, ...]
+    symbols: np.ndarray
     start: int = 0
     alphabet_size: int = 2
     rule: Callable[[int], int] | None = None
@@ -269,8 +273,20 @@ class SymbolicWord:
     def __post_init__(self) -> None:
         if self.alphabet_size < 2:
             raise ValueError("alphabet must have at least 2 symbols")
-        if any(not (0 <= s < self.alphabet_size) for s in self.symbols):
+        symbols = self.symbols
+        if not isinstance(symbols, np.ndarray):
+            # no dtype here: a cast would truncate float symbols unseen
+            symbols = np.array(symbols)
+            if symbols.size == 0:
+                symbols = symbols.astype(np.int64)
+        elif symbols.flags.writeable:
+            symbols = symbols.copy()
+        symbols.flags.writeable = False
+        if symbols.ndim != 1 or symbols.dtype.kind not in "iu":
+            raise ValueError("symbols must be a one-dimensional integer sequence")
+        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.alphabet_size):
             raise ValueError("symbol out of alphabet range")
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def end(self) -> int:
@@ -279,7 +295,7 @@ class SymbolicWord:
 
     def symbol(self, k: int) -> int:
         if self.start <= k < self.end:
-            return self.symbols[k - self.start]
+            return int(self.symbols[k - self.start])
         if self.rule is not None:
             return self.rule(k)
         raise IndexError(f"index {k} outside materialized range [{self.start}, {self.end})")
@@ -314,10 +330,70 @@ class SymbolicPoint:
 
 
 def _sturmian_rule(alpha: float) -> Callable[[int], int]:
+    # floors taken exactly on the binary64 value p / 2^e of the slope
+    p, q = Fraction(alpha).as_integer_ratio()
+
     def rule(k: int) -> int:
-        return int(math.floor((k + 1) * alpha) - math.floor(k * alpha))
+        return (k + 1) * p // q - k * p // q
 
     return rule
+
+
+# |k| below 2^36 keeps k * (p >> 26) and k * (p mod 2^26) inside int64 for
+# any 53-bit numerator p
+_EXACT_INDEX = 1 << 36
+_SPLIT = 26
+
+
+def _floor_multiples(alpha: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """floor(k * alpha) for k = k_lo..k_hi, exact on the binary64 alpha.
+
+    With alpha = p / 2^e, split p = hi * 2^26 + lo: then k * p = (k * hi +
+    floor(k * lo / 2^26)) * 2^26 + r with 0 <= r < 2^26, and the leftover r
+    cannot change the floor of the quotient by 2^e once e >= 26. A shift of
+    63 already gives floor(c / 2^m) = 0 or -1 for every |c| < 2^63, m >= 63.
+    """
+    p, q = Fraction(alpha).as_integer_ratio()
+    e = q.bit_length() - 1
+    k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    if e <= _SPLIT:
+        # alpha < 1 makes p < 2^e, so k * p itself fits
+        return (k * p) >> e
+    c = k * (p >> _SPLIT)
+    c += (k * (p & ((1 << _SPLIT) - 1))) >> _SPLIT
+    return c >> min(e - _SPLIT, 63)
+
+
+def _sturmian_recurrence(alpha: float) -> Callable[[int], int]:
+    """The recurrence function R of the mechanical word of slope alpha.
+
+    Every factor of length R(n) contains all factors of length n, and by
+    Morse and Hedlund (1940) R(n) = q_{k+1} + q_k + n - 1 for q_k <= n <
+    q_{k+1}, where q_k are the denominators of the convergents of alpha's
+    continued fraction (q_0 = 1). The expansion is taken of the binary64
+    value, which is rational: its word repeats with the period of the last
+    denominator, so block lengths from there on are refused.
+    """
+    p, q = Fraction(alpha).as_integer_ratio()
+    dens, prev = [1], 0
+    num, den = q, p
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        dens.append(a * dens[-1] + prev)
+        prev = dens[-2]
+
+    def recurrence(n: int) -> int:
+        if n < 1:
+            raise ValueError(f"block length must be >= 1, got {n}")
+        k = bisect.bisect_right(dens, n) - 1
+        if k + 1 == len(dens):
+            raise ValueError(
+                f"block length {n} reaches the last convergent denominator "
+                f"{dens[-1]} of the binary64 slope {alpha!r}, whose word is "
+                f"periodic from there on")
+        return dens[k + 1] + dens[k] + n - 1
+
+    return recurrence
 
 
 def _reject_rational(alpha: float, max_den: int = 1000, tol: float = 1e-12) -> None:
@@ -333,23 +409,29 @@ def _reject_rational(alpha: float, max_den: int = 1000, tol: float = 1e-12) -> N
 def sturmian_generate(alpha: float, k_lo: int, k_hi: int) -> SymbolicWord:
     """Mechanical binary word s_k = floor((k+1)*alpha) - floor(k*alpha).
 
-    Materializes indices k_lo..k_hi inclusive and keeps the rule for lazy
-    extension. Slopes too close to a small-denominator rational are rejected
-    (see ``_reject_rational`` for the documented thresholds). Float floors are
-    reliable while k * alpha stays well clear of integers, which holds for the
-    badly-approximable slopes used here out to k ~ 1e6.
+    Materializes indices k_lo..k_hi inclusive as a read-only int8 array and
+    keeps the rule for lazy extension. Both take the floors exactly on the
+    binary64 value of alpha; the array is computed in int64 arithmetic,
+    which is exact for -2^36 < k_lo <= k_hi < 2^36 - 1, and ranges outside
+    that are refused (the rule is exact at every index). Slopes too close
+    to a small-denominator rational are rejected (see ``_reject_rational``
+    for the documented thresholds).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {alpha}")
     _reject_rational(alpha)
     if k_hi < k_lo:
         raise ValueError("empty index range")
-    rule = _sturmian_rule(alpha)
+    if k_lo <= -_EXACT_INDEX or k_hi + 1 >= _EXACT_INDEX:
+        raise ValueError(f"index range [{k_lo}, {k_hi}] leaves the exact range "
+                         f"(-2^36, 2^36 - 1)")
+    symbols = np.diff(_floor_multiples(alpha, k_lo, k_hi + 1)).astype(np.int8)
+    symbols.flags.writeable = False
     return SymbolicWord(
-        symbols=tuple(rule(k) for k in range(k_lo, k_hi + 1)),
+        symbols=symbols,
         start=k_lo,
         alphabet_size=2,
-        rule=rule,
+        rule=_sturmian_rule(alpha),
     )
 
 
@@ -421,7 +503,9 @@ class SystemHandle:
     large as the smaller of the two, which is all a threshold test needs.
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
-    multiply through.
+    multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
+    canonical word, and ``recurrence(n)``, set with it, is a length such
+    that every stretch of the word that long holds every length-n block.
     """
 
     name: str
@@ -434,11 +518,34 @@ class SystemHandle:
     exact_cap: float = math.inf
     heights: HeightFamily | None = None
     word_fn: Callable[[int, int], SymbolicWord] | None = None
+    recurrence: Callable[[int], int] | None = None
     parts: tuple["SystemHandle", "SystemHandle"] | None = None
 
     def __post_init__(self) -> None:
         if (self.pack is None) != (self.orbit_cdist is None):
             raise ValueError(f"system {self.name}: pack and orbit_cdist must be set together")
+        if (self.word_fn is None) != (self.recurrence is None):
+            raise ValueError(f"system {self.name}: word_fn and recurrence must be set together")
+
+
+# Longest canonical word the counting code materializes. Counting the
+# blocks of a Sturmian word peaks at about 66 bytes per symbol (int64 codes,
+# ranks and sort permutations), so about 0.55 GiB at this limit.
+WORD_SYMBOL_LIMIT = 1 << 23
+
+
+def word_window(system: SystemHandle, span: int) -> int:
+    """Length of a stretch of the system's canonical word that holds every
+    block of length ``span`` (its recurrence function); lengths beyond
+    ``WORD_SYMBOL_LIMIT`` are refused."""
+    if system.recurrence is None:
+        raise ValueError(f"{system.name} carries no canonical word")
+    length = system.recurrence(span)
+    if length > WORD_SYMBOL_LIMIT:
+        raise ValueError(
+            f"length-{span} blocks need a word of {length} symbols, beyond the "
+            f"limit of {WORD_SYMBOL_LIMIT}")
+    return length
 
 
 def circle_rotation(theta: float) -> SystemHandle:
@@ -482,7 +589,10 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
 
     t0 = 0.5 - theta
     t0 += t0 < 0.0
-    k1 = np.floor(np.divide(t0, delta, out=t0, where=delta > 0.0))
+    # a subnormal drift (exp heights past level ~709) overflows to inf here,
+    # which the clip to n - 1 absorbs
+    with np.errstate(divide="ignore", over="ignore"):
+        k1 = np.floor(np.divide(t0, delta, out=t0, where=delta > 0.0))
     np.clip(k1, 0.0, float(n - 1), out=k1)
 
     u = np.rint(theta)
@@ -671,6 +781,7 @@ def sturmian_system(alpha: float, window: int = 64) -> SystemHandle:
         sampler=lambda res: [base.shifted(i) for i in range(res)],
         **_shift_dynamics(window, 2),
         word_fn=lambda lo, hi: sturmian_generate(alpha, lo, hi),
+        recurrence=_sturmian_recurrence(alpha),
     )
 
 

@@ -12,6 +12,8 @@ import math
 import pytest
 
 import polyent.cli as cli
+import polyent.estimation as estimation
+import polyent.systems as systems
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -87,6 +89,18 @@ def test_estimate_sturmian_symbolic(tmp_path):
     rows = (tmp_path / "counts.csv").read_text().splitlines()[1:]
     exact = [r for r in rows if r.endswith(",exact")]
     assert len(exact) == len(rows) == 21
+
+
+def test_estimate_refuses_short_tails_before_counting(tmp_path, capsys, monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted before the tail check")
+
+    monkeypatch.setattr(estimation, "count_table", no_counting)
+    rc = _run("estimate", "--system", "product:tower-power:2,tower-exp",
+              "--n0", "2", "--steps", "4", "--eps", "0.2", "--grid", "50",
+              "--method", "greedy", "--out", str(tmp_path))
+    assert rc == 64
+    assert "need at least 3 tail points at eps 0.2, have 2" in capsys.readouterr().err
 
 
 def test_estimate_greedy_default_method(tmp_path):
@@ -268,8 +282,9 @@ def test_diagnose_complexity(tmp_path, capsys):
     assert rc == 0
     doc = _read_json(tmp_path / "complexity.json")
     assert [row["complexity"] for row in doc["table"]] == list(range(2, 14))
-    # the materialized word covers indices 0..11*n_max inclusive
-    assert doc["range"] == [0, 133]
+    # the materialized word is one recurrence window R(12) = 13 + 8 + 12 - 1
+    # long (golden convergent denominators 8 <= 12 < 13)
+    assert doc["range"] == [0, 32]
     assert "p(12) = 13" in capsys.readouterr().out
 
 
@@ -282,6 +297,76 @@ def test_diagnose_distality(tmp_path, capsys):
     assert doc["levels"] == [1, 2]
     assert doc["gap"] == doc["height_gap"] == math.exp(-1) - math.exp(-2)
     assert "levels 1,2" in capsys.readouterr().out
+
+
+# each symbolic command with the block length behind its longest word:
+# estimate needs span 256 + 2 (eps 0.5 adds one coordinate on each side)
+SYMBOLIC_COMMANDS = [
+    (("estimate", "--method", "symbolic", "--n0", "16", "--steps", "5",
+      "--eps", "1,0.5"), 258, "counts.csv"),
+    (("verify-construction", "--which", "factor-shifts", "--n0", "8",
+      "--steps", "1", "--eps", "1"), 8, "construction.json"),
+    (("diagnose", "--check", "complexity", "--n-max", "12"), 12, "complexity.json"),
+]
+
+
+def _count_generated(monkeypatch):
+    calls = []
+    real = systems.sturmian_generate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(systems, "sturmian_generate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("args,span,output", SYMBOLIC_COMMANDS)
+def test_symbolic_word_limit_admits_a_window_at_the_limit(tmp_path, monkeypatch,
+                                                          args, span, output):
+    window = systems.sturmian_system(GOLDEN).recurrence(span)
+    monkeypatch.setattr(systems, "WORD_SYMBOL_LIMIT", window)
+    calls = _count_generated(monkeypatch)
+    rc = _run(*args, "--system", f"sturmian:{GOLDEN!r}", "--out", str(tmp_path))
+    assert rc == 0
+    assert max(hi - lo + 1 for _, lo, hi in calls) == window
+    assert (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("args,span,output", SYMBOLIC_COMMANDS)
+def test_symbolic_word_limit_refuses_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     args, span, output):
+    window = systems.sturmian_system(GOLDEN).recurrence(span)
+    monkeypatch.setattr(systems, "WORD_SYMBOL_LIMIT", window - 1)
+    calls = _count_generated(monkeypatch)
+    rc = _run(*args, "--system", f"sturmian:{GOLDEN!r}", "--out", str(tmp_path))
+    assert rc == 64
+    assert f"beyond the limit of {window - 1}" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("estimate", "--method", "symbolic", "--n0", "2", "--steps", "24", "--eps", "1"),
+    ("verify-construction", "--which", "factor-shifts", "--n0", str(2 ** 24),
+     "--steps", "1", "--eps", "1"),
+    ("diagnose", "--check", "complexity", "--n-max", str(2 ** 24)),
+])
+def test_symbolic_word_limit_refuses_huge_windows(tmp_path, capsys, monkeypatch, args):
+    calls = _count_generated(monkeypatch)
+    rc = _run(*args, "--system", f"sturmian:{GOLDEN!r}", "--out", str(tmp_path))
+    assert rc == 64
+    assert f"beyond the limit of {systems.WORD_SYMBOL_LIMIT}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_symbolic_block_length_past_the_last_convergent_is_refused(tmp_path, capsys):
+    # 12345 / 2^20 is exactly its binary64 value: a word of period 2^20
+    rc = _run("verify-construction", "--system", f"sturmian:{12345 / 2 ** 20!r}",
+              "--which", "factor-shifts", "--n0", str(2 ** 20), "--steps", "1",
+              "--eps", "1", "--out", str(tmp_path))
+    assert rc == 64
+    assert "last convergent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

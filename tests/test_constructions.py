@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyent import (
     CustomHeights,
@@ -212,6 +214,51 @@ def test_separated_shift_family_golden():
     assert separated_shift_family(word, 1) == [0, 1]
     with pytest.raises(ValueError):
         separated_shift_family(word, 0)
+
+
+def _tuple_scan(word, n):
+    # the first-occurrence scan over block tuples that the ranked version
+    # replaced; None where it finds fewer than n + 1 distinct blocks
+    seen, indices = set(), []
+    for i in range(word.start, word.end - n + 1):
+        block = word.factor(i, n)
+        if block not in seen:
+            seen.add(block)
+            indices.append(i)
+            if len(indices) == n + 1:
+                return indices
+    return None
+
+
+@st.composite
+def _scan_cases(draw):
+    size = draw(st.sampled_from([2, 3, 17]))
+    length = draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        # periodic words with a few defects: distinct blocks are scarce, so
+        # both outcomes (a family, a refusal) occur
+        motif = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
+        symbols = [motif[i % len(motif)] for i in range(length)]
+        for i in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+            symbols[i] = draw(st.integers(0, size - 1))
+    else:
+        symbols = draw(st.lists(st.integers(0, size - 1),
+                                min_size=length, max_size=length))
+    word = SymbolicWord(symbols=tuple(symbols), start=draw(st.integers(-20, 20)),
+                        alphabet_size=size)
+    return word, draw(st.integers(1, length + 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scan_cases())
+def test_separated_shift_family_matches_tuple_scan(case):
+    word, n = case
+    expected = _tuple_scan(word, n)
+    if expected is None:
+        with pytest.raises(ValueError, match="periodic or range too short"):
+            separated_shift_family(word, n)
+    else:
+        assert separated_shift_family(word, n) == expected
 
 
 def test_separated_shift_family_rejects_periodic_words():

@@ -161,18 +161,28 @@ def test_word_complexity_validations():
 
 @st.composite
 def _words_and_lengths(draw):
-    size = draw(st.sampled_from([2, 3, 4]))
-    symbols = tuple(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=60)))
-    n = draw(st.integers(1, len(symbols)))
+    size = draw(st.sampled_from([2, 3, 4, 17, 256]))
+    length = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        # a repeated motif with a few changed symbols has few distinct
+        # blocks, so ranking folds many ranks per round; free words do not
+        motif = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+        symbols = [motif[i % len(motif)] for i in range(length)]
+        for i in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+            symbols[i] = draw(st.integers(0, size - 1))
+    else:
+        symbols = draw(st.lists(st.integers(0, size - 1),
+                                min_size=length, max_size=length))
+    n = draw(st.integers(1, length))
     start = draw(st.integers(-20, 20))
-    return SymbolicWord(symbols=symbols, start=start, alphabet_size=size), n
+    return SymbolicWord(symbols=tuple(symbols), start=start, alphabet_size=size), n
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_words_and_lengths())
 def test_word_complexity_matches_brute_force(case):
     word, n = case
-    symbols = word.symbols
+    symbols = tuple(word.symbols.tolist())
     brute = len({symbols[i:i + n] for i in range(len(symbols) - n + 1)})
     assert word_complexity(word, n) == brute
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import polyent.estimation as estimation
 from polyent import (
     BOUND_EXACT,
     BOUND_SEPARATED_LOWER,
@@ -22,6 +23,7 @@ from polyent import (
     spanning_witness,
     sturmian_system,
     tower_system,
+    word_complexity,
 )
 from polyent.estimation import (
     METHOD_ANALYTIC_SEPARATED,
@@ -71,6 +73,40 @@ def test_symbolic_counts_widen_with_finer_scales():
     assert by_cell[(0.5, 5)] == 8
     assert by_cell[(0.25, 5)] == 10
     assert by_cell[(0.25, 10)] == 15
+
+
+def test_symbolic_count_sees_a_late_first_one():
+    # 1/(40 + golden): the first 1 of the word sits at index 40, past the
+    # twelve symbols an 11 * span window used to hold
+    system = sturmian_system(0.02461960616500969)
+    [record] = count_table(system, [1], [1.0], METHOD_SYMBOLIC_EXACT)
+    assert (record.count, record.bound) == (2, BOUND_EXACT)
+
+
+def _continued(quotients):
+    # [0; a_1, ..., a_k, 1, 1, ...]: the given partial quotients, then a
+    # golden tail
+    x = GOLDEN
+    for a in reversed(quotients):
+        x = 1.0 / (a + x)
+    return x
+
+
+@pytest.mark.parametrize("quotients", [(60,), (1, 60), (2, 60, 1, 60),
+                                       (7, 1, 33, 2, 60), (60, 60, 60)])
+def test_recurrence_windows_hold_every_block(quotients):
+    system = sturmian_system(_continued(quotients))
+    ns = list(range(1, 150)) + [997, 4001]
+    records = count_table(system, ns, [1.0], METHOD_SYMBOLIC_EXACT)
+    assert [r.count for r in records] == [n + 1 for n in ns]
+    for n in ns:
+        window = system.recurrence(n)
+        longer = system.word_fn(0, 4 * window - 1)
+        assert word_complexity(longer, n) == n + 1
+        # a recurrence window holds every block wherever it starts
+        for start in (1, 977, 123457):
+            word = system.word_fn(start, start + window - 1)
+            assert word_complexity(word, n) == n + 1
 
 
 def test_greedy_counts_on_well_separated_shift_points():
@@ -214,6 +250,16 @@ def test_eps_sweep_product_headline_adds():
     one = eps_sweep(single, ns, epss, METHOD_ANALYTIC_SEPARATED)
     two = eps_sweep(prod, ns, epss, METHOD_ANALYTIC_SEPARATED)
     assert two.headline >= 2 * one.headline - 0.1
+
+
+def test_eps_sweep_refuses_short_tails_before_counting(monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted before the tail check")
+
+    monkeypatch.setattr(estimation, "count_table", no_counting)
+    system = make_system("product:tower-power:2,tower-exp")
+    with pytest.raises(ValueError, match="need at least 3 tail points at eps 0.2, have 2"):
+        eps_sweep(system, [2, 4, 8, 16], [0.2], METHOD_GREEDY_SEPARATED, grid=50)
 
 
 def test_eps_sweep_mode_validation():

@@ -5,6 +5,8 @@ reference here; everything downstream trusts that agreement.
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +36,13 @@ from polyent import (
     tower_system,
 )
 from polyent.bowen import bowen_dist
-from polyent.systems import circle_point, first_difference, tower_inverse
+from polyent.systems import (
+    _drift_peak,
+    _floor_multiples,
+    circle_point,
+    first_difference,
+    tower_inverse,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
@@ -229,7 +237,8 @@ def test_tower_sample_layout():
 
 def test_sturmian_golden_prefix():
     word = sturmian_generate(GOLDEN, 0, 4)
-    assert word.symbols == (0, 1, 0, 1, 1)
+    assert word.symbols.tolist() == [0, 1, 0, 1, 1]
+    assert word.symbols.dtype == np.int8 and not word.symbols.flags.writeable
     assert word.alphabet_size == 2
     assert word.start == 0 and word.end == 5
 
@@ -243,7 +252,7 @@ def test_sturmian_matches_floor_formula():
 
 def test_sturmian_symbol_density_tracks_slope():
     word = sturmian_generate(GOLDEN, 0, 10 ** 4 - 1)
-    assert sum(word.symbols) / 10 ** 4 == pytest.approx(GOLDEN, abs=1e-3)
+    assert word.symbols.sum() / 10 ** 4 == pytest.approx(GOLDEN, abs=1e-3)
 
 
 def test_sturmian_rejects_rational_and_out_of_range_slopes():
@@ -252,6 +261,50 @@ def test_sturmian_rejects_rational_and_out_of_range_slopes():
             sturmian_generate(bad, 0, 10)
     with pytest.raises(ValueError):
         sturmian_generate(GOLDEN, 5, 4)
+
+
+# 1/(40 + golden): a partial quotient of 40, so its first 1 sits at index 40;
+# 12345 / 2^20 has a binary exponent below 26; 5e-12 passes the rational
+# guard, has exponent 90 > 26 + 63, and k * 5e-12 passes 1/4 near k = 2^36
+EXACT_SLOPES = (GOLDEN, SILVER, 0.02461960616500969, 12345 / 2 ** 20, 5e-12)
+
+
+@pytest.mark.parametrize("alpha", EXACT_SLOPES)
+def test_sturmian_generation_is_exact_on_the_binary_slope(alpha):
+    exact = Fraction(alpha)
+    edge = 2 ** 36 - 2
+    for lo, hi in ((-5000, 5000), (2 ** 31 - 200, 2 ** 31 + 200),
+                   (-2 ** 31 - 200, -2 ** 31 + 200), (edge - 200, edge),
+                   (-edge, -edge + 200)):
+        word = sturmian_generate(alpha, lo, hi)
+        want = [math.floor((k + 1) * exact) - math.floor(k * exact)
+                for k in range(lo, hi + 1)]
+        assert word.symbols.tolist() == want
+        # the floors themselves, which a shared offset would hide from the
+        # symbols
+        assert _floor_multiples(alpha, lo, hi).tolist() == \
+            [math.floor(k * exact) for k in range(lo, hi + 1)]
+        # the lazy rule is the same integer formula
+        assert [word.rule(k) for k in range(lo, hi + 1)] == want
+    for lo, hi in ((edge - 5, edge + 1), (-2 ** 36, -2 ** 36 + 5)):
+        with pytest.raises(ValueError, match="exact range"):
+            sturmian_generate(alpha, lo, hi)
+
+
+def test_sturmian_recurrence_matches_morse_hedlund():
+    # golden convergent denominators are 1, 1, 2, 3, 5, 8, 13, ...
+    recurrence = sturmian_system(GOLDEN).recurrence
+    assert [recurrence(n) for n in (1, 2, 3, 4, 5, 12)] == [3, 6, 10, 11, 17, 32]
+    # 12345 / 2^20 = [0; 84, 1, 15, 2, 13, 2, 1, 2, 3], denominators 1, 84,
+    # 85, ..., 310793, 2^20: its word repeats with period 2^20, so block
+    # lengths from 2^20 on are refused
+    recurrence = sturmian_system(12345 / 2 ** 20).recurrence
+    assert recurrence(1) == 84 + 1 + 1 - 1
+    assert recurrence(2 ** 20 - 1) == 2 ** 20 + 310793 + 2 ** 20 - 2
+    with pytest.raises(ValueError, match="last convergent"):
+        recurrence(2 ** 20)
+    with pytest.raises(ValueError):
+        recurrence(0)
 
 
 def test_word_extends_past_materialized_range_via_rule():
@@ -268,6 +321,22 @@ def test_word_without_rule_raises_outside_range():
         SymbolicWord(symbols=(0, 2), alphabet_size=2)
     with pytest.raises(ValueError):
         SymbolicWord(symbols=(0,), alphabet_size=1)
+    with pytest.raises(ValueError):
+        SymbolicWord(symbols=(0, -1), alphabet_size=2)
+    with pytest.raises(ValueError):
+        SymbolicWord(symbols=[[0, 1]], alphabet_size=2)
+    with pytest.raises(ValueError):
+        SymbolicWord(symbols=(0.5, 1), alphabet_size=2)
+    assert SymbolicWord(symbols=()).end == 0
+
+
+def test_word_symbols_are_a_private_read_only_array():
+    source = np.array([0, 1, 2], dtype=np.uint8)
+    word = SymbolicWord(symbols=source, alphabet_size=3)
+    source[0] = 2
+    assert word.symbols.tolist() == [0, 1, 2] and word.symbol(0) == 0
+    assert not word.symbols.flags.writeable
+    assert isinstance(SymbolicWord(symbols=(1, 0)).symbol(0), int)
 
 
 def test_symbolic_point_shifting():
@@ -328,6 +397,10 @@ def test_system_handle_sets_pack_and_kernel_together():
         with pytest.raises(ValueError, match="set together"):
             SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
     SystemHandle(name="none", metric=circle_dist, step=kernel.step)
+    words = sturmian_system(GOLDEN)
+    for half in ({"word_fn": words.word_fn}, {"recurrence": words.recurrence}):
+        with pytest.raises(ValueError, match="set together"):
+            SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
 
 
 def test_tower_system_handle():
@@ -360,7 +433,7 @@ def test_full_shift_sampler_enumerates_periodic_points():
 def test_sturmian_system_handle():
     system = sturmian_system(GOLDEN)
     word = system.word_fn(0, 4)
-    assert word.symbols == (0, 1, 0, 1, 1)
+    assert word.symbols.tolist() == [0, 1, 0, 1, 1]
     pts = system.sampler(3)
     assert [p.offset for p in pts] == [0, 1, 2]
     assert system.metric(pts[0], pts[0]) == 0.0
@@ -455,6 +528,20 @@ def test_tower_kernel_window_one_is_plain_metric():
         assert got[i, 0] == pytest.approx(tower_dist(p, pb[0], fam), abs=1e-15)
     with pytest.raises(ValueError):
         _cdist(system, pa, pb, 0)
+
+
+def test_drift_peak_is_quiet_on_vanishing_exp_drifts():
+    # exp heights past level ~709 drift by a subnormal or zero amount, so
+    # the crossing step overflows to inf before the clip to n - 1
+    levels = np.arange(690.0, 800.0)
+    delta = np.exp(-levels)
+    theta = np.linspace(0.0, 0.99, levels.size)
+    n = 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _drift_peak(theta.copy(), delta.copy(), n)
+    u = theta[:, None] + np.arange(n)[None, :] * delta[:, None]
+    assert np.array_equal(got, np.abs(u - np.rint(u)).max(axis=1))
 
 
 def test_tower_kernel_rejects_levels_beyond_custom_family():
