@@ -308,14 +308,17 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
         for clo in range(lo, m, chunk):
             cap = float(np.nextafter(min(min_value, seed), np.inf))
             d = block(rows, pts[clo:clo + chunk], n, cap)
-            # keep strictly-upper-triangular entries of the global matrix
-            gi = lo + np.arange(d.shape[0])[:, None]
-            gj = clo + np.arange(d.shape[1])[None, :]
-            d = np.where(gi < gj, d, np.inf)
-            flat = int(np.argmin(d))
-            i, j = divmod(flat, d.shape[1])
-            if d[i, j] < min_value:
-                min_value = float(d[i, j])
+            if clo == lo:
+                # keep strictly-upper-triangular entries of the global
+                # matrix, in place in the block's own array
+                np.copyto(d, np.inf, where=np.tri(*d.shape, dtype=bool))
+            i, j = divmod(int(np.argmin(d)), d.shape[1])
+            value = float(d[i, j])
+            # drop the block before the next one is built, so only one is
+            # alive at a time
+            del d
+            if value < min_value:
+                min_value = value
                 min_pair = (lo + i, clo + j)
     return SeparationCheck(
         ok=min_value >= eps,
@@ -343,12 +346,13 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     cap = float(np.nextafter(eps, np.inf))
     pack, block = _distance_path(system, cap)
     ctr = pack(centers, n)
-    m = len(sample)
+    packed = pack(sample, n)
+    m = len(packed)
     uncovered_count = 0
     boundary_count = 0
     first_uncovered: int | None = None
     for lo in range(0, m, chunk):
-        rows = pack(sample[lo:lo + chunk], n)
+        rows = packed[lo:lo + chunk]
         open_idx = np.arange(len(rows))
         open_min = np.full(len(rows), np.inf)
         for clo in range(0, len(ctr), chunk):

@@ -32,13 +32,13 @@ import numpy as np
 from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_spanning
 from .diagnostics import _block_codes
 from .systems import (
+    AngleLevelGrid,
     CustomHeights,
     ExpHeights,
     HeightFamily,
     PowerHeights,
     SymbolicWord,
     SystemHandle,
-    TowerPoint,
     tower_sample,
     tower_system,
 )
@@ -162,40 +162,6 @@ def separation_levels(window: int, eps: float, c: float) -> int:
     return level
 
 
-class AngleLevelGrid(Sequence):
-    """Lazy product of a uniform angle grid with a level list.
-
-    Indexing is level-major with the angle running fastest; nothing is
-    materialized, so million-level covering families keep O(1) length and
-    element access.
-    """
-
-    def __init__(self, angle_count: int, levels: Sequence[int]):
-        if angle_count < 1:
-            raise ValueError(f"angle count must be >= 1, got {angle_count}")
-        self._r = angle_count
-        # a range stays a range: cutoff walks can reach 10^7+ levels and the
-        # whole point of this class is to never materialize them
-        self._levels = levels if isinstance(levels, range) else tuple(levels)
-
-    def __len__(self) -> int:
-        return self._r * len(self._levels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        m = len(self)
-        if i < 0:
-            i += m
-        if not 0 <= i < m:
-            raise IndexError(i)
-        lv, j = divmod(i, self._r)
-        return TowerPoint(j / self._r, self._levels[lv])
-
-    def __repr__(self) -> str:
-        return f"AngleLevelGrid(angle_count={self._r}, levels={self._levels!r})"
-
-
 @dataclass(frozen=True)
 class ConstructionReport:
     """A witness family plus the numbers that pin down its shape.
@@ -247,10 +213,8 @@ def spanning_witness(window: int, eps: float, fam: HeightFamily) -> Construction
     )
 
 
-def _separated_points(angle_count: int, levels: int) -> list[TowerPoint]:
-    return [TowerPoint(j / angle_count, lv)
-            for lv in range(1, levels + 1)
-            for j in range(angle_count)]
+def _separated_points(angle_count: int, levels: int) -> AngleLevelGrid:
+    return AngleLevelGrid(angle_count, range(1, levels + 1))
 
 
 def separated_witness(window: int, eps: float, c: float) -> ConstructionReport:

@@ -17,8 +17,10 @@ bit-identical across thread counts.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+from . import systems
 from .bowen import (
     BOUND_EXACT,
     BOUND_SEPARATED_LOWER,
@@ -34,7 +36,7 @@ from .constructions import (
     separation_levels,
 )
 from .diagnostics import word_complexity
-from .systems import PowerHeights, SystemHandle, tower_sample, word_window
+from .systems import AngleLevelGrid, PowerHeights, SystemHandle, tower_sample, word_window
 
 __all__ = [
     "METHOD_GREEDY_SEPARATED",
@@ -125,7 +127,7 @@ def _symbolic_exact_count(system: SystemHandle, n: int, eps: float) -> int:
 
 
 def _tower_sample_for(system: SystemHandle, method: str, n: int, eps: float,
-                      grid: int) -> list:
+                      grid: int) -> AngleLevelGrid:
     fam = system.heights
     if method == METHOD_GREEDY_SEPARATED and isinstance(fam, PowerHeights):
         top = int(math.ceil(separation_depth(n, eps, fam.c))) + 5
@@ -143,7 +145,8 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
     Greedy methods need ``grid``: angles per circle for towers (the level
     range follows the witness thresholds for the cell, plus slack), or the
     sampler resolution for other systems. Closed-form and symbolic methods
-    ignore it.
+    ignore it. A greedy tower cell whose sample would hold more than
+    ``systems.TOWER_SAMPLE_LIMIT`` points is refused before any counting.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
@@ -163,11 +166,24 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
         # the last cell needs the longest word: refuse it before counting
         word_window(system, _symbolic_span(ns[-1], epss[-1]))
 
-    fixed_sample: list | None = None
+    samples: dict[tuple[float, int], Sequence] = {}
     if greedy and system.heights is None:
         if system.sampler is None:
             raise ValueError(f"{system.name} has no sampler for greedy counting")
-        fixed_sample = system.sampler(grid)
+        samples = dict.fromkeys(((eps, n) for eps in epss for n in ns),
+                                system.sampler(grid))
+    elif greedy:
+        # tower samples are lazy grids of known length: every cell is sized
+        # before any counting starts
+        for eps in epss:
+            for n in ns:
+                sample = _tower_sample_for(system, method, n, eps, grid)
+                if len(sample) > systems.TOWER_SAMPLE_LIMIT:
+                    raise ValueError(
+                        f"greedy counting at n={n}, eps={eps!r} needs a sample of "
+                        f"{len(sample)} points, beyond the limit of "
+                        f"{systems.TOWER_SAMPLE_LIMIT}")
+                samples[eps, n] = sample
 
     records: list[CountRecord] = []
     for eps in epss:
@@ -177,8 +193,7 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
             elif method == METHOD_SYMBOLIC_EXACT:
                 count = _symbolic_exact_count(system, n, eps)
             else:
-                sample = (fixed_sample if fixed_sample is not None
-                          else _tower_sample_for(system, method, n, eps, grid))
+                sample = samples[eps, n]
                 if method == METHOD_GREEDY_SEPARATED:
                     count = len(greedy_separated(system, sample, n, eps))
                 else:

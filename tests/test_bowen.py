@@ -124,6 +124,23 @@ def test_greedy_separated_is_chunk_invariant():
     assert a == b
 
 
+def test_routines_agree_on_a_grid_and_its_points():
+    # a packed grid and the fromiter pack of its points are the same batch,
+    # and the blocks here are wide enough for the angle band
+    fam = PowerHeights(2)
+    system = tower_system(fam)
+    sample = tower_sample(fam, 150, range(0, 9))
+    centers = tower_sample(fam, 11, range(0, 40))
+    n, eps = 50, 0.1
+    assert (verify_spanning(system, centers, sample, n, eps)
+            == verify_spanning(system, list(centers), list(sample), n, eps))
+    assert (verify_separated(system, sample, n, eps)
+            == verify_separated(system, list(sample), n, eps))
+    kept = greedy_separated(system, sample, n, eps)
+    assert kept == greedy_separated(system, list(sample), n, eps)
+    assert all(isinstance(p, TowerPoint) for p in kept)
+
+
 def test_greedy_separated_passes_both_verifiers():
     fam = PowerHeights(2)
     system = tower_system(fam)

@@ -369,6 +369,53 @@ def test_symbolic_block_length_past_the_last_convergent_is_refused(tmp_path, cap
     assert "last convergent" in capsys.readouterr().err
 
 
+def _count_greedy(monkeypatch):
+    sizes = []
+    real = estimation.greedy_separated
+
+    def counted(system, sample, *args):
+        sizes.append(len(sample))
+        return real(system, sample, *args)
+
+    monkeypatch.setattr(estimation, "greedy_separated", counted)
+    return sizes
+
+
+# power:1 at eps 0.2 and n = 128 samples levels 0..31, 50 angles each
+GREEDY_TOWER = ("estimate", "--system", "tower-power:1", "--method", "greedy",
+                "--n0", "8", "--steps", "5", "--eps", "0.2", "--grid", "50")
+
+
+def test_tower_sample_limit_admits_a_sample_at_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(systems, "TOWER_SAMPLE_LIMIT", 32 * 50)
+    sizes = _count_greedy(monkeypatch)
+    assert _run(*GREEDY_TOWER, "--out", str(tmp_path)) == 0
+    assert len(sizes) == 5 and max(sizes) == 32 * 50
+    assert (tmp_path / "counts.csv").exists()
+
+
+def test_tower_sample_limit_refuses_before_any_counting(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(systems, "TOWER_SAMPLE_LIMIT", 32 * 50 - 1)
+    sizes = _count_greedy(monkeypatch)
+    assert _run(*GREEDY_TOWER, "--out", str(tmp_path)) == 64
+    err = capsys.readouterr().err
+    assert f"sample of {32 * 50} points, beyond the limit of {32 * 50 - 1}" in err
+    assert sizes == [] and not (tmp_path / "counts.csv").exists()
+
+
+def test_tower_sample_limit_refuses_deep_greedy_cells(tmp_path, capsys, monkeypatch):
+    # power:1 at eps 0.02 and n = 2^20 would sample 7,247 levels of 500
+    # angles; n = 2^18 before it fits
+    sizes = _count_greedy(monkeypatch)
+    rc = _run("estimate", "--system", "tower-power:1", "--method", "greedy",
+              "--n0", str(2 ** 16), "--ratio", "4", "--steps", "5", "--eps", "0.02",
+              "--grid", "500", "--out", str(tmp_path))
+    assert rc == 64
+    assert (f"sample of 3623500 points, beyond the limit of {systems.TOWER_SAMPLE_LIMIT}"
+            in capsys.readouterr().err)
+    assert sizes == []
+
+
 @pytest.mark.parametrize("args", [
     ("--system", "tower-exp", "--check", "sideways"),
     ("--system", "tower-exp", "--check", "complexity"),

@@ -8,6 +8,7 @@ covering checks may not.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from polyent import (
     verify_separated,
     verify_spanning,
 )
+from polyent import systems
 from polyent.bowen import _distance_path
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -178,6 +180,99 @@ def test_tower_height_band_margin_covers_rounding():
     dense = system.orbit_cdist(a, b, n)
     assert b["height"][0] > w and dense[0, 0] < cap
     assert system.orbit_cdist(a, b, n, cap)[0, 0] == dense[0, 0]
+
+
+# angles the angle band must not lose: both ends of [0, 1] (TowerPoint
+# maps -1e-300 to 1.0), pairs across the wrap, and grid ties
+WRAP_ANGLES = [0.0, -1e-300, 0.01, 0.99, 0.5, 0.25, 0.75, 1e-17, 1.0 - 2 ** -53]
+
+
+@st.composite
+def _wide_tower_blocks(draw):
+    # one side of the selection constant or the other, with few distinct
+    # levels so most pairs share a height run; bulk points come from a
+    # drawn seed, since hundreds of drawn points per example are too slow
+    fam = draw(st.sampled_from([PowerHeights(1), PowerHeights(2), ExpHeights()]))
+    rows, cols = draw(st.sampled_from([(1, 700), (700, 1), (40, 700), (700, 40),
+                                       (600, 500), (500, 600), (1200, 300)]))
+    pool = draw(st.lists(st.one_of(st.just(0), st.integers(1, 3000)),
+                         min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = draw(st.integers(1, 40))
+
+    def points(m):
+        angles = np.where(rng.random(m) < 0.5, rng.integers(0, grid, m) / grid,
+                          rng.choice(WRAP_ANGLES, m))
+        angles = np.where(rng.random(m) < 0.3, rng.random(m), angles)
+        return [TowerPoint(float(x), int(lv)) for x, lv in zip(angles, rng.choice(pool, m))]
+
+    n = draw(st.sampled_from([2, 3, 500, 20000]))
+    cap = draw(st.one_of(st.floats(0.0, 0.25, exclude_min=True),
+                         st.sampled_from([0.25, 0.1, 0.02, 1e-3])))
+    system = tower_system(fam)
+    return system, system.pack(points(rows), n), system.pack(points(cols), n), n, cap
+
+
+@PROPERTY
+@given(_wide_tower_blocks())
+def test_tower_angle_band_keeps_every_entry_below_cap(block):
+    system, a, b, n, cap = block
+    dense = system.orbit_cdist(a, b, n)
+    got = system.orbit_cdist(a, b, n, cap)
+    below = dense < cap
+    assert (got[below] == dense[below]).all()
+    assert (got[~below] >= cap).all()
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (3, 1)])
+def test_tower_angle_band_margin_covers_rounding(monkeypatch, rows, cols):
+    # two base-circle points across the wrap whose angle gap rounds inward:
+    # the exact kernel reads their distance just below cap, though the true
+    # gap is past it, so the angle window needs its margin to keep the pair
+    # whichever side is sorted
+    monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", 1)
+    system = tower_system(PowerHeights(2))
+    n, cap = 40, 0.1
+    theta, phi = 0.05000000000000019, 0.9500000000000002
+    assert 1.0 + (theta - phi) < cap < 1 - Fraction(phi) + Fraction(theta)
+    a = system.pack([TowerPoint(theta, 0)] * rows, n)
+    b = system.pack([TowerPoint(phi, 0)] * cols, n)
+    dense = system.orbit_cdist(a, b, n)
+    assert (dense < cap).all()
+    assert (system.orbit_cdist(a, b, n, cap) == dense).all()
+    assert (system.orbit_cdist(b, a, n, cap) == system.orbit_cdist(b, a, n)).all()
+
+
+@pytest.mark.parametrize("rows,cols", [(700, 400), (400, 700)])
+@pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
+def test_tower_angle_band_matches_height_band_bitwise(monkeypatch, fam, rows, cols):
+    # whichever side is longer gets sorted, but every entry keeps the
+    # caller's a - b arithmetic and the height band keeps the thin path's
+    # float test, so both paths give the same bits; b ends with points on
+    # the widened band edge of some a rows and one ulp to either side,
+    # where a test rounded from the other side would disagree
+    rng = np.random.default_rng(rows)
+    system = tower_system(fam)
+    levels = [0, 1, 2, 30, 31, 700, 701]
+
+    def batch(m, n):
+        pts = [TowerPoint(float(x), int(lv)) for x, lv in
+               zip(np.where(rng.random(m) < 0.3, rng.choice(WRAP_ANGLES, m), rng.random(m)),
+                   rng.choice(levels, m))]
+        return system.pack(pts, n)
+
+    for n, cap in ((2, 0.25), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
+        a, b = batch(rows, n), batch(cols, n)
+        w = min(cap, 2.0 * cap / (n - 1))
+        w += 1e-9 * w + 1e-9
+        edge = [(x, h) for x, ha in a[:40].tolist() for e in (ha - w, ha + w)
+                for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
+        b = np.concatenate((b, np.array(edge, b.dtype)))
+        wide = system.orbit_cdist(a, b, n, cap)
+        monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", a.size * b.size + 1)
+        thin = system.orbit_cdist(a, b, n, cap)
+        monkeypatch.undo()
+        assert wide.tobytes() == thin.tobytes()
 
 
 BOUNDARY = [tower_system(PowerHeights(2)),

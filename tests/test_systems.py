@@ -35,8 +35,10 @@ from polyent import (
     tower_sample,
     tower_system,
 )
+from polyent import constructions
 from polyent.bowen import bowen_dist
 from polyent.systems import (
+    AngleLevelGrid,
     _drift_peak,
     _floor_multiples,
     circle_point,
@@ -226,10 +228,43 @@ def test_tower_dist_triangle_inequality_sampled():
 
 def test_tower_sample_layout():
     pts = tower_sample(ExpHeights(), 3, [0, 2])
-    assert pts == [TowerPoint(0.0, 0), TowerPoint(1 / 3, 0), TowerPoint(2 / 3, 0),
+    assert list(pts) == [TowerPoint(0.0, 0), TowerPoint(1 / 3, 0), TowerPoint(2 / 3, 0),
                    TowerPoint(0.0, 2), TowerPoint(1 / 3, 2), TowerPoint(2 / 3, 2)]
     with pytest.raises(ValueError):
         tower_sample(ExpHeights(), 0, [0])
+
+
+def test_angle_level_grid_lives_in_systems_and_checks_levels():
+    assert constructions.AngleLevelGrid is AngleLevelGrid
+    grid = AngleLevelGrid(4, (0, 3))
+    # numpy indices give the same plain-float points as int indices
+    assert grid[np.int64(5)] == grid[5] == TowerPoint(0.25, 3)
+    assert type(grid[np.int64(5)].angle) is float
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        AngleLevelGrid(2, [1, -1])
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        AngleLevelGrid(2, range(-1, 3))
+    with pytest.raises(TypeError):
+        AngleLevelGrid(2, [1.5])
+
+
+GRID_FAMILIES = [PowerHeights(1), PowerHeights(2), PowerHeights(1.5), ExpHeights(),
+                 CustomHeights((0.5, 0.25, 0.21, 0.125))]
+
+
+@pytest.mark.parametrize("fam", GRID_FAMILIES, ids=lambda f: f.label)
+def test_tower_pack_of_a_grid_matches_its_points_bitwise(fam):
+    # the grid path builds angles as np.arange(r) / r and heights per level,
+    # the point path reads TowerPoint(j / r, level) back: same bits
+    system = tower_system(fam)
+    top = fam.max_level or 3000
+    for levels in ([0, 2, 1, top, 0], [top], range(0, min(top, 8) + 1),
+                   range(1, top + 1, 97), range(top, -1, -113), range(0)):
+        for r in (1, 7, 600):
+            grid = tower_sample(fam, r, levels)
+            packed = system.pack(grid, 5)
+            assert packed.tobytes() == system.pack(list(grid), 5).tobytes()
+            assert len(packed) == len(grid) == r * len(levels)
 
 
 # ---------------------------------------------------------------------------
