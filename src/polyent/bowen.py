@@ -12,9 +12,16 @@ along the first n iterates (steps 0 through n-1). On top of it sit:
   greedy lower-bound quality in tests.
 
 All bulk routines are chunked so no full pairwise matrix is materialized.
-Each call packs its points once and uses the system's block kernel when the
+Each call packs its points once and uses the system's kernel when the
 threshold it decides sits inside the kernel's exact range (``exact_cap``),
-else the stepping reference :func:`bowen_dist`, which is always exact.
+else the stepping reference :func:`bowen_dist`, which is always exact. The
+routines ask the kernel for pair lists (``orbit_pairs``), never for dense
+blocks: a pair that is not listed lies at or above the cap, and every
+listed distance is compared with the routine's own threshold. The greedy
+counter queries one row at a time, and only for rows still alive when
+their turn comes. The stepping reference runs in Python, so a routine that would take it on
+more than ``systems.REFERENCE_PAIR_STEPS`` pair-steps is refused before
+any work.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .systems import SystemHandle
+from . import systems
+from .systems import SystemHandle, _pairs_below
 
 __all__ = [
     "bowen_dist",
@@ -81,43 +89,71 @@ def _check_scale(n: int, eps: float) -> None:
         raise ValueError(f"window must be >= 1, got {n}")
 
 
-def _distance_path(system: SystemHandle, threshold: float) -> tuple[Callable, Callable]:
-    """A (pack, orbit_cdist) pair that decides d >= threshold correctly:
-    the system kernel, or object arrays stepped by :func:`bowen_dist`."""
+def _on_kernel(system: SystemHandle, threshold: float) -> bool:
+    """Whether the system kernel decides d >= threshold correctly."""
     # A kernel is exact below exact_cap and reports >= exact_cap above it,
     # so it decides d >= t for every t <= exact_cap. Separation checks ask
     # d >= eps and pass eps; covering checks ask d <= eps, which is
     # "not d >= nextafter(eps)", and pass that. At eps == exact_cap a
     # distance just above eps may come back as exactly exact_cap and read as
     # covered, so covering then takes the reference path.
-    if system.orbit_cdist is not None and threshold <= system.exact_cap:
+    return system.orbit_pairs is not None and threshold <= system.exact_cap
+
+
+def _object_pack(points: Sequence, n: int) -> np.ndarray:
+    return np.fromiter(points, dtype=object, count=len(points))
+
+
+def _stepped(system: SystemHandle, pa: np.ndarray, pb: np.ndarray, n: int,
+             stop_at: float | None = None) -> np.ndarray:
+    out = np.empty((len(pa), len(pb)), dtype=np.float64)
+    for i, p in enumerate(pa):
+        for j, q in enumerate(pb):
+            out[i, j] = bowen_dist(system, p, q, n, stop_at=stop_at)
+    return out
+
+
+def _distance_path(system: SystemHandle, threshold: float) -> tuple[Callable, Callable]:
+    """A (pack, orbit_cdist) pair of exact dense distances: the system
+    kernel if it decides d >= threshold, else object arrays stepped by
+    :func:`bowen_dist`."""
+    if _on_kernel(system, threshold):
         return system.pack, system.orbit_cdist
+    return _object_pack, lambda pa, pb, n: _stepped(system, pa, pb, n)
 
-    def pack(points: Sequence, n: int) -> np.ndarray:
-        return np.fromiter(points, dtype=object, count=len(points))
 
-    def block(pa: np.ndarray, pb: np.ndarray, n: int,
-              cap: float | None = None) -> np.ndarray:
-        out = np.empty((len(pa), len(pb)), dtype=np.float64)
-        for i, p in enumerate(pa):
-            for j, q in enumerate(pb):
-                out[i, j] = bowen_dist(system, p, q, n, stop_at=cap)
-        return out
+def _pair_path(system: SystemHandle, threshold: float) -> tuple[Callable, Callable]:
+    """A (pack, orbit_pairs) pair that decides d >= threshold correctly, on
+    the path :func:`_distance_path` picks; the reference stops stepping a
+    pair once it reaches the cap."""
+    if _on_kernel(system, threshold):
+        return system.pack, system.orbit_pairs
+    return _object_pack, lambda pa, pb, n, cap: _pairs_below(
+        _stepped(system, pa, pb, n, cap), cap)
 
-    return pack, block
+
+def _check_reference_budget(system: SystemHandle, threshold: float, pairs: int,
+                            n: int) -> None:
+    """Refuse work that would step up to ``pairs`` pairs over window n by
+    the reference, beyond ``systems.REFERENCE_PAIR_STEPS``."""
+    if not _on_kernel(system, threshold) and pairs * n > systems.REFERENCE_PAIR_STEPS:
+        raise ValueError(
+            f"{system.name} at threshold {threshold!r} needs the stepping reference "
+            f"on up to {pairs} pairs over window {n}, {pairs * n} pair-steps, beyond "
+            f"the budget of {systems.REFERENCE_PAIR_STEPS}")
 
 
 def bowen_block(system: SystemHandle, pa: Sequence, pb: Sequence, n: int,
                 stop_at: float | None = None) -> np.ndarray:
     """Pairwise orbit distances between two point lists.
 
-    ``stop_at`` is a shortcut threshold: entries reported below it are
-    exact, entries at or above it may be partial maxima or kernel lower
-    bounds, so pass it only when the caller merely compares against that
-    same threshold. Without it every entry is exact.
+    ``stop_at`` is a threshold the caller merely compares against: it lets
+    the system kernel serve, whose entries at or above ``exact_cap`` are
+    certified lower bounds. Entries below ``stop_at`` are always exact, and
+    without it every entry is.
     """
-    pack, block = _distance_path(system, np.inf if stop_at is None else stop_at)
-    return block(pack(pa, n), pack(pb, n), n, stop_at)
+    pack, cdist = _distance_path(system, np.inf if stop_at is None else stop_at)
+    return cdist(pack(pa, n), pack(pb, n), n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,25 +194,27 @@ def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
     sample. The chunked evaluation reproduces the sequential rule exactly.
     """
     _check_scale(n, eps)
-    pack, block = _distance_path(system, eps)
+    m = len(sample)
+    _check_reference_budget(system, eps, m * (m - 1) // 2, n)
+    pack, pairs = _pair_path(system, eps)
     packed = pack(sample, n)
-    keep = np.ones(len(packed), dtype=bool)
-    for lo in range(0, len(packed), chunk):
+    keep = np.ones(m, dtype=bool)
+    for lo in range(0, m, chunk):
         rows = packed[lo:lo + chunk]
         alive = keep[lo:lo + chunk]
         kept = packed[:lo][keep[:lo]]
-        if len(kept):
-            mins = np.full(len(rows), np.inf)
-            for clo in range(0, len(kept), chunk):
-                d = block(rows, kept[clo:clo + chunk], n, eps)
-                np.minimum(mins, d.min(axis=1), out=mins)
-            alive &= mins >= eps
-        for i in range(len(rows)):
+        for clo in range(0, len(kept), chunk):
+            i, _, d = pairs(rows, kept[clo:clo + chunk], n, eps)
+            alive[i[d < eps]] = False
+        # one row query per survivor: a chunk-wide conflict list would
+        # mostly hold pairs among rows the sequential rule kills anyway
+        for i in np.flatnonzero(alive).tolist():
             if not alive[i]:
                 continue
             rest = alive[i + 1:]
             if rest.any():
-                rest &= block(rows[i:i + 1], rows[i + 1:], n, eps)[0] >= eps
+                _, j, d = pairs(rows[i:i + 1], rows[i + 1:], n, eps)
+                rest[j[d < eps]] = False
     return [sample[i] for i in np.flatnonzero(keep)]
 
 
@@ -193,9 +231,11 @@ def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
     # coverage tests only compare against eps; values equal to eps count as
     # covered, so the cap sits one ulp above to keep those entries exact
     cap = float(np.nextafter(eps, np.inf))
-    pack, block = _distance_path(system, cap)
+    m = len(sample)
+    # every round queries every candidate against the uncovered points
+    _check_reference_budget(system, cap, m * m, n)
+    pack, pairs = _pair_path(system, cap)
     packed = pack(sample, n)
-    m = len(packed)
     uncovered = np.ones(m, dtype=bool)
     chosen: list = []
     while uncovered.any():
@@ -207,8 +247,8 @@ def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
             cand = packed[lo:lo + chunk]
             gains = np.zeros(len(cand), dtype=np.int64)
             for clo in range(0, len(unc_pts), chunk):
-                d = block(cand, unc_pts[clo:clo + chunk], n, cap)
-                gains += (d <= eps).sum(axis=1)
+                i, _, d = pairs(cand, unc_pts[clo:clo + chunk], n, cap)
+                gains += np.bincount(i[d <= eps], minlength=len(cand))
             gi = int(np.argmax(gains))
             if int(gains[gi]) > best_gain:
                 best_gain = int(gains[gi])
@@ -218,8 +258,8 @@ def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
             raise RuntimeError("covering made no progress; metric violates d(x,x)=0")
         chosen.append(sample[best_i])
         for clo in range(0, len(unc_pts), chunk):
-            d = block(packed[best_i:best_i + 1], unc_pts[clo:clo + chunk], n, cap)[0]
-            uncovered[unc_idx[clo:clo + chunk][d <= eps]] = False
+            _, j, d = pairs(packed[best_i:best_i + 1], unc_pts[clo:clo + chunk], n, cap)
+            uncovered[unc_idx[clo:clo + chunk][j[d <= eps]]] = False
     return chosen
 
 
@@ -290,36 +330,41 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
     lying above the running minimum: each block is capped one ulp above it.
     """
     _check_scale(n, eps)
-    pack, block = _distance_path(system, eps)
-    pts = pack(points, n)
-    m = len(pts)
+    m = len(points)
+    _check_reference_budget(system, eps, m * (m - 1) // 2, n)
     if m < 2:
         return SeparationCheck(True, True, n, eps, 0, np.inf, None)
-    # Capping one ulp above the running minimum keeps every entry at or
-    # below it exact and reads every other entry strictly above it, so
-    # neither the block argmin nor the update below can change. Before any
-    # minimum exists, the distance of pair (0, 1), which the first block
-    # holding any pair contains, serves as the running minimum.
-    seed = float(block(pts[0:1], pts[1:2], n)[0, 0])
+    pack, pairs = _pair_path(system, eps)
+    pts = pack(points, n)
+    # Capping one ulp above the running minimum lists every pair at or
+    # below it with its exact distance, and every unlisted pair lies
+    # strictly above it, so neither the block minimum nor the update below
+    # can change. Before any minimum exists, the distance of pair (0, 1),
+    # which the first block holding any pair contains, serves as the
+    # running minimum.
+    seed = float(pairs(pts[0:1], pts[1:2], n, np.inf)[2][0])
     min_value = np.inf
     min_pair: tuple[int, int] | None = None
     for lo in range(0, m, chunk):
         rows = pts[lo:lo + chunk]
         for clo in range(lo, m, chunk):
             cap = float(np.nextafter(min(min_value, seed), np.inf))
-            d = block(rows, pts[clo:clo + chunk], n, cap)
+            block = pts[clo:clo + chunk]
+            cols = len(block)
+            i, j, d = pairs(rows, block, n, cap)
             if clo == lo:
-                # keep strictly-upper-triangular entries of the global
-                # matrix, in place in the block's own array
-                np.copyto(d, np.inf, where=np.tri(*d.shape, dtype=bool))
-            i, j = divmod(int(np.argmin(d)), d.shape[1])
-            value = float(d[i, j])
-            # drop the block before the next one is built, so only one is
-            # alive at a time
-            del d
+                # keep the strictly upper triangle of the global matrix
+                upper = i < j
+                i, j, d = i[upper], j[upper], d[upper]
+            if d.size == 0:
+                continue
+            value = d.min()
             if value < min_value:
-                min_value = value
-                min_pair = (lo + i, clo + j)
+                # the first pair attaining it in row-major block order, as
+                # a dense argmin would find it
+                first = int((i * cols + j)[d == value].min())
+                min_value = float(value)
+                min_pair = (lo + first // cols, clo + first % cols)
     return SeparationCheck(
         ok=min_value >= eps,
         all_strict=min_value > eps,
@@ -344,7 +389,8 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     # distances beyond eps never matter here, but the settled-vs-boundary
     # split needs values equal to eps reported exactly, hence the open cap
     cap = float(np.nextafter(eps, np.inf))
-    pack, block = _distance_path(system, cap)
+    _check_reference_budget(system, cap, len(centers) * len(sample), n)
+    pack, pairs = _pair_path(system, cap)
     ctr = pack(centers, n)
     packed = pack(sample, n)
     m = len(packed)
@@ -358,8 +404,8 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
         for clo in range(0, len(ctr), chunk):
             if open_idx.size == 0:
                 break
-            d = block(rows[open_idx], ctr[clo:clo + chunk], n, cap)
-            np.minimum(open_min, d.min(axis=1), out=open_min)
+            i, _, d = pairs(rows[open_idx], ctr[clo:clo + chunk], n, cap)
+            np.minimum.at(open_min, i, d)
             settled = open_min < eps
             open_idx = open_idx[~settled]
             open_min = open_min[~settled]

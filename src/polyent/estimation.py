@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import systems
 from .bowen import (
+    _check_reference_budget,
     BOUND_EXACT,
     BOUND_SEPARATED_LOWER,
     BOUND_SPANNING_UPPER,
@@ -146,7 +147,9 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
     range follows the witness thresholds for the cell, plus slack), or the
     sampler resolution for other systems. Closed-form and symbolic methods
     ignore it. A greedy tower cell whose sample would hold more than
-    ``systems.TOWER_SAMPLE_LIMIT`` points is refused before any counting.
+    ``systems.TOWER_SAMPLE_LIMIT`` points, and a greedy cell that could
+    spend more than ``systems.REFERENCE_PAIR_STEPS`` pair-steps on the
+    stepping reference, are refused before any counting.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
@@ -184,6 +187,12 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
                         f"{len(sample)} points, beyond the limit of "
                         f"{systems.TOWER_SAMPLE_LIMIT}")
                 samples[eps, n] = sample
+    for (eps, n), sample in samples.items():
+        m = len(sample)
+        if method == METHOD_GREEDY_SEPARATED:
+            _check_reference_budget(system, eps, m * (m - 1) // 2, n)
+        else:
+            _check_reference_budget(system, math.nextafter(eps, math.inf), m * m, n)
 
     records: list[CountRecord] = []
     for eps in epss:

@@ -13,11 +13,25 @@ Products of any two systems use the max metric and the coordinatewise map.
 
 Each system is wrapped in a :class:`SystemHandle` carrying the metric, the
 step map, an optional inverse, a canonical sampler, and one vectorized
-Bowen-distance kernel over numpy batches of points (``pack`` and
-``orbit_cdist``). Kernel values are exact whenever the true orbit distance is
-below ``exact_cap``; above the cap they are certified lower bounds, which is
-all a threshold comparison needs. For thresholds beyond the cap, and for
-handles without a kernel, the counting code steps ``bowen.bowen_dist``.
+Bowen-distance kernel over numpy batches of points, with two entries:
+``orbit_cdist`` gives the dense distance matrix, and ``orbit_pairs`` lists
+the pairs below a cap as ``(i, j, d)``. Kernel values are exact whenever
+the true orbit distance is below ``exact_cap``; above the cap they are
+certified lower bounds, which is all a threshold comparison needs. For
+thresholds beyond the cap, and for handles without a kernel, the counting
+code steps ``bowen.bowen_dist``.
+
+``orbit_pairs(a, b, n, cap)`` is a fixed-radius near-neighbour query
+(Bentley, Stanat and Williams 1977). Every pair whose dense entry is below
+cap is listed exactly once, with that entry's bits. The list may also hold
+pairs at or above cap, read exactly or as a lower bound that is itself at
+least cap; no order is promised, and callers compare ``d`` with their own
+threshold. The kernel does not filter ``d < cap`` itself: the band paths
+already drop almost every pair, and a filter copies the survivors three
+more times per call. Measured on the spanning audit of a tower (power:2,
+n 500, eps 0.1, grid 1000), such a filter took the step from about 0.35
+to 0.46 s and its minor page faults from 20.7k to 71.1k: the copies are
+returned to the system and faulted in again on every call.
 
 The tower kernel prunes by height when given a cap in (0, 1/4]. A pair at
 Bowen distance below cap has height gap |dh| < cap <= 1/4, so its per-step
@@ -26,22 +40,24 @@ the cap-neighbourhoods of different integers; the first and last iterates
 lie within cap of one integer, so (n-1)|dh| < 2 cap. Sorting one batch by
 height turns |dh| <= min(cap, 2 cap/(n-1)), widened by a float margin, into
 one contiguous run per row; only those pairs, and among them only those
-whose step-0 term is below cap, are evaluated exactly. Every other entry
-reads ``cap``: its distance is at least cap, so cap is a valid lower bound.
+whose step-0 term is below cap, are evaluated exactly and listed. Every
+other pair has distance at least cap, so it need not be listed.
 
 Blocks of at least ``_ANGLE_BAND_PAIRS`` nominal pairs also prune by angle.
 The step-0 term is at least the arc distance between the two angles, so a
-pair whose angles lie cap or more apart mod 1 is settled at cap without
-being formed. The longer batch is sorted by height and then by the key
+pair whose angles lie cap or more apart mod 1 is settled without being
+formed. The longer batch is sorted by height and then by the key
 angle + 4g, where g numbers its runs of equal height; each point of the
 other batch looks up, in every run of its height band, one window per wrap
 image theta - 1, theta, theta + 1 of its angle, widened by the same margin
 as the height band. A spacing of 4 keeps each window inside its own run,
 and float rounding of keys and window ends is monotone, so it can only
-admit extra pairs, which the exact step-0 test then drops. Thinner blocks,
-such as the greedy loop's 1 x k rows, keep the height band alone, where the
-extra sort costs more than it saves. Both paths give bitwise the same
-matrix, because every entry they evaluate is the same a - b arithmetic.
+admit extra pairs, which the exact step-0 test then drops. Thinner blocks
+keep the height band alone, where the extra sort costs more than it saves,
+and a single row, such as the greedy loop's 1 x k queries, scans b for its
+band instead of sorting it. All three paths list the same pairs with
+bitwise the same distances, because they test band membership alike and
+every pair they evaluate is the same a - b arithmetic.
 
 Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
@@ -78,6 +94,7 @@ __all__ = [
     "tower_sample",
     "TOWER_SAMPLE_LIMIT",
     "WORD_SYMBOL_LIMIT",
+    "REFERENCE_PAIR_STEPS",
     "SymbolicWord",
     "SymbolicPoint",
     "sturmian_generate",
@@ -564,11 +581,16 @@ class SystemHandle:
 
     ``metric``/``step``/``inverse`` act on opaque points. ``sampler(res)``
     returns the canonical finite sample at the requested resolution.
-    The optional kernel is a pair set together: ``pack(points, n)`` makes a
-    numpy batch (points on axis 0) for window n, ``orbit_cdist(a, b, n,
-    cap=None)`` the Bowen distances between two batches: exact below both
-    ``exact_cap`` and ``cap``, otherwise certified lower bounds at least as
-    large as the smaller of the two, which is all a threshold test needs.
+    The optional kernel is set together: ``pack(points, n)`` makes a numpy
+    batch (points on axis 0) for window n; ``orbit_cdist(a, b, n)`` is the
+    dense matrix of Bowen distances between two batches, exact below
+    ``exact_cap`` and a certified lower bound of at least ``exact_cap``
+    above it; and ``orbit_pairs(a, b, n, cap)`` returns index and distance
+    arrays ``(i, j, d)`` that list every pair whose ``orbit_cdist`` entry
+    is below ``cap`` exactly once, with bitwise that entry. Listed pairs at
+    or above ``cap`` are allowed, with ``d`` exact or a lower bound of at
+    least ``cap``; there is no order, and the kernel leaves the comparison
+    with a threshold to the caller (the module docstring says why).
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
     multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
@@ -582,7 +604,8 @@ class SystemHandle:
     inverse: Callable[[Any], Any] | None = None
     sampler: Callable[[int], Sequence] | None = None
     pack: Callable[[Sequence, int], np.ndarray] | None = None
-    orbit_cdist: Callable[..., np.ndarray] | None = None
+    orbit_cdist: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
+    orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     exact_cap: float = math.inf
     heights: HeightFamily | None = None
     word_fn: Callable[[int, int], SymbolicWord] | None = None
@@ -590,8 +613,9 @@ class SystemHandle:
     parts: tuple["SystemHandle", "SystemHandle"] | None = None
 
     def __post_init__(self) -> None:
-        if (self.pack is None) != (self.orbit_cdist is None):
-            raise ValueError(f"system {self.name}: pack and orbit_cdist must be set together")
+        if len({self.pack is None, self.orbit_cdist is None, self.orbit_pairs is None}) > 1:
+            raise ValueError(f"system {self.name}: pack, orbit_cdist and orbit_pairs "
+                             f"must be set together")
         if (self.word_fn is None) != (self.recurrence is None):
             raise ValueError(f"system {self.name}: word_fn and recurrence must be set together")
 
@@ -604,6 +628,15 @@ TOWER_SAMPLE_LIMIT = 1 << 21
 # blocks of a Sturmian word peaks at about 66 bytes per symbol (int64 codes,
 # ranks and sort permutations), so about 0.55 GiB at this limit.
 WORD_SYMBOL_LIMIT = 1 << 23
+
+# Most pair-steps (pairs times window) one counting or verifying routine
+# may spend on the stepping reference ``bowen.bowen_dist``, the path for
+# thresholds above a kernel's ``exact_cap``. It steps points in Python, at
+# about 5 us per pair-step on a tower and 40 us on a tower x Sturmian
+# product (2-core Xeon KVM guest), so a routine it admits takes at most
+# about 40 s. Each routine counts its worst case, every pair stepped in
+# full over the whole window.
+REFERENCE_PAIR_STEPS = 1 << 20
 
 
 def word_window(system: SystemHandle, span: int) -> int:
@@ -620,12 +653,17 @@ def word_window(system: SystemHandle, span: int) -> int:
     return length
 
 
+def _pairs_below(d: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, d) list of a dense block's entries below cap."""
+    i, j = np.nonzero(d < cap)
+    return i, j, d[i, j]
+
+
 def circle_rotation(theta: float) -> SystemHandle:
     """Rigid rotation by theta on the unit circle; points are plain angles."""
     th = theta % 1.0
 
-    def cdist(a: np.ndarray, b: np.ndarray, n: int,
-              cap: float | None = None) -> np.ndarray:
+    def cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         # rotations are isometries: the Bowen distance is the plain
         # distance, computed as in circle_dist
         d = np.abs(np.mod(a, 1.0)[:, None] - np.mod(b, 1.0)[None, :])
@@ -639,6 +677,7 @@ def circle_rotation(theta: float) -> SystemHandle:
         sampler=lambda res: [j / res for j in range(res)],
         pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
         orbit_cdist=cdist,
+        orbit_pairs=lambda a, b, n, cap: _pairs_below(cdist(a, b, n), cap),
     )
 
 
@@ -708,7 +747,7 @@ def _below_cap(theta: np.ndarray, dh: np.ndarray, n: int,
 
 
 def _tower_height_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
-                       w: float) -> np.ndarray:
+                       w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # b sorted by height; each row of a meets one contiguous run of it
     order = np.argsort(b["height"], kind="stable")
     hb = b["height"][order]
@@ -720,14 +759,21 @@ def _tower_height_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     theta = np.repeat(a["angle"], counts) - b["angle"][order][pos]
     dh = np.repeat(a["height"], counts) - hb[pos]
     live, dist = _below_cap(theta, dh, n, cap)
-    out = np.full((len(a), len(b)), cap)
-    rows = np.searchsorted(ends, live, "right")
-    out.ravel()[rows * len(b) + order[pos[live]]] = dist
-    return out
+    return np.searchsorted(ends, live, "right"), order[pos[live]], dist
+
+
+def _tower_row_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
+                    w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # a single row (the greedy loop's queries) finds its band in one scan
+    # of b, by the height band's own float test, without sorting b
+    hb = b["height"]
+    col = np.flatnonzero((hb >= a["height"] - w) & (hb <= a["height"] + w))
+    live, dist = _below_cap(a["angle"] - b["angle"][col], a["height"] - hb[col], n, cap)
+    return np.zeros(live.size, np.intp), col[live], dist
 
 
 def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
-                      w: float) -> np.ndarray:
+                      w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Angle band (module docstring). The longer batch s is sorted by height,
     # then by the key angle + 4 g, g numbering its runs of equal height; each
     # row of the shorter batch q looks up, in every run of its height band,
@@ -766,45 +812,49 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     si, qi = order[pos], np.repeat(np.repeat(qi, 3), counts)
     ia, ib = (si, qi) if s_is_a else (qi, si)
-    # the caller's orientation a - b keeps every entry bitwise equal to the
-    # thin path's
+    # the caller's orientation a - b keeps every distance bitwise equal to
+    # the thin path's
     live, dist = _below_cap(a["angle"][ia] - b["angle"][ib],
                             a["height"][ia] - b["height"][ib], n, cap)
-    out = np.full((len(a), len(b)), cap)
-    out.ravel()[ia[live] * len(b) + ib[live]] = dist
-    return out
+    return ia[live], ib[live], dist
 
 
 # Blocks with fewer nominal pairs than this take the height band alone: there
 # the angle band's sort and run bookkeeping cost more than the pairs it skips
 # (on a 2-core Xeon KVM guest, 1 x 720 sample-to-center rows took 0.20 ms
 # against 0.13 ms, 256 x 720 blocks 0.45 ms against 0.34 ms), while full
-# 2048 x 720 spanning-audit blocks ran about 1.8x faster with it. The
-# greedy loop's 1 x k row calls all stay below it.
+# 2048 x 720 spanning-audit blocks ran about 1.8x faster with it. Single
+# rows take the row scan at any length.
 _ANGLE_BAND_PAIRS = 1 << 18
 
 
-def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int,
-                       cap: float | None = None) -> np.ndarray:
+def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
-    if n == 1 or cap is None or not 0.0 < cap <= _TOWER_EXACT_CAP:
-        return _tower_exact(a["angle"][:, None] - b["angle"][None, :],
-                            a["height"][:, None] - b["height"][None, :], n)
+    return _tower_exact(a["angle"][:, None] - b["angle"][None, :],
+                        a["height"][:, None] - b["height"][None, :], n)
+
+
+def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
+                       cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if n <= 1 or not 0.0 < cap <= _TOWER_EXACT_CAP:
+        return _pairs_below(_tower_orbit_cdist(a, b, n), cap)
     # Height band (module docstring): a pair below cap <= 1/4 has |dh| < cap,
     # so delta = dh and its iterates, dh apart, stay within cap of one
     # integer from first to last, hence (n-1)|dh| < 2 cap. Only pairs with
     # |h_a - h_b| <= w can lie below cap. The margin on w absorbs the
     # kernel's own rounding (an angle gap rounded inward can put a pair one
     # ulp past the edge just below cap), so every pair the exact kernel puts
-    # below cap is kept. Wide blocks also skip the band pairs whose angles
+    # below cap is listed. Wide blocks also skip the band pairs whose angles
     # lie more than c (cap with the same margin) apart mod 1: their step-0
     # arc term is at least cap. Only pairs whose step-0 term is below cap
-    # get the drift scan, and every other entry reads cap, a valid lower
-    # bound: its distance is at least cap. The path is chosen from the
-    # block's shape alone, and both give bitwise the same matrix.
+    # get the drift scan, and those are all listed, whatever it reads. The
+    # path is chosen from the block's shape alone, and all three list the
+    # same pairs with bitwise the same distances.
     w = min(cap, 2.0 * cap / (n - 1))
     w += 1e-9 * w + 1e-9
+    if len(a) == 1:
+        return _tower_row_band(a, b, n, cap, w)
     if len(a) * len(b) < _ANGLE_BAND_PAIRS:
         return _tower_height_band(a, b, n, cap, w)
     return _tower_angle_band(a, b, n, cap, w)
@@ -846,6 +896,7 @@ def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
         sampler=sampler,
         pack=pack,
         orbit_cdist=_tower_orbit_cdist,
+        orbit_pairs=_tower_orbit_pairs,
         exact_cap=_TOWER_EXACT_CAP,
         heights=fam,
     )
@@ -878,19 +929,32 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         batch["key"] = np.ascontiguousarray(batch["rows"][:, :n]).view(key)[:, 0]
         return batch
 
-    def cdist(a: np.ndarray, b: np.ndarray, n: int,
-              cap: float | None = None) -> np.ndarray:
+    def same_block_pairs(a: np.ndarray, b: np.ndarray,
+                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Bowen max over k in [0, n) of the coding metric = 2^-(distance from
-        # the nearest differing coordinate to the index block [0, n-1]); only
-        # pairs with equal central blocks need the outward scan, and it is
-        # exact, so the cap is never needed
-        same = a["key"][:, None] == b["key"][None, :]
-        out = np.where(same, 0.0, 1.0)
-        ii, jj = np.nonzero(same)
+        # the nearest differing coordinate to the index block [0, n-1]); a
+        # pair with different central blocks is at distance 1, and only
+        # pairs with equal ones need the outward scan, which is exact
+        ii, jj = np.nonzero(a["key"][:, None] == b["key"][None, :])
         diff = a["rows"][ii, n:] != b["rows"][jj, n:]
         hit = diff.any(axis=1)
-        out[ii[hit], jj[hit]] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)
+        d = np.zeros(len(ii))
+        d[hit] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)
+        return ii, jj, d
+
+    def cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+        out = np.ones((len(a), len(b)))
+        ii, jj, d = same_block_pairs(a, b, n)
+        out[ii, jj] = d
         return out
+
+    def pairs(a: np.ndarray, b: np.ndarray, n: int,
+              cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if cap > 1.0:
+            # pairs at distance 1 lie below cap too (the factor-shift audit
+            # at eps 1.0 asks for them)
+            return _pairs_below(cdist(a, b, n), cap)
+        return same_block_pairs(a, b, n)
 
     return {
         "metric": lambda x, y: shift_metric(x, y, window),
@@ -898,6 +962,7 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         "inverse": lambda x: x.shifted(-1),
         "pack": pack,
         "orbit_cdist": cdist,
+        "orbit_pairs": pairs,
     }
 
 
@@ -956,7 +1021,7 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         def sampler(res: int) -> list:
             return [(pa, pb) for pa in a.sampler(res) for pb in b.sampler(res)]
 
-    pack = orbit_cdist = None
+    pack = orbit_cdist = orbit_pairs = None
     if a.orbit_cdist is not None and b.orbit_cdist is not None:
         def pack(points: Sequence, n: int) -> np.ndarray:
             pa = a.pack([p[0] for p in points], n)
@@ -965,12 +1030,30 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
             batch["a"], batch["b"] = pa, pb
             return batch
 
-        def orbit_cdist(x: np.ndarray, y: np.ndarray, n: int,
-                        cap: float | None = None) -> np.ndarray:
-            # a factor below cap is exact, at or above cap it is a lower
-            # bound >= cap, and the max of the factors preserves both cases
-            return np.maximum(a.orbit_cdist(x["a"], y["a"], n, cap),
-                              b.orbit_cdist(x["b"], y["b"], n, cap))
+        def orbit_cdist(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+            return np.maximum(a.orbit_cdist(x["a"], y["a"], n),
+                              b.orbit_cdist(x["b"], y["b"], n))
+
+        def orbit_pairs(x: np.ndarray, y: np.ndarray, n: int,
+                        cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # under the max metric a pair lies below cap iff it does in both
+            # factors, so both lists hold it; a factor distance at or above
+            # cap is exact or a lower bound >= cap, and so is their max
+            ia, ja, da = a.orbit_pairs(x["a"], y["a"], n, cap)
+            ib, jb, db = b.orbit_pairs(x["b"], y["b"], n, cap)
+            ka, kb = ia * len(y) + ja, ib * len(y) + jb
+            # intersect on the key through one flag per pair of the block,
+            # which is several times faster than sorting both lists when
+            # repeated factor coordinates make them long; only the common
+            # keys are sorted, to line the two lists up
+            flag = np.zeros(len(x) * len(y), bool)
+            flag[kb] = True
+            sa = np.flatnonzero(flag[ka])
+            flag[kb] = False
+            flag[ka[sa]] = True
+            sb = np.flatnonzero(flag[kb])
+            sa, sb = sa[np.argsort(ka[sa])], sb[np.argsort(kb[sb])]
+            return ia[sa], ja[sa], np.maximum(da[sa], db[sb])
 
     return SystemHandle(
         name=f"product({a.name},{b.name})",
@@ -980,6 +1063,7 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         sampler=sampler,
         pack=pack,
         orbit_cdist=orbit_cdist,
+        orbit_pairs=orbit_pairs,
         exact_cap=min(a.exact_cap, b.exact_cap),
         parts=(a, b),
     )

@@ -17,6 +17,7 @@ from polyent import (
     greedy_separated,
     greedy_spanning,
     max_separated_exact,
+    product_system,
     sturmian_point,
     sturmian_system,
     tower_dist,
@@ -122,6 +123,82 @@ def test_greedy_separated_is_chunk_invariant():
     a = greedy_separated(system, sample, 16, 0.1)
     b = greedy_separated(system, sample, 16, 0.1, chunk=3)
     assert a == b
+
+
+def _dense(system, pa, pb, n, threshold):
+    # uncapped distances on the path a routine deciding threshold takes
+    pack, block = _distance_path(system, threshold)
+    return block(pack(pa, n), pack(pb, n), n)
+
+
+def _greedy_by_hand(system, sample, n, eps):
+    # the sequential rule over the dense matrix
+    d = _dense(system, sample, sample, n, eps)
+    kept = []
+    for k in range(len(sample)):
+        if all(d[k, j] >= eps for j in kept):
+            kept.append(k)
+    return [sample[k] for k in kept]
+
+
+# tower grids tie many pairs at dyadic distances and repeat points, deep
+# levels crowd the height band, and the product and the shift take their
+# own pair lists
+_GRID = tower_sample(PowerHeights(2), 8, [0, 1, 3])
+_DEEP = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
+_GOLDEN_SHIFTS = [sturmian_point(GOLDEN).shifted(i) for i in range(0, 40, 3)]
+GREEDY_CASES = [
+    (tower_system(PowerHeights(2)), list(_GRID), (1, 3, 40), (0.05, 0.125, 0.25)),
+    (tower_system(PowerHeights(2)), _GRID[:9] + _GRID[2:6] + _DEEP + _GRID[::5],
+     (1, 3, 40), (0.05, 0.125, 0.25)),
+    (product_system(tower_system(PowerHeights(2)), sturmian_system(GOLDEN)),
+     [(p, q) for p in _GRID[::3] for q in _GOLDEN_SHIFTS[:4]], (1, 5), (0.125, 0.25)),
+    (full_shift(2), full_shift(2).sampler(40), (1, 3, 6), (0.125, 0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_greedy_separated_matches_the_sequential_rule(chunk):
+    for system, sample, ns, epss in GREEDY_CASES:
+        for n in ns:
+            for eps in epss:
+                got = greedy_separated(system, sample, n, eps, chunk=chunk)
+                assert got == _greedy_by_hand(system, sample, n, eps)
+
+
+def _spanning_by_hand(system, centers, sample, n, eps):
+    d = _dense(system, sample, centers, n, float(np.nextafter(eps, np.inf)))
+    near = d.min(axis=1) if len(centers) else np.full(len(sample), np.inf)
+    misses = np.flatnonzero(near > eps)
+    return (len(misses), int(misses[0]) if misses.size else None,
+            misses.size == 0 and not (near == eps).any())
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_verify_spanning_matches_a_full_scan(chunk):
+    # base-circle centers a quarter turn apart put base grid points exactly
+    # at eps = 1/8 and cover them strictly at 0.2; the upper levels and the
+    # sparse centers leave points uncovered
+    fam = PowerHeights(2)
+    system = tower_system(fam)
+    base = list(tower_sample(fam, 16, [0])) + _DEEP
+    full = list(tower_sample(fam, 16, [0, 1, 2])) + _DEEP
+    families = [tower_sample(fam, 4, [0]), tower_sample(fam, 4, [0, 2]),
+                [TowerPoint(0.0, 0), TowerPoint(0.5, 1)] + _DEEP[::2], []]
+    for sample in (base, full):
+        for centers in families:
+            for n in (1, 3, 40):
+                for eps in (0.0625, 0.125, 0.2, 0.25):
+                    check = verify_spanning(system, centers, sample, n, eps, chunk=chunk)
+                    assert ((check.uncovered_count, check.first_uncovered,
+                             check.all_strict)
+                            == _spanning_by_hand(system, centers, sample, n, eps))
+    rotation = circle_rotation(0.3)
+    points = [j / 16 for j in range(16)]
+    for eps in (0.0625, 0.125, 0.25):
+        check = verify_spanning(rotation, [0.0, 0.25, 0.5], points, 7, eps, chunk=chunk)
+        assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
+                == _spanning_by_hand(rotation, [0.0, 0.25, 0.5], points, 7, eps))
 
 
 def test_routines_agree_on_a_grid_and_its_points():

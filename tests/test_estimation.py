@@ -262,6 +262,30 @@ def test_eps_sweep_refuses_short_tails_before_counting(monkeypatch):
         eps_sweep(system, [2, 4, 8, 16], [0.2], METHOD_GREEDY_SEPARATED, grid=50)
 
 
+# tower-power:2 at eps 0.3, above the kernel's exact cap, with 2 angles per
+# circle: the largest cell is n = 16, over 22 points for separation and 28
+# for covering
+BUDGET_CELLS = [1, 2, 4, 8, 16]
+
+
+@pytest.mark.parametrize("method,steps", [
+    (METHOD_GREEDY_SEPARATED, 22 * 21 // 2 * 16),
+    (estimation.METHOD_GREEDY_SPANNING, 28 * 28 * 16),
+])
+def test_reference_budget_admits_greedy_cells_at_the_limit_only(monkeypatch, method, steps):
+    system = tower_system(PowerHeights(2))
+    monkeypatch.setattr(estimation.systems, "REFERENCE_PAIR_STEPS", steps)
+    records = count_table(system, BUDGET_CELLS, [0.3], method, grid=2)
+    assert [r.n for r in records] == BUDGET_CELLS
+    monkeypatch.setattr(estimation.systems, "REFERENCE_PAIR_STEPS", steps - 1)
+    counted = []
+    monkeypatch.setattr(estimation, "greedy_separated", lambda *a: counted.append(a))
+    monkeypatch.setattr(estimation, "greedy_spanning", lambda *a: counted.append(a))
+    with pytest.raises(ValueError, match=f"{steps} pair-steps, beyond the budget"):
+        count_table(system, BUDGET_CELLS, [0.3], method, grid=2)
+    assert counted == []
+
+
 def test_eps_sweep_mode_validation():
     system = tower_system(ExpHeights())
     with pytest.raises(ValueError):

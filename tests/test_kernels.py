@@ -1,10 +1,12 @@
 """Every built-in block kernel against the stepping reference ``bowen_dist``.
 
-Generated point sets check the kernel contract: an entry whose true orbit
-distance is below both ``cap`` and ``exact_cap`` is exact, and any other
-entry is a lower bound at least that large. The eligibility rule is checked
-at ``eps == exact_cap``: separation checks may use the kernel there,
-covering checks may not.
+Generated point sets check the kernel contract. A dense entry whose true
+orbit distance is below ``exact_cap`` is exact, and any other entry is a
+lower bound at least that large. The pair list of a cap holds every pair
+whose dense entry is below the cap exactly once, bitwise equal to that
+entry, and any other pair it holds reads its dense entry or at least the
+cap. The eligibility rule is checked at ``eps == exact_cap``: separation
+checks may use the kernel there, covering checks may not.
 """
 
 import math
@@ -32,7 +34,7 @@ from polyent import (
     verify_spanning,
 )
 from polyent import systems
-from polyent.bowen import _distance_path
+from polyent.bowen import _distance_path, _pair_path
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,8 +44,11 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=N
 # grid angles put pairs exactly on dyadic thresholds such as 1/4
 ANGLES = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
                    st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75]))
-CAPS = st.one_of(st.none(), st.floats(0.01, 0.6),
-                 st.sampled_from([0.125, 0.25, float(np.nextafter(0.25, 1.0)), 0.5, 1.0]))
+# caps past 1/4 take the towers' dense path, and caps past 1 make the
+# subshifts list pairs at coding distance 1
+CAPS = st.one_of(st.floats(0.01, 0.6), st.floats(1.0, 3.0),
+                 st.sampled_from([0.125, 0.25, float(np.nextafter(0.25, 1.0)), 0.5, 1.0,
+                                  float(np.nextafter(1.0, 2.0)), math.inf]))
 
 
 def _tower_points(fam):
@@ -91,6 +96,7 @@ def _towers(fam):
 KERNELS = {
     "rotation": (circle_rotation(0.37), _pair_batches(ANGLES), FLOAT_TOL),
     "tower-exp": _towers(ExpHeights()),
+    "tower-power:1": _towers(PowerHeights(1)),
     "tower-power:2": _towers(PowerHeights(2)),
     "tower-power:1.5": _towers(PowerHeights(1.5)),
     "tower-custom": _towers(CustomHeights((0.5, 0.25, 0.21, 0.125))),
@@ -109,24 +115,64 @@ KERNELS = {
 }
 
 
+def _listed(pairs, shape):
+    """The pair list's flat positions, checking its shape and that no pair
+    appears twice."""
+    i, j, d = pairs
+    assert i.shape == j.shape == d.shape and i.ndim == 1
+    assert ((0 <= i) & (i < shape[0]) & (0 <= j) & (j < shape[1])).all()
+    flat = i * shape[1] + j
+    assert np.unique(flat).size == flat.size
+    return flat
+
+
+def _assert_pair_contract(pairs, dense, cap):
+    """``orbit_pairs`` against the dense block of the same batches: every
+    entry below cap listed once, bitwise equal, and every listed distance
+    its entry's or at least cap."""
+    flat = _listed(pairs, dense.shape)
+    d, entry = pairs[2], dense.ravel()[flat]
+    listed = np.zeros(dense.size, bool)
+    listed[flat] = True
+    assert listed[dense.ravel() < cap].all()
+    same = d.view(np.uint64) == entry.view(np.uint64)
+    assert (same | (d >= cap)).all()
+    assert same[entry < cap].all()
+
+
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_kernel_cap_contract(name):
     system, batches, tol = KERNELS[name]
 
     @PROPERTY
-    @given(batches, st.integers(1, 24), CAPS)
-    def check(pair, n, cap):
+    @given(batches, st.integers(1, 24), CAPS, st.booleans())
+    def check(pair, n, cap, wide):
         pa, pb = pair
-        got = system.orbit_cdist(system.pack(pa, n), system.pack(pb, n), n, cap)
-        assert got.shape == (len(pa), len(pb))
-        bound = system.exact_cap if cap is None else min(cap, system.exact_cap)
+        a, b = system.pack(pa, n), system.pack(pb, n)
+        dense = system.orbit_cdist(a, b, n)
+        assert dense.shape == (len(pa), len(pb))
+        with pytest.MonkeyPatch.context() as mp:
+            if wide:
+                # tower factors take the angle band on these small blocks
+                mp.setattr(systems, "_ANGLE_BAND_PAIRS", 1)
+            pairs = system.orbit_pairs(a, b, n, cap)
+        _assert_pair_contract(pairs, dense, cap)
+        got = dict(zip(_listed(pairs, dense.shape).tolist(), pairs[2].tolist()))
+        bound = min(cap, system.exact_cap)
         for i, p in enumerate(pa):
             for j, q in enumerate(pb):
                 true = bowen_dist(system, p, q, n)
-                if true < bound:
-                    assert abs(got[i, j] - true) <= tol
+                if true < system.exact_cap:
+                    assert abs(dense[i, j] - true) <= tol
                 else:
-                    assert bound - tol <= got[i, j] <= true + tol
+                    assert system.exact_cap - tol <= dense[i, j] <= true + tol
+                d = got.get(i * len(pb) + j)
+                if d is None:
+                    assert true >= bound - tol
+                elif true < bound:
+                    assert abs(d - true) <= tol
+                else:
+                    assert bound - tol <= d <= true + tol
 
     check()
 
@@ -161,11 +207,7 @@ def _deep_tower_blocks(draw):
 @given(_deep_tower_blocks())
 def test_tower_height_band_keeps_every_entry_below_cap(block):
     system, a, b, n, cap = block
-    dense = system.orbit_cdist(a, b, n)
-    got = system.orbit_cdist(a, b, n, cap)
-    below = dense < cap
-    assert (got[below] == dense[below]).all()
-    assert (got[~below] >= cap).all()
+    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), system.orbit_cdist(a, b, n), cap)
 
 
 def test_tower_height_band_margin_covers_rounding():
@@ -179,7 +221,7 @@ def test_tower_height_band_margin_covers_rounding():
     b = np.array([(0.4979, np.nextafter(w, 1.0))], a.dtype)
     dense = system.orbit_cdist(a, b, n)
     assert b["height"][0] > w and dense[0, 0] < cap
-    assert system.orbit_cdist(a, b, n, cap)[0, 0] == dense[0, 0]
+    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), dense, cap)
 
 
 # angles the angle band must not lose: both ends of [0, 1] (TowerPoint
@@ -217,11 +259,7 @@ def _wide_tower_blocks(draw):
 @given(_wide_tower_blocks())
 def test_tower_angle_band_keeps_every_entry_below_cap(block):
     system, a, b, n, cap = block
-    dense = system.orbit_cdist(a, b, n)
-    got = system.orbit_cdist(a, b, n, cap)
-    below = dense < cap
-    assert (got[below] == dense[below]).all()
-    assert (got[~below] >= cap).all()
+    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), system.orbit_cdist(a, b, n), cap)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (3, 1)])
@@ -239,8 +277,8 @@ def test_tower_angle_band_margin_covers_rounding(monkeypatch, rows, cols):
     b = system.pack([TowerPoint(phi, 0)] * cols, n)
     dense = system.orbit_cdist(a, b, n)
     assert (dense < cap).all()
-    assert (system.orbit_cdist(a, b, n, cap) == dense).all()
-    assert (system.orbit_cdist(b, a, n, cap) == system.orbit_cdist(b, a, n)).all()
+    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), dense, cap)
+    _assert_pair_contract(system.orbit_pairs(b, a, n, cap), system.orbit_cdist(b, a, n), cap)
 
 
 @pytest.mark.parametrize("rows,cols", [(700, 400), (400, 700)])
@@ -268,11 +306,65 @@ def test_tower_angle_band_matches_height_band_bitwise(monkeypatch, fam, rows, co
         edge = [(x, h) for x, ha in a[:40].tolist() for e in (ha - w, ha + w)
                 for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
         b = np.concatenate((b, np.array(edge, b.dtype)))
-        wide = system.orbit_cdist(a, b, n, cap)
+        wide = system.orbit_pairs(a, b, n, cap)
         monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", a.size * b.size + 1)
-        thin = system.orbit_cdist(a, b, n, cap)
+        thin = system.orbit_pairs(a, b, n, cap)
         monkeypatch.undo()
-        assert wide.tobytes() == thin.tobytes()
+        # the same pairs, listed in different orders, with the same bits
+        order = [np.argsort(_listed(p, (a.size, b.size))) for p in (wide, thin)]
+        for x, y in zip(wide, thin):
+            assert x[order[0]].tobytes() == y[order[1]].tobytes()
+        _assert_pair_contract(wide, system.orbit_cdist(a, b, n), cap)
+
+
+@pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
+def test_tower_row_scan_matches_height_band_bitwise(fam):
+    # a single row scans b where the height band sorts it; b ends with
+    # points on the row's widened band edge and one ulp to either side,
+    # where a test rounded differently would disagree
+    rng = np.random.default_rng(5)
+    system = tower_system(fam)
+    levels = [0, 1, 2, 30, 31, 700, 701]
+    pts = [TowerPoint(float(x), int(lv)) for x, lv in
+           zip(np.where(rng.random(300) < 0.3, rng.choice(WRAP_ANGLES, 300), rng.random(300)),
+               rng.choice(levels, 300))]
+    for n, cap in ((2, 0.25), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
+        a, b = system.pack(pts[:20], n), system.pack(pts[20:], n)
+        w = min(cap, 2.0 * cap / (n - 1))
+        w += 1e-9 * w + 1e-9
+        for k in range(len(a)):
+            row = a[k:k + 1]
+            x, ha = row.tolist()[0]
+            edge = [(x, h) for e in (ha - w, ha + w)
+                    for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
+            block = np.concatenate((b, np.array(edge, b.dtype)))
+            scan = system.orbit_pairs(row, block, n, cap)
+            band = systems._tower_height_band(row, block, n, cap, w)
+            order = [np.argsort(p[1], kind="stable") for p in (scan, band)]
+            for u, v in zip(scan, band):
+                assert u[order[0]].tobytes() == v[order[1]].tobytes()
+            _assert_pair_contract(scan, system.orbit_cdist(row, block, n), cap)
+
+
+def test_product_pairs_line_up_factor_lists_in_any_order(monkeypatch):
+    # the angle band lists each factor's pairs in its own sort order, and
+    # coarse grids on the base circle and one slow level put many pairs
+    # below cap in both factors, so the intersection must line the two
+    # lists up by key
+    monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", 1)
+    rng = np.random.default_rng(3)
+    system = product_system(tower_system(PowerHeights(2)), tower_system(ExpHeights()))
+
+    def points(m):
+        return [(TowerPoint(rng.integers(0, 8) / 8, int(rng.choice([0, 20]))),
+                 TowerPoint(rng.integers(0, 8) / 8, int(rng.choice([0, 20]))))
+                for _ in range(m)]
+
+    for n, cap in ((3, 0.25), (40, 0.2), (2, 0.13)):
+        a, b = system.pack(points(30), n), system.pack(points(20), n)
+        pairs = system.orbit_pairs(a, b, n, cap)
+        assert pairs[0].size >= 20
+        _assert_pair_contract(pairs, system.orbit_cdist(a, b, n), cap)
 
 
 BOUNDARY = [tower_system(PowerHeights(2)),
@@ -282,13 +374,16 @@ BOUNDARY = [tower_system(PowerHeights(2)),
 @pytest.mark.parametrize("system", BOUNDARY, ids=lambda s: s.name)
 def test_eligibility_boundary_at_exact_cap(system):
     eps = system.exact_cap
-    # separation at eps == exact_cap passes eps and keeps the kernel
-    assert _distance_path(system, eps)[1] is system.orbit_cdist
-    # covering at eps == exact_cap passes nextafter(eps) and steps instead
-    assert _distance_path(system, float(np.nextafter(eps, np.inf)))[1] is not system.orbit_cdist
+    above = float(np.nextafter(eps, np.inf))
     # one ulp below the cap covering is back on the kernel
-    below = float(np.nextafter(eps, 0.0))
-    assert _distance_path(system, float(np.nextafter(below, np.inf)))[1] is system.orbit_cdist
+    below = float(np.nextafter(float(np.nextafter(eps, 0.0)), np.inf))
+    for path, kernel in ((_distance_path, system.orbit_cdist),
+                         (_pair_path, system.orbit_pairs)):
+        # separation at eps == exact_cap passes eps and keeps the kernel
+        assert path(system, eps)[1] is kernel
+        # covering at eps == exact_cap passes nextafter(eps) and steps instead
+        assert path(system, above)[1] is not kernel
+        assert path(system, below)[1] is kernel
 
 
 def test_covering_at_exact_cap_sees_distances_past_it():

@@ -59,7 +59,16 @@ FAMILIES = [
 
 
 def _cdist(system, pa, pb, n, cap=None):
-    return system.orbit_cdist(system.pack(pa, n), system.pack(pb, n), n, cap)
+    a, b = system.pack(pa, n), system.pack(pb, n)
+    if cap is None:
+        return system.orbit_cdist(a, b, n)
+    # the pair list over a block that reads cap wherever nothing is listed:
+    # unlisted pairs lie at or above cap
+    i, j, d = system.orbit_pairs(a, b, n, cap)
+    assert np.unique(i * len(pb) + j).size == i.size
+    out = np.full((len(pa), len(pb)), cap)
+    out[i, j] = d
+    return out
 
 
 def _random_tower_points(rng, fam, count):
@@ -428,7 +437,10 @@ def test_circle_rotation_handle():
 
 def test_system_handle_sets_pack_and_kernel_together():
     kernel = circle_rotation(0.3)
-    for half in ({"pack": kernel.pack}, {"orbit_cdist": kernel.orbit_cdist}):
+    for half in ({"pack": kernel.pack}, {"orbit_cdist": kernel.orbit_cdist},
+                 {"orbit_pairs": kernel.orbit_pairs},
+                 {"pack": kernel.pack, "orbit_cdist": kernel.orbit_cdist},
+                 {"pack": kernel.pack, "orbit_pairs": kernel.orbit_pairs}):
         with pytest.raises(ValueError, match="set together"):
             SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
     SystemHandle(name="none", metric=circle_dist, step=kernel.step)
