@@ -19,9 +19,13 @@ routines ask the kernel for pair lists (``orbit_pairs``), never for dense
 blocks: a pair that is not listed lies at or above the cap, and every
 listed distance is compared with the routine's own threshold. The greedy
 counter queries one row at a time, and only for rows still alive when
-their turn comes. The stepping reference runs in Python, so a routine that would take it on
+their turn comes. On the kernel path the covering audit scans in two
+rungs: a pass capped just past eps/2 settles every point with a center
+below eps/2, which on the closed-form witnesses is nearly every point,
+and only the points left open get the pass capped just past eps. The
+stepping reference runs in Python, so a routine that would take it on
 more than ``systems.REFERENCE_PAIR_STEPS`` pair-steps is refused before
-any work.
+any work; the covering audit keeps a single pass on it.
 """
 
 from __future__ import annotations
@@ -384,6 +388,20 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     A sample point leaves the scan as soon as a strictly closer center is
     found, so cost stays near one center pass when the cover is comfortable;
     points covered only at exactly eps are flagged via ``all_strict``.
+
+    On the kernel path the centers are scanned in two rungs. The first asks
+    for pairs below one ulp past eps/2 and settles every point with a
+    listed distance below eps/2; only the points it leaves open are scanned
+    again at one ulp past eps, which decides covered, boundary and missed.
+    Why eps/2: ``spanning_witness`` spaces its centers less than eps apart
+    on every level it covers, and two points of one level keep their
+    step-0 arc distance for the whole window, so every sample point on
+    those levels lies below eps/2 of a center and settles in the first
+    rung. The kernel's height and angle bands scale with the cap, so that
+    rung costs about a quarter of a full pass, and a point it leaves open
+    about 1.25 passes. The stepping reference keeps a single pass at eps:
+    it already stops each pair at its cap, and the reference budget counts
+    one pass.
     """
     _check_scale(n, eps)
     # distances beyond eps never matter here, but the settled-vs-boundary
@@ -391,6 +409,10 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     cap = float(np.nextafter(eps, np.inf))
     _check_reference_budget(system, cap, len(centers) * len(sample), n)
     pack, pairs = _pair_path(system, cap)
+    # each rung lists pairs below one ulp past its threshold t, so every
+    # distance below t is listed exactly and one at or above t is never
+    # taken for less than t
+    rungs = (eps / 2, eps) if _on_kernel(system, cap) else (eps,)
     ctr = pack(centers, n)
     packed = pack(sample, n)
     m = len(packed)
@@ -400,15 +422,17 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     for lo in range(0, m, chunk):
         rows = packed[lo:lo + chunk]
         open_idx = np.arange(len(rows))
-        open_min = np.full(len(rows), np.inf)
-        for clo in range(0, len(ctr), chunk):
-            if open_idx.size == 0:
-                break
-            i, _, d = pairs(rows[open_idx], ctr[clo:clo + chunk], n, cap)
-            np.minimum.at(open_min, i, d)
-            settled = open_min < eps
-            open_idx = open_idx[~settled]
-            open_min = open_min[~settled]
+        for t in rungs:
+            rung_cap = float(np.nextafter(t, np.inf))
+            open_min = np.full(open_idx.size, np.inf)
+            for clo in range(0, len(ctr), chunk):
+                if open_idx.size == 0:
+                    break
+                i, _, d = pairs(rows[open_idx], ctr[clo:clo + chunk], n, rung_cap)
+                np.minimum.at(open_min, i, d)
+                settled = open_min < t
+                open_idx = open_idx[~settled]
+                open_min = open_min[~settled]
         if open_idx.size:
             weak = open_min <= eps
             boundary_count += int(weak.sum())

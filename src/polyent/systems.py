@@ -701,18 +701,20 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     t0 = 0.5 - theta
     t0 += t0 < 0.0
     # a subnormal drift (exp heights past level ~709) overflows to inf here,
-    # which the clip to n - 1 absorbs
+    # which the bound n - 1 absorbs
     with np.errstate(divide="ignore", over="ignore"):
         k1 = np.floor(np.divide(t0, delta, out=t0, where=delta > 0.0))
-    np.clip(k1, 0.0, float(n - 1), out=k1)
+    np.maximum(k1, 0.0, out=k1)
+    np.minimum(k1, float(n - 1), out=k1)
 
     u = np.rint(theta)
     np.abs(theta - u, out=u)
     best = u
     for k in (float(n - 1), k1, None):
         if k is None:
+            # k1 + 1 >= 1, so only the upper bound can bind
             k1 += 1.0
-            np.clip(k1, 0.0, float(n - 1), out=k1)
+            np.minimum(k1, float(n - 1), out=k1)
             k = k1
         u = theta + k * delta
         u -= np.rint(u)
@@ -721,14 +723,18 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
+def _step0(theta: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """The step-0 term of (broadcast) pairs: the larger of the initial arc
+    offset and the height gap, both lower bounds on the window max."""
+    u = np.rint(theta)
+    np.abs(theta - u, out=u)
+    return np.maximum(u, np.abs(dh), out=u)
+
+
 def _tower_exact(theta: np.ndarray, dh: np.ndarray, n: int) -> np.ndarray:
     """Tower Bowen distances from the angle and height differences of
     (broadcast) pairs; mutates ``theta``."""
-    # step-0 term: height gap and initial arc offset, both lower bounds on
-    # the window max
-    u = np.rint(theta)
-    np.abs(theta - u, out=u)
-    base = np.maximum(u, np.abs(dh), out=u)
+    base = _step0(theta, dh)
     if n == 1:
         return base
     best = _drift_peak(theta, dh - np.rint(dh), n)
@@ -738,12 +744,13 @@ def _tower_exact(theta: np.ndarray, dh: np.ndarray, n: int) -> np.ndarray:
 def _below_cap(theta: np.ndarray, dh: np.ndarray, n: int,
                cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the candidate pairs whose step-0 term is below cap, and
-    their exact distances; only these need the drift scan."""
-    step0 = np.rint(theta)
-    np.abs(theta - step0, out=step0)
-    np.maximum(step0, np.abs(dh), out=step0)
+    their exact distances over n >= 2 steps; only these need the drift
+    scan, which reuses their step-0 terms."""
+    step0 = _step0(theta, dh)
     live = np.flatnonzero(step0 < cap)
-    return live, _tower_exact(theta[live], dh[live], n)
+    dh = dh[live]
+    best = _drift_peak(theta[live], dh - np.rint(dh), n)
+    return live, np.maximum(best, step0[live], out=best)
 
 
 def _tower_height_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,

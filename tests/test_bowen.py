@@ -1,6 +1,7 @@
 """Orbit distances, greedy counters, verifiers, and the exact tiny-case
 search, cross-checked against brute force on small inputs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from polyent import (
     verify_separated,
     verify_spanning,
 )
+from polyent import bowen, systems
 from polyent.bowen import _distance_path, bowen_block
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -199,6 +201,103 @@ def test_verify_spanning_matches_a_full_scan(chunk):
         check = verify_spanning(rotation, [0.0, 0.25, 0.5], points, 7, eps, chunk=chunk)
         assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
                 == _spanning_by_hand(rotation, [0.0, 0.25, 0.5], points, 7, eps))
+
+
+def _rung_kinds(system, centers, sample, n, eps):
+    # how many sample points have their nearest center below eps/2, in
+    # [eps/2, eps), exactly at eps and beyond eps
+    d = _dense(system, sample, centers, n, float(np.nextafter(eps, np.inf)))
+    near = d.min(axis=1)
+    return [int(k.sum()) for k in (near < eps / 2, (near >= eps / 2) & (near < eps),
+                                   near == eps, near > eps)]
+
+
+# base-circle centers a quarter turn apart put base grid points at every
+# multiple of 1/32 up to eps = 1/8 from their nearest center, exactly at
+# eps/2 and at eps included; level 3 sits 1/9 above the base, between the
+# rungs at n = 1 and drifting away past eps at n = 3, and level 2 is missed
+_RUNG_CENTERS = tower_sample(PowerHeights(2), 4, [0])
+_RUNG_SAMPLE = tower_sample(PowerHeights(2), 32, [0, 2, 3])
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_verify_spanning_rungs_match_a_full_scan(chunk):
+    system = tower_system(PowerHeights(2))
+    for n in (1, 3):
+        kinds = _rung_kinds(system, _RUNG_CENTERS, _RUNG_SAMPLE, n, 0.125)
+        assert all(kinds), kinds
+        for eps in (0.0625, 0.1, 0.125):
+            check = verify_spanning(system, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps, chunk=chunk)
+            assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
+                    == _spanning_by_hand(system, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps))
+
+
+def test_verify_spanning_rungs_match_a_full_scan_on_wide_blocks(monkeypatch):
+    # 2048 sample rows against 156 centers make first-rung blocks of
+    # 319,488 pairs, past the angle band's threshold
+    fam = PowerHeights(2)
+    system = tower_system(fam)
+    centers = tower_sample(fam, 4, [0, 1] + list(range(3, 40)))
+    sample = tower_sample(fam, 1024, [0, 2, 3, 10, 39, 45])
+    calls = []
+
+    def angle_band(a, b, *args):
+        calls.append(len(a) * len(b))
+        return band(a, b, *args)
+
+    band = systems._tower_angle_band
+    monkeypatch.setattr(systems, "_tower_angle_band", angle_band)
+    for n, eps in ((3, 0.125), (40, 0.125), (40, 0.1)):
+        assert all(_rung_kinds(system, centers, sample, n, 0.125))
+        check = verify_spanning(system, centers, sample, n, eps)
+        assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
+                == _spanning_by_hand(system, centers, sample, n, eps))
+    assert calls and max(calls) >= systems._ANGLE_BAND_PAIRS
+
+
+def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
+    # the pair contract lets a kernel list any pair at or above the cap
+    # with a lower bound of at least the cap; this one lists every pair
+    # and reads each such pair as exactly the cap, which the first rung
+    # (capped just past eps/2) must not take for a cover below eps
+    tower = tower_system(PowerHeights(2))
+
+    def lower_bounds(a, b, n, cap):
+        i, j = np.indices((len(a), len(b))).reshape(2, -1)
+        return i, j, np.minimum(tower.orbit_cdist(a, b, n), cap).ravel()
+
+    stub = dataclasses.replace(tower, orbit_pairs=lower_bounds)
+    check = verify_spanning(stub, [TowerPoint(0.0, 0)], [TowerPoint(0.2, 0)], 3, 0.125)
+    assert not check.ok and check.first_uncovered == 0
+    for n in (1, 3):
+        for eps in (0.0625, 0.1, 0.125):
+            for chunk in (3, 2048):
+                check = verify_spanning(stub, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps, chunk=chunk)
+                assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
+                        == _spanning_by_hand(tower, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps))
+
+
+def test_verify_spanning_steps_the_reference_in_one_pass(monkeypatch):
+    # eps 0.3 lies past the tower's exact_cap, so the audit steps pairs by
+    # the reference; no point settles on the first center, so one pass
+    # steps every pair once, and a second rung would step again the four
+    # points that lie no closer than eps/2 to either center
+    system = tower_system(PowerHeights(2))
+    centers = [TowerPoint(0.0, 0), TowerPoint(0.5, 0)]
+    sample = [TowerPoint(x, 0) for x in (0.6, 0.65, 0.7)] + [TowerPoint(0.3, 1),
+                                                             TowerPoint(0.0, 1)]
+    stepped = []
+
+    def counting(system, pa, pb, n, stop_at=None):
+        stepped.append((len(pa) * len(pb), stop_at))
+        return step(system, pa, pb, n, stop_at)
+
+    step = bowen._stepped
+    monkeypatch.setattr(bowen, "_stepped", counting)
+    check = verify_spanning(system, centers, sample, 3, 0.3, chunk=1)
+    assert (check.uncovered_count, check.first_uncovered, check.all_strict) == (2, 3, False)
+    assert sum(pairs for pairs, _ in stepped) == len(centers) * len(sample)
+    assert {stop_at for _, stop_at in stepped} == {float(np.nextafter(0.3, np.inf))}
 
 
 def test_routines_agree_on_a_grid_and_its_points():
