@@ -32,7 +32,7 @@ from .constructions import (
     certified_separated_witness,
     certified_spanning_witness,
 )
-from .diagnostics import distality_gap, uniform_recurrence_check, word_complexity
+from .diagnostics import distality_gap, uniform_recurrence_check, word_complexities
 from .estimation import (
     METHOD_GREEDY_SEPARATED,
     METHOD_SYMBOLIC_EXACT,
@@ -442,8 +442,9 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
             raise UsageError(f"complexity needs a symbolic system, got {system.name}")
         n_max = cfg["n_max"]
         word = system.word_fn(0, word_window(system, n_max) - 1)
-        table = [{"n": n, "complexity": word_complexity(word, n)}
-                 for n in range(1, n_max + 1)]
+        ns = range(1, n_max + 1)
+        table = [{"n": n, "complexity": count}
+                 for n, count in zip(ns, word_complexities(word, ns, [word.end] * n_max))]
         for row in table:
             print(f"p({row['n']}) = {row['complexity']}")
         _write_json(os.path.join(out, "complexity.json"), {

@@ -252,7 +252,7 @@ def separated_shift_family(word: SymbolicWord, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    codes = _block_codes(word.symbols, word.alphabet_size, n)
+    codes, _ = _block_codes(word.symbols, word.alphabet_size, n)
     first = np.sort(np.unique(codes, return_index=True)[1])
     if first.size <= n:
         raise ValueError(

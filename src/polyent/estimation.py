@@ -36,7 +36,7 @@ from .constructions import (
     separation_depth,
     separation_levels,
 )
-from .diagnostics import word_complexity
+from .diagnostics import word_complexities
 from .systems import AngleLevelGrid, PowerHeights, SystemHandle, tower_sample, word_window
 
 __all__ = [
@@ -109,10 +109,16 @@ def _analytic_count(system: SystemHandle, method: str, n: int, eps: float) -> in
 
 
 def _dyadic_index(eps: float) -> int:
-    """Largest j >= 0 with 2^-j >= eps (coding metrics take dyadic values)."""
+    """Largest j >= 0 with 2^-j >= eps (coding metrics take dyadic values).
+
+    Exact: with eps = f * 2^e, 1/2 <= f < 1, eps is 2^-(1-e) when f = 1/2
+    and lies strictly between 2^-(1-e) and 2^-(-e) otherwise. A float
+    log2(1/eps) would round eps one ulp above 2^-j to j.
+    """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"symbolic counting needs eps in (0, 1], got {eps}")
-    return max(0, math.floor(math.log2(1.0 / eps)))
+    f, e = math.frexp(eps)
+    return max(0, 1 - e if f == 0.5 else -e)
 
 
 def _symbolic_span(n: int, eps: float) -> int:
@@ -121,10 +127,19 @@ def _symbolic_span(n: int, eps: float) -> int:
     return n + 2 * _dyadic_index(eps)
 
 
-def _symbolic_exact_count(system: SystemHandle, n: int, eps: float) -> int:
-    span = _symbolic_span(n, eps)
-    word = system.word_fn(0, word_window(system, span) - 1)
-    return word_complexity(word, span)
+def _symbolic_counts(system: SystemHandle, ns: list[int],
+                     epss: list[float]) -> dict[tuple[float, int], int]:
+    """Exact block counts of every (eps, n) cell. Each window n takes one
+    word, as long as its largest span needs, and counts every eps's span
+    over that span's own ``word_window`` only."""
+    counts = {}
+    for n in ns:
+        spans = [_symbolic_span(n, eps) for eps in epss]
+        stops = [word_window(system, span) for span in spans]
+        word = system.word_fn(0, max(stops) - 1)
+        for eps, count in zip(epss, word_complexities(word, spans, stops)):
+            counts[eps, n] = count
+    return counts
 
 
 def _tower_sample_for(system: SystemHandle, method: str, n: int, eps: float,
@@ -165,9 +180,11 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
     if greedy and grid is None:
         raise ValueError(f"method {method!r} needs a sample resolution (grid)")
 
+    symbolic: dict[tuple[float, int], int] = {}
     if method == METHOD_SYMBOLIC_EXACT:
         # the last cell needs the longest word: refuse it before counting
         word_window(system, _symbolic_span(ns[-1], epss[-1]))
+        symbolic = _symbolic_counts(system, ns, epss)
 
     samples: dict[tuple[float, int], Sequence] = {}
     if greedy and system.heights is None:
@@ -200,7 +217,7 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
             if method in (METHOD_ANALYTIC_SPANNING, METHOD_ANALYTIC_SEPARATED):
                 count = _analytic_count(system, method, n, eps)
             elif method == METHOD_SYMBOLIC_EXACT:
-                count = _symbolic_exact_count(system, n, eps)
+                count = symbolic[eps, n]
             else:
                 sample = samples[eps, n]
                 if method == METHOD_GREEDY_SEPARATED:

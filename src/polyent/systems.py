@@ -625,8 +625,9 @@ class SystemHandle:
 TOWER_SAMPLE_LIMIT = 1 << 21
 
 # Longest canonical word the counting code materializes. Counting the
-# blocks of a Sturmian word peaks at about 66 bytes per symbol (int64 codes,
-# ranks and sort permutations), so about 0.55 GiB at this limit.
+# blocks of a Sturmian word peaks at about 56 bytes per symbol (int64 codes,
+# ranks, sort permutations and change counts; tracemalloc on a 2^20-symbol
+# word), so about 0.44 GiB at this limit.
 WORD_SYMBOL_LIMIT = 1 << 23
 
 # Most pair-steps (pairs times window) one counting or verifying routine

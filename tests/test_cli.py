@@ -6,8 +6,11 @@ subprocesses.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +93,28 @@ def test_estimate_sturmian_symbolic(tmp_path):
     rows = (tmp_path / "counts.csv").read_text().splitlines()[1:]
     exact = [r for r in rows if r.endswith(",exact")]
     assert len(exact) == len(rows) == 21
+
+
+def _perfbench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_estimate_matches_the_benchmark_reference(tmp_path, capsys, monkeypatch):
+    # the symbolic step of the sturmian-exact benchmark workload, seed 0,
+    # against its recorded reference (read only)
+    workloads = _perfbench_workloads(monkeypatch)
+    [step] = [s for s in workloads.workload_steps("sturmian-exact", 0)
+              if s.name == "symbolic"]
+    reference = Path(workloads.REFERENCE_DIR) / "sturmian-exact" / "symbolic"
+    assert cli.main(step.argv(str(tmp_path))) == 0
+    assert (tmp_path / "counts.csv").read_bytes() == (reference / "counts.csv").read_bytes()
+    assert _read_json(tmp_path / "fits.json") == _read_json(reference / "fits.json")
 
 
 def test_estimate_refuses_short_tails_before_counting(tmp_path, capsys, monkeypatch):

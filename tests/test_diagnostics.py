@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyent import (
@@ -21,6 +21,7 @@ from polyent import (
     sturmian_generate,
     tower_system,
     uniform_recurrence_check,
+    word_complexities,
     word_complexity,
 )
 from polyent.systems import SymbolicWord
@@ -185,6 +186,68 @@ def test_word_complexity_matches_brute_force(case):
     symbols = tuple(word.symbols.tolist())
     brute = len({symbols[i:i + n] for i in range(len(symbols) - n + 1)})
     assert word_complexity(word, n) == brute
+
+
+@st.composite
+def _words_lengths_and_stops(draw):
+    # ascending lengths from one drawn length; short gaps fold packed
+    # symbols, long ones (past 63 // bits symbols, or past the codes' int64
+    # headroom) must rank the codes first
+    word, n = draw(_words_and_lengths())
+    lengths = [n]
+    for _ in range(draw(st.integers(0, 5))):
+        gap = draw(st.one_of(st.integers(0, 3), st.integers(4, 120)))
+        if lengths[-1] + gap > word.symbols.size:
+            break
+        lengths.append(lengths[-1] + gap)
+    stops = [draw(st.integers(word.start + length, word.end)) for length in lengths]
+    return word, lengths, stops
+
+
+def _brute_complexities(word, lengths, stops):
+    symbols = tuple(word.symbols.tolist())
+    return [len({symbols[i:i + n] for i in range(stop - word.start - n + 1)})
+            for n, stop in zip(lengths, stops)]
+
+
+def _motif_with_a_high_bit(size, lengths):
+    # period-5 motif whose symbol 20 is raised by half the alphabet: with
+    # 256 symbols the blocks at 20 and 25 then differ only in their first
+    # symbol's top bit, which an int64 code of 9 8-bit symbols pushes out
+    symbols = [k % 5 % size for k in range(60)]
+    symbols[20] += size // 2
+    word = SymbolicWord(symbols=tuple(symbols), start=3, alphabet_size=size)
+    return word, lengths, [word.end] * len(lengths)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_words_lengths_and_stops())
+@example(_motif_with_a_high_bit(256, [7, 9]))
+@example(_motif_with_a_high_bit(256, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]))
+@example(_motif_with_a_high_bit(17, [12, 13, 40]))
+@example(_motif_with_a_high_bit(2, [1, 60]))
+def test_word_complexities_match_brute_force_on_each_prefix(case):
+    word, lengths, stops = case
+    assert word_complexities(word, lengths, stops) == _brute_complexities(word, lengths, stops)
+
+
+def test_word_complexities_stop_at_each_range():
+    # a stop ends the range: the 1 at index 4 is seen only by stops past it
+    word = SymbolicWord(symbols=(0,) * 6 + (1,) + (0,) * 5, start=-2)
+    assert word_complexities(word, [1, 1, 2, 2, 2], [4, 5, 4, 5, 6]) == [1, 2, 1, 2, 3]
+
+
+def test_word_complexities_validations():
+    word = SymbolicWord(symbols=(0, 1, 0, 1), start=10)
+    assert word_complexities(word, [], []) == []
+    with pytest.raises(ValueError, match="stops"):
+        word_complexities(word, [1, 2], [14])
+    with pytest.raises(ValueError, match="ascending"):
+        word_complexities(word, [2, 1], [14, 14])
+    with pytest.raises(ValueError, match="beyond"):
+        word_complexities(word, [1], [15])
+    with pytest.raises(ValueError, match="shorter than block length"):
+        word_complexities(word, [3], [12])
 
 
 def test_word_complexity_growth_bounds():

@@ -31,6 +31,7 @@ from polyent.estimation import (
     METHOD_GREEDY_SEPARATED,
     METHOD_SYMBOLIC_EXACT,
 )
+from polyent.systems import word_window
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -81,6 +82,40 @@ def test_symbolic_count_sees_a_late_first_one():
     system = sturmian_system(0.02461960616500969)
     [record] = count_table(system, [1], [1.0], METHOD_SYMBOLIC_EXACT)
     assert (record.count, record.bound) == (2, BOUND_EXACT)
+
+
+@pytest.mark.parametrize("j", range(61))
+def test_dyadic_index_is_exact_around_powers_of_two(j):
+    eps = 2.0 ** -j
+    assert estimation._dyadic_index(eps) == j
+    assert estimation._dyadic_index(math.nextafter(eps, 0.0)) == j
+    if j == 0:
+        with pytest.raises(ValueError):
+            estimation._dyadic_index(math.nextafter(eps, 2.0))
+    else:
+        assert estimation._dyadic_index(math.nextafter(eps, 2.0)) == j - 1
+
+
+def test_symbolic_count_one_ulp_above_a_power_of_two():
+    # eps just above 2^-5 separates at the coordinates 2^-4 does
+    system = sturmian_system(GOLDEN)
+    above = count_table(system, [10, 20], [math.nextafter(2.0 ** -5, 1.0)],
+                        METHOD_SYMBOLIC_EXACT)
+    assert [r.count for r in above] == [19, 29]
+
+
+def test_symbolic_counts_share_a_word_per_window():
+    # spans 20 and 60 symbols apart on one word: every cell counts the
+    # symbols it would count on a word of its own span's window
+    system = sturmian_system(GOLDEN)
+    epss = [1.0, 2.0 ** -10, 2.0 ** -30]
+    ns = [1, 2, 5, 64, 333, 2000]
+    records = count_table(system, ns, epss, METHOD_SYMBOLIC_EXACT)
+    assert [(r.eps, r.n) for r in records] == [(eps, n) for eps in epss for n in ns]
+    for r in records:
+        span = r.n + 2 * estimation._dyadic_index(r.eps)
+        word = system.word_fn(0, word_window(system, span) - 1)
+        assert r.count == word_complexity(word, span)
 
 
 def _continued(quotients):
