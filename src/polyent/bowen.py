@@ -5,27 +5,22 @@ along the first n iterates (steps 0 through n-1). On top of it sit:
 
 * greedy separated-set extraction (a maximal family with pairwise orbit
   distance >= eps, hence a lower bound on the separation number);
-* greedy covering (an upper bound on the spanning number of the sample);
 * verifiers for externally constructed witness sets, which also report
-  whether the strict form of each inequality held;
-* an exact maximum-separated-set search for tiny samples, used to audit the
-  greedy lower-bound quality in tests.
+  whether the strict form of each inequality held.
 
 All bulk routines are chunked so no full pairwise matrix is materialized.
-Each call packs its points once and uses the system's kernel when the
-threshold it decides sits inside the kernel's exact range (``exact_cap``),
-else the stepping reference :func:`bowen_dist`, which is always exact. The
-routines ask the kernel for pair lists (``orbit_pairs``), never for dense
-blocks: a pair that is not listed lies at or above the cap, and every
-listed distance is compared with the routine's own threshold. The greedy
+Each call packs its points once with the system's ``pack`` and asks its
+kernel for pair lists (``orbit_pairs``), never for dense blocks: a pair
+that is not listed lies at or above the cap, and every listed distance is
+compared with the routine's own threshold. Every built-in kernel is exact
+at every threshold, and a handle without a kernel is refused. The greedy
 counter queries one row at a time, and only for rows still alive when
-their turn comes. On the kernel path the covering audit scans in two
-rungs: a pass capped just past eps/2 settles every point with a center
-below eps/2, which on the closed-form witnesses is nearly every point,
-and only the points left open get the pass capped just past eps. The
-stepping reference runs in Python, so a routine that would take it on
-more than ``systems.REFERENCE_PAIR_STEPS`` pair-steps is refused before
-any work; the covering audit keeps a single pass on it.
+their turn comes. The covering audit scans in two rungs: a pass capped
+just past eps/2 settles every point with a center below eps/2, which on
+the closed-form witnesses is nearly every point, and only the points left
+open get the pass capped just past eps. :func:`bowen_dist` steps both
+points of a pair explicitly; it is the oracle the kernels are tested
+against, and no routine here calls it.
 """
 
 from __future__ import annotations
@@ -35,8 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import systems
-from .systems import SystemHandle, _pairs_below
+from .systems import SystemHandle
 
 __all__ = [
     "bowen_dist",
@@ -46,12 +40,10 @@ __all__ = [
     "BOUND_SPANNING_UPPER",
     "BOUND_EXACT",
     "greedy_separated",
-    "greedy_spanning",
     "SeparationCheck",
     "SpanningCheck",
     "verify_separated",
     "verify_spanning",
-    "max_separated_exact",
 ]
 
 DEFAULT_CHUNK = 2048
@@ -61,14 +53,11 @@ BOUND_SPANNING_UPPER = "spanning-upper-bound"
 BOUND_EXACT = "exact"
 
 
-def bowen_dist(system: SystemHandle, x: Any, y: Any, n: int,
-               stop_at: float | None = None) -> float:
+def bowen_dist(system: SystemHandle, x: Any, y: Any, n: int) -> float:
     """Reference orbit distance: max metric over iterates 0..n-1.
 
     Steps both points explicitly, ignoring any fast kernel; this is the
-    ground truth the kernels are tested against. With ``stop_at`` the loop
-    exits once the running max reaches it, returning that partial max (a
-    lower bound on the full value, sufficient for threshold decisions).
+    ground truth the kernels are tested against.
     """
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
@@ -78,11 +67,7 @@ def bowen_dist(system: SystemHandle, x: Any, y: Any, n: int,
         if k:
             cx = system.step(cx)
             cy = system.step(cy)
-        d = system.metric(cx, cy)
-        if d > best:
-            best = d
-            if stop_at is not None and best >= stop_at:
-                break
+        best = max(best, system.metric(cx, cy))
     return best
 
 
@@ -93,71 +78,18 @@ def _check_scale(n: int, eps: float) -> None:
         raise ValueError(f"window must be >= 1, got {n}")
 
 
-def _on_kernel(system: SystemHandle, threshold: float) -> bool:
-    """Whether the system kernel decides d >= threshold correctly."""
-    # A kernel is exact below exact_cap and reports >= exact_cap above it,
-    # so it decides d >= t for every t <= exact_cap. Separation checks ask
-    # d >= eps and pass eps; covering checks ask d <= eps, which is
-    # "not d >= nextafter(eps)", and pass that. At eps == exact_cap a
-    # distance just above eps may come back as exactly exact_cap and read as
-    # covered, so covering then takes the reference path.
-    return system.orbit_pairs is not None and threshold <= system.exact_cap
+def _kernel(system: SystemHandle) -> tuple[Callable, Callable]:
+    """The system's ``pack`` and ``orbit_pairs``; refuses a handle without
+    a kernel."""
+    if system.orbit_pairs is None:
+        raise ValueError(f"{system.name} has no distance kernel")
+    return system.pack, system.orbit_pairs
 
 
-def _object_pack(points: Sequence, n: int) -> np.ndarray:
-    return np.fromiter(points, dtype=object, count=len(points))
-
-
-def _stepped(system: SystemHandle, pa: np.ndarray, pb: np.ndarray, n: int,
-             stop_at: float | None = None) -> np.ndarray:
-    out = np.empty((len(pa), len(pb)), dtype=np.float64)
-    for i, p in enumerate(pa):
-        for j, q in enumerate(pb):
-            out[i, j] = bowen_dist(system, p, q, n, stop_at=stop_at)
-    return out
-
-
-def _distance_path(system: SystemHandle, threshold: float) -> tuple[Callable, Callable]:
-    """A (pack, orbit_cdist) pair of exact dense distances: the system
-    kernel if it decides d >= threshold, else object arrays stepped by
-    :func:`bowen_dist`."""
-    if _on_kernel(system, threshold):
-        return system.pack, system.orbit_cdist
-    return _object_pack, lambda pa, pb, n: _stepped(system, pa, pb, n)
-
-
-def _pair_path(system: SystemHandle, threshold: float) -> tuple[Callable, Callable]:
-    """A (pack, orbit_pairs) pair that decides d >= threshold correctly, on
-    the path :func:`_distance_path` picks; the reference stops stepping a
-    pair once it reaches the cap."""
-    if _on_kernel(system, threshold):
-        return system.pack, system.orbit_pairs
-    return _object_pack, lambda pa, pb, n, cap: _pairs_below(
-        _stepped(system, pa, pb, n, cap), cap)
-
-
-def _check_reference_budget(system: SystemHandle, threshold: float, pairs: int,
-                            n: int) -> None:
-    """Refuse work that would step up to ``pairs`` pairs over window n by
-    the reference, beyond ``systems.REFERENCE_PAIR_STEPS``."""
-    if not _on_kernel(system, threshold) and pairs * n > systems.REFERENCE_PAIR_STEPS:
-        raise ValueError(
-            f"{system.name} at threshold {threshold!r} needs the stepping reference "
-            f"on up to {pairs} pairs over window {n}, {pairs * n} pair-steps, beyond "
-            f"the budget of {systems.REFERENCE_PAIR_STEPS}")
-
-
-def bowen_block(system: SystemHandle, pa: Sequence, pb: Sequence, n: int,
-                stop_at: float | None = None) -> np.ndarray:
-    """Pairwise orbit distances between two point lists.
-
-    ``stop_at`` is a threshold the caller merely compares against: it lets
-    the system kernel serve, whose entries at or above ``exact_cap`` are
-    certified lower bounds. Entries below ``stop_at`` are always exact, and
-    without it every entry is.
-    """
-    pack, cdist = _distance_path(system, np.inf if stop_at is None else stop_at)
-    return cdist(pack(pa, n), pack(pb, n), n)
+def bowen_block(system: SystemHandle, pa: Sequence, pb: Sequence, n: int) -> np.ndarray:
+    """Exact pairwise orbit distances between two point lists."""
+    pack, _ = _kernel(system)
+    return system.orbit_cdist(pack(pa, n), pack(pb, n), n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,8 +131,7 @@ def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
     """
     _check_scale(n, eps)
     m = len(sample)
-    _check_reference_budget(system, eps, m * (m - 1) // 2, n)
-    pack, pairs = _pair_path(system, eps)
+    pack, pairs = _kernel(system)
     packed = pack(sample, n)
     keep = np.ones(m, dtype=bool)
     for lo in range(0, m, chunk):
@@ -220,51 +151,6 @@ def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
                 _, j, d = pairs(rows[i:i + 1], rows[i + 1:], n, eps)
                 rest[j[d < eps]] = False
     return [sample[i] for i in np.flatnonzero(keep)]
-
-
-def greedy_spanning(system: SystemHandle, sample: Sequence, n: int, eps: float,
-                    chunk: int = DEFAULT_CHUNK) -> list:
-    """A covering subfamily of the sample, largest-gain-first.
-
-    Each round picks the sample point whose closed orbit eps-ball covers the
-    most still-uncovered sample points (first index winning ties) until all
-    are covered. The result size is an upper bound on the minimal cover of
-    the sample at this scale.
-    """
-    _check_scale(n, eps)
-    # coverage tests only compare against eps; values equal to eps count as
-    # covered, so the cap sits one ulp above to keep those entries exact
-    cap = float(np.nextafter(eps, np.inf))
-    m = len(sample)
-    # every round queries every candidate against the uncovered points
-    _check_reference_budget(system, cap, m * m, n)
-    pack, pairs = _pair_path(system, cap)
-    packed = pack(sample, n)
-    uncovered = np.ones(m, dtype=bool)
-    chosen: list = []
-    while uncovered.any():
-        unc_idx = np.nonzero(uncovered)[0]
-        unc_pts = packed[unc_idx]
-        best_i = -1
-        best_gain = 0
-        for lo in range(0, m, chunk):
-            cand = packed[lo:lo + chunk]
-            gains = np.zeros(len(cand), dtype=np.int64)
-            for clo in range(0, len(unc_pts), chunk):
-                i, _, d = pairs(cand, unc_pts[clo:clo + chunk], n, cap)
-                gains += np.bincount(i[d <= eps], minlength=len(cand))
-            gi = int(np.argmax(gains))
-            if int(gains[gi]) > best_gain:
-                best_gain = int(gains[gi])
-                best_i = lo + gi
-        if best_i < 0:
-            # an uncovered point failed to cover itself: metric is broken
-            raise RuntimeError("covering made no progress; metric violates d(x,x)=0")
-        chosen.append(sample[best_i])
-        for clo in range(0, len(unc_pts), chunk):
-            _, j, d = pairs(packed[best_i:best_i + 1], unc_pts[clo:clo + chunk], n, cap)
-            uncovered[unc_idx[clo:clo + chunk][j[d <= eps]]] = False
-    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +221,9 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
     """
     _check_scale(n, eps)
     m = len(points)
-    _check_reference_budget(system, eps, m * (m - 1) // 2, n)
+    pack, pairs = _kernel(system)
     if m < 2:
         return SeparationCheck(True, True, n, eps, 0, np.inf, None)
-    pack, pairs = _pair_path(system, eps)
     pts = pack(points, n)
     # Capping one ulp above the running minimum lists every pair at or
     # below it with its exact distance, and every unlisted pair lies
@@ -389,8 +274,8 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     found, so cost stays near one center pass when the cover is comfortable;
     points covered only at exactly eps are flagged via ``all_strict``.
 
-    On the kernel path the centers are scanned in two rungs. The first asks
-    for pairs below one ulp past eps/2 and settles every point with a
+    The centers are scanned in two rungs. The first asks for pairs below
+    one ulp past eps/2 and settles every point with a
     listed distance below eps/2; only the points it leaves open are scanned
     again at one ulp past eps, which decides covered, boundary and missed.
     Why eps/2: ``spanning_witness`` spaces its centers less than eps apart
@@ -399,20 +284,10 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     those levels lies below eps/2 of a center and settles in the first
     rung. The kernel's height and angle bands scale with the cap, so that
     rung costs about a quarter of a full pass, and a point it leaves open
-    about 1.25 passes. The stepping reference keeps a single pass at eps:
-    it already stops each pair at its cap, and the reference budget counts
-    one pass.
+    about 1.25 passes.
     """
     _check_scale(n, eps)
-    # distances beyond eps never matter here, but the settled-vs-boundary
-    # split needs values equal to eps reported exactly, hence the open cap
-    cap = float(np.nextafter(eps, np.inf))
-    _check_reference_budget(system, cap, len(centers) * len(sample), n)
-    pack, pairs = _pair_path(system, cap)
-    # each rung lists pairs below one ulp past its threshold t, so every
-    # distance below t is listed exactly and one at or above t is never
-    # taken for less than t
-    rungs = (eps / 2, eps) if _on_kernel(system, cap) else (eps,)
+    pack, pairs = _kernel(system)
     ctr = pack(centers, n)
     packed = pack(sample, n)
     m = len(packed)
@@ -422,7 +297,11 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     for lo in range(0, m, chunk):
         rows = packed[lo:lo + chunk]
         open_idx = np.arange(len(rows))
-        for t in rungs:
+        # each rung lists pairs below one ulp past its threshold t, so every
+        # distance below t is listed exactly and one at or above t is never
+        # taken for less than t; the last rung's open cap also reports
+        # distances equal to eps exactly, for the settled-vs-boundary split
+        for t in (eps / 2, eps):
             rung_cap = float(np.nextafter(t, np.inf))
             open_min = np.full(open_idx.size, np.inf)
             for clo in range(0, len(ctr), chunk):
@@ -451,36 +330,3 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
         uncovered_count=uncovered_count,
         first_uncovered=first_uncovered,
     )
-
-
-def max_separated_exact(system: SystemHandle, points: Sequence, n: int,
-                        eps: float, limit: int = 20) -> int:
-    """Exact maximum size of an eps-separated subfamily (tiny inputs only).
-
-    Branch and bound over the separation graph; cost is exponential, hence
-    the hard ``limit``. Serves as the quality oracle for the greedy bound.
-    """
-    m = len(points)
-    if m > limit:
-        raise ValueError(f"exact search limited to {limit} points, got {m}")
-    if m == 0:
-        return 0
-    d = bowen_block(system, points, points, n, stop_at=eps)
-    adj = d >= eps
-    np.fill_diagonal(adj, False)
-
-    best = 0
-
-    def grow(chosen: int, candidates: list[int]) -> None:
-        nonlocal best
-        if chosen + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, chosen)
-            return
-        head, *rest = candidates
-        grow(chosen + 1, [j for j in rest if adj[head, j]])
-        grow(chosen, rest)
-
-    grow(0, list(range(m)))
-    return best

@@ -1,8 +1,8 @@
 """Count tables and growth-exponent estimation.
 
 A count table is a list of :class:`~polyent.bowen.CountRecord` over a grid
-of window lengths and scales, produced by one of five methods: the two
-greedy counters on a sampled system, the two closed-form witness sizes for
+of window lengths and scales, produced by one of four methods: the greedy
+separated counter on a sampled system, the two closed-form witness sizes for
 towers, or exact block counting for symbolic systems. Slope fits then
 regress log(count) on log(n) (polynomial regime) or on n (exponential
 regime) over a tail of the window grid, and a scale sweep assembles per-eps
@@ -22,13 +22,11 @@ from dataclasses import dataclass
 
 from . import systems
 from .bowen import (
-    _check_reference_budget,
     BOUND_EXACT,
     BOUND_SEPARATED_LOWER,
     BOUND_SPANNING_UPPER,
     CountRecord,
     greedy_separated,
-    greedy_spanning,
 )
 from .constructions import (
     drift_cutoff,
@@ -41,7 +39,6 @@ from .systems import AngleLevelGrid, PowerHeights, SystemHandle, tower_sample, w
 
 __all__ = [
     "METHOD_GREEDY_SEPARATED",
-    "METHOD_GREEDY_SPANNING",
     "METHOD_ANALYTIC_SPANNING",
     "METHOD_ANALYTIC_SEPARATED",
     "METHOD_SYMBOLIC_EXACT",
@@ -56,14 +53,12 @@ __all__ = [
 ]
 
 METHOD_GREEDY_SEPARATED = "greedy-separated"
-METHOD_GREEDY_SPANNING = "greedy-spanning"
 METHOD_ANALYTIC_SPANNING = "analytic-spanning"
 METHOD_ANALYTIC_SEPARATED = "analytic-separated"
 METHOD_SYMBOLIC_EXACT = "symbolic-exact"
 
 COUNT_METHODS = (
     METHOD_GREEDY_SEPARATED,
-    METHOD_GREEDY_SPANNING,
     METHOD_ANALYTIC_SPANNING,
     METHOD_ANALYTIC_SEPARATED,
     METHOD_SYMBOLIC_EXACT,
@@ -71,7 +66,6 @@ COUNT_METHODS = (
 
 _BOUND_OF = {
     METHOD_GREEDY_SEPARATED: BOUND_SEPARATED_LOWER,
-    METHOD_GREEDY_SPANNING: BOUND_SPANNING_UPPER,
     METHOD_ANALYTIC_SPANNING: BOUND_SPANNING_UPPER,
     METHOD_ANALYTIC_SEPARATED: BOUND_SEPARATED_LOWER,
     METHOD_SYMBOLIC_EXACT: BOUND_EXACT,
@@ -142,10 +136,10 @@ def _symbolic_counts(system: SystemHandle, ns: list[int],
     return counts
 
 
-def _tower_sample_for(system: SystemHandle, method: str, n: int, eps: float,
+def _tower_sample_for(system: SystemHandle, n: int, eps: float,
                       grid: int) -> AngleLevelGrid:
     fam = system.heights
-    if method == METHOD_GREEDY_SEPARATED and isinstance(fam, PowerHeights):
+    if isinstance(fam, PowerHeights):
         top = int(math.ceil(separation_depth(n, eps, fam.c))) + 5
     else:
         top = drift_cutoff(n, eps, fam) + 5
@@ -158,13 +152,12 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
                 method: str, grid: int | None = None) -> list[CountRecord]:
     """One CountRecord per (eps, n) cell, eps in given order, n ascending.
 
-    Greedy methods need ``grid``: angles per circle for towers (the level
-    range follows the witness thresholds for the cell, plus slack), or the
-    sampler resolution for other systems. Closed-form and symbolic methods
-    ignore it. A greedy tower cell whose sample would hold more than
-    ``systems.TOWER_SAMPLE_LIMIT`` points, and a greedy cell that could
-    spend more than ``systems.REFERENCE_PAIR_STEPS`` pair-steps on the
-    stepping reference, are refused before any counting.
+    The greedy method needs ``grid``: angles per circle for towers (the
+    level range follows the witness thresholds for the cell, plus slack),
+    or the sampler resolution for other systems. Closed-form and symbolic
+    methods ignore it. A greedy tower cell whose sample would hold more
+    than ``systems.TOWER_SAMPLE_LIMIT`` points is refused before any
+    counting.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
@@ -176,7 +169,7 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
         raise ValueError("scale grid must be nonempty and strictly decreasing")
 
     bound = _BOUND_OF[method]
-    greedy = method in (METHOD_GREEDY_SEPARATED, METHOD_GREEDY_SPANNING)
+    greedy = method == METHOD_GREEDY_SEPARATED
     if greedy and grid is None:
         raise ValueError(f"method {method!r} needs a sample resolution (grid)")
 
@@ -197,19 +190,13 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
         # before any counting starts
         for eps in epss:
             for n in ns:
-                sample = _tower_sample_for(system, method, n, eps, grid)
+                sample = _tower_sample_for(system, n, eps, grid)
                 if len(sample) > systems.TOWER_SAMPLE_LIMIT:
                     raise ValueError(
                         f"greedy counting at n={n}, eps={eps!r} needs a sample of "
                         f"{len(sample)} points, beyond the limit of "
                         f"{systems.TOWER_SAMPLE_LIMIT}")
                 samples[eps, n] = sample
-    for (eps, n), sample in samples.items():
-        m = len(sample)
-        if method == METHOD_GREEDY_SEPARATED:
-            _check_reference_budget(system, eps, m * (m - 1) // 2, n)
-        else:
-            _check_reference_budget(system, math.nextafter(eps, math.inf), m * m, n)
 
     records: list[CountRecord] = []
     for eps in epss:
@@ -219,11 +206,7 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
             elif method == METHOD_SYMBOLIC_EXACT:
                 count = symbolic[eps, n]
             else:
-                sample = samples[eps, n]
-                if method == METHOD_GREEDY_SEPARATED:
-                    count = len(greedy_separated(system, sample, n, eps))
-                else:
-                    count = len(greedy_spanning(system, sample, n, eps))
+                count = len(greedy_separated(system, samples[eps, n], n, eps))
             records.append(CountRecord(n, eps, count, method, bound))
     return records
 

@@ -15,11 +15,9 @@ Each system is wrapped in a :class:`SystemHandle` carrying the metric, the
 step map, an optional inverse, a canonical sampler, and one vectorized
 Bowen-distance kernel over numpy batches of points, with two entries:
 ``orbit_cdist`` gives the dense distance matrix, and ``orbit_pairs`` lists
-the pairs below a cap as ``(i, j, d)``. Kernel values are exact whenever
-the true orbit distance is below ``exact_cap``; above the cap they are
-certified lower bounds, which is all a threshold comparison needs. For
-thresholds beyond the cap, and for handles without a kernel, the counting
-code steps ``bowen.bowen_dist``.
+the pairs below a cap as ``(i, j, d)``. Every built-in kernel is exact at
+every threshold, and the counting code uses nothing else; the stepping
+``bowen.bowen_dist`` is the oracle the tests hold the kernels to.
 
 ``orbit_pairs(a, b, n, cap)`` is a fixed-radius near-neighbour query
 (Bentley, Stanat and Williams 1977). Every pair whose dense entry is below
@@ -32,6 +30,21 @@ more times per call. Measured on the spanning audit of a tower (power:2,
 n 500, eps 0.1, grid 1000), such a filter took the step from about 0.35
 to 0.46 s and its minor page faults from 20.7k to 71.1k: the copies are
 returned to the system and faulted in again on every call.
+
+A tower pair with angle gap theta and height gap dh drifts by delta =
+dh - rint(dh) per step, and its Bowen distance over n steps is the larger
+of |dh| and the max over k < n of ||theta + k delta||, the distance to the
+nearest integer. While the total drift (n-1)|delta| stays under one turn
+that sawtooth peaks at most once, so the max sits at a window end or next
+to the first half-integer crossing. Once the drift wraps, the max is 1/2
+minus the nearest approach of phi + k delta, phi = theta - 1/2, to an
+integer, found by a continued-fraction descent (the view behind the
+three-distance theorem; Alessandri and Berthé 1998). With delta reflected
+into [0, 1/2], an integer j that the orbit crosses between steps k and
+k + 1 is approached within delta ||(j - phi)/delta||, so the crossed
+integers form a new orbit of step 1/delta mod 1, rescaled by delta and at
+most half as long. A wrapped pair lies at least max(|delta|,
+1/2 - |delta|/2) >= 1/3 away, so no pair below a cap of 1/4 needs it.
 
 The tower kernel prunes by height when given a cap in (0, 1/4]. A pair at
 Bowen distance below cap has height gap |dh| < cap <= 1/4, so its per-step
@@ -63,7 +76,7 @@ Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
 ``pack`` builds a grid's batch from its two axes, so no point object is
 made on the counting paths; only indexing a grid (output, returned kept
-points, the stepping reference) builds ``TowerPoint`` objects.
+points, the tests' stepping oracle) builds ``TowerPoint`` objects.
 """
 
 from __future__ import annotations
@@ -90,11 +103,9 @@ __all__ = [
     "tower_dist",
     "tower_map",
     "tower_inverse",
-    "tower_iterate",
     "tower_sample",
     "TOWER_SAMPLE_LIMIT",
     "WORD_SYMBOL_LIMIT",
-    "REFERENCE_PAIR_STEPS",
     "SymbolicWord",
     "SymbolicPoint",
     "sturmian_generate",
@@ -102,7 +113,6 @@ __all__ = [
     "periodic_point",
     "one_defect_point",
     "shift_metric",
-    "first_difference",
     "SystemHandle",
     "word_window",
     "circle_rotation",
@@ -272,15 +282,6 @@ def tower_map(p: TowerPoint, fam: HeightFamily) -> TowerPoint:
 
 def tower_inverse(p: TowerPoint, fam: HeightFamily) -> TowerPoint:
     return TowerPoint(p.angle - _height_of(p, fam), p.level)
-
-
-def tower_iterate(p: TowerPoint, k: int, fam: HeightFamily) -> TowerPoint:
-    """k-th iterate in one multiply: angle + k*height mod 1.
-
-    Avoids accumulating k rounding errors; agrees with repeated stepping to
-    about 1e-9 over |k| <= 1e6.
-    """
-    return TowerPoint(p.angle + k * _height_of(p, fam), p.level)
 
 
 class AngleLevelGrid(Sequence):
@@ -555,21 +556,15 @@ def one_defect_point(alphabet_size: int = 2) -> SymbolicPoint:
 def shift_metric(x: SymbolicPoint, y: SymbolicPoint, window: int = 64) -> float:
     """Coding metric 2^-m, m = min{|k| <= window : x_k != y_k}; 0 if none.
 
-    A zero return is window-limited, not a proof of equality; use
-    :func:`first_difference` when the distinction matters.
+    A zero return is window-limited, not a proof of equality: a wider
+    window may still find a difference.
     """
-    m = first_difference(x, y, window)
-    return 0.0 if m is None else 2.0 ** (-m)
-
-
-def first_difference(x: SymbolicPoint, y: SymbolicPoint, window: int) -> int | None:
-    """Smallest |k| <= window where the sequences differ, or None."""
     if x.symbol(0) != y.symbol(0):
-        return 0
+        return 1.0
     for j in range(1, window + 1):
         if x.symbol(j) != y.symbol(j) or x.symbol(-j) != y.symbol(-j):
-            return j
-    return None
+            return 2.0 ** (-j)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +576,16 @@ class SystemHandle:
 
     ``metric``/``step``/``inverse`` act on opaque points. ``sampler(res)``
     returns the canonical finite sample at the requested resolution.
-    The optional kernel is set together: ``pack(points, n)`` makes a numpy
-    batch (points on axis 0) for window n; ``orbit_cdist(a, b, n)`` is the
-    dense matrix of Bowen distances between two batches, exact below
-    ``exact_cap`` and a certified lower bound of at least ``exact_cap``
-    above it; and ``orbit_pairs(a, b, n, cap)`` returns index and distance
-    arrays ``(i, j, d)`` that list every pair whose ``orbit_cdist`` entry
-    is below ``cap`` exactly once, with bitwise that entry. Listed pairs at
-    or above ``cap`` are allowed, with ``d`` exact or a lower bound of at
-    least ``cap``; there is no order, and the kernel leaves the comparison
-    with a threshold to the caller (the module docstring says why).
+    The kernel is set together, and the counting and verifying code
+    refuses a handle without one: ``pack(points, n)`` makes a numpy batch
+    (points on axis 0) for window n; ``orbit_cdist(a, b, n)`` is the exact
+    dense matrix of Bowen distances between two batches; and
+    ``orbit_pairs(a, b, n, cap)`` returns index and distance arrays
+    ``(i, j, d)`` that list every pair whose ``orbit_cdist`` entry is below
+    ``cap`` exactly once, with bitwise that entry. Listed pairs at or above
+    ``cap`` are allowed, with ``d`` exact or a lower bound of at least
+    ``cap``; there is no order, and the kernel leaves the comparison with a
+    threshold to the caller (the module docstring says why).
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
     multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
@@ -606,7 +601,6 @@ class SystemHandle:
     pack: Callable[[Sequence, int], np.ndarray] | None = None
     orbit_cdist: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
     orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-    exact_cap: float = math.inf
     heights: HeightFamily | None = None
     word_fn: Callable[[int, int], SymbolicWord] | None = None
     recurrence: Callable[[int], int] | None = None
@@ -620,7 +614,7 @@ class SystemHandle:
             raise ValueError(f"system {self.name}: word_fn and recurrence must be set together")
 
 
-# Largest tower sample the greedy counters take on: 32 MiB packed, and the
+# Largest tower sample the greedy counter takes on: 32 MiB packed, and the
 # greedy loop's work grows with the square of the sample in the worst case.
 TOWER_SAMPLE_LIMIT = 1 << 21
 
@@ -629,15 +623,6 @@ TOWER_SAMPLE_LIMIT = 1 << 21
 # ranks, sort permutations and change counts; tracemalloc on a 2^20-symbol
 # word), so about 0.44 GiB at this limit.
 WORD_SYMBOL_LIMIT = 1 << 23
-
-# Most pair-steps (pairs times window) one counting or verifying routine
-# may spend on the stepping reference ``bowen.bowen_dist``, the path for
-# thresholds above a kernel's ``exact_cap``. It steps points in Python, at
-# about 5 us per pair-step on a tower and 40 us on a tower x Sturmian
-# product (2-core Xeon KVM guest), so a routine it admits takes at most
-# about 40 s. Each routine counts its worst case, every pair stepped in
-# full over the whole window.
-REFERENCE_PAIR_STEPS = 1 << 20
 
 
 def word_window(system: SystemHandle, span: int) -> int:
@@ -682,9 +667,9 @@ def circle_rotation(theta: float) -> SystemHandle:
     )
 
 
-# distances below a quarter turn are exact (a wrapped drift reads at least
-# 1/2 - |delta| >= 1/4), and the height band needs cap <= 1/4
-_TOWER_EXACT_CAP = 0.25
+# the height band needs cap <= 1/4: below it the drift is dh itself, and no
+# listed pair wraps (module docstring)
+_TOWER_BAND_CAP = 0.25
 
 
 def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
@@ -732,13 +717,62 @@ def _step0(theta: np.ndarray, dh: np.ndarray) -> np.ndarray:
     return np.maximum(u, np.abs(dh), out=u)
 
 
+def _reflect(phi: np.ndarray, delta: np.ndarray) -> None:
+    """Reduce delta mod 1 into [0, 1/2] and phi mod 1 into [0, 1], in place,
+    negating phi where delta is reflected: ||phi + k delta|| equals
+    ||-phi + k (1 - delta)|| for every integer k."""
+    delta -= np.floor(delta)
+    flip = delta > 0.5
+    np.subtract(1.0, delta, out=delta, where=flip)
+    np.negative(phi, out=phi, where=flip)
+    phi -= np.floor(phi)
+
+
+def _nearest_approach(phi: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
+    """Min over k in 0..n-1 of the distance from phi + k*delta to Z, by the
+    continued-fraction descent (module docstring); mutates both arrays.
+
+    Each round reads the orbit's two ends, its nearest points to every
+    integer outside it, then replaces the orbit by the integers j inside
+    it, as the orbit (j - phi)/delta of step 1/delta, whose distances to Z
+    are those approaches divided by delta. With delta in (0, 1/2] a round
+    at most halves the orbit, so about log2(n) rounds finish.
+    """
+    _reflect(phi, delta)
+    best = np.full(phi.shape, np.inf)
+    live = np.arange(phi.size)
+    count = np.full(phi.shape, float(n))
+    scale = np.ones(phi.shape)
+    while live.size:
+        last = phi + (count - 1.0) * delta
+        ends = np.minimum(np.abs(phi - np.rint(phi)), np.abs(last - np.rint(last)))
+        best[live] = np.minimum(best[live], scale * ends)
+        first = np.ceil(phi)
+        inner = np.floor(last) - first + 1.0
+        # an orbit of at most two points is its ends; under a zero step
+        # only an orbit sitting on an integer holds one, and it read 0
+        keep = np.flatnonzero((count >= 3.0) & (inner >= 1.0) & (delta > 0.0))
+        live, phi, delta = live[keep], phi[keep], delta[keep]
+        count, scale = inner[keep], scale[keep] * delta
+        phi = (first[keep] - phi) / delta
+        delta = 1.0 / delta
+        _reflect(phi, delta)
+    return best
+
+
 def _tower_exact(theta: np.ndarray, dh: np.ndarray, n: int) -> np.ndarray:
     """Tower Bowen distances from the angle and height differences of
-    (broadcast) pairs; mutates ``theta``."""
+    (broadcast) pairs, exact at every threshold; mutates ``theta``."""
     base = _step0(theta, dh)
     if n == 1:
         return base
-    best = _drift_peak(theta, dh - np.rint(dh), n)
+    delta = dh - np.rint(dh)
+    # the drift scan is exact until the drift wraps; past that the peak is
+    # 1/2 less the nearest approach of theta - 1/2 + k delta to Z
+    wrapped = np.abs(delta) * (n - 1) >= 1.0
+    phi, step = theta[wrapped] - 0.5, delta[wrapped]
+    best = _drift_peak(theta, delta, n)
+    best[wrapped] = 0.5 - _nearest_approach(phi, step, n)
     return np.maximum(best, base, out=best)
 
 
@@ -845,7 +879,7 @@ def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
                        cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n <= 1 or not 0.0 < cap <= _TOWER_EXACT_CAP:
+    if n <= 1 or not 0.0 < cap <= _TOWER_BAND_CAP:
         return _pairs_below(_tower_orbit_cdist(a, b, n), cap)
     # Height band (module docstring): a pair below cap <= 1/4 has |dh| < cap,
     # so delta = dh and its iterates, dh apart, stay within cap of one
@@ -905,7 +939,6 @@ def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
         pack=pack,
         orbit_cdist=_tower_orbit_cdist,
         orbit_pairs=_tower_orbit_pairs,
-        exact_cap=_TOWER_EXACT_CAP,
         heights=fam,
     )
 
@@ -1072,7 +1105,6 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         pack=pack,
         orbit_cdist=orbit_cdist,
         orbit_pairs=orbit_pairs,
-        exact_cap=min(a.exact_cap, b.exact_cap),
         parts=(a, b),
     )
 

@@ -1,5 +1,6 @@
-"""Orbit distances, greedy counters, verifiers, and the exact tiny-case
-search, cross-checked against brute force on small inputs."""
+"""Orbit distances, the greedy counter and the verifiers, cross-checked
+against brute force on small inputs, and the greedy count against an exact
+tiny-case search."""
 
 import dataclasses
 import math
@@ -11,25 +12,23 @@ from polyent import (
     ExpHeights,
     PowerHeights,
     SeparationCheck,
+    SystemHandle,
     TowerPoint,
     bowen_dist,
     circle_rotation,
     full_shift,
     greedy_separated,
-    greedy_spanning,
-    max_separated_exact,
     product_system,
     sturmian_point,
     sturmian_system,
     tower_dist,
-    tower_iterate,
     tower_sample,
     tower_system,
     verify_separated,
     verify_spanning,
 )
-from polyent import bowen, systems
-from polyent.bowen import _distance_path, bowen_block
+from polyent import systems
+from polyent.bowen import bowen_block
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,20 +49,12 @@ def test_bowen_dist_tower_grows_with_window():
     fam = ExpHeights()
     system = tower_system(fam)
     x, y = TowerPoint(0.0, 1), TowerPoint(0.0, 2)
-    expected = max(tower_dist(tower_iterate(x, k, fam), tower_iterate(y, k, fam), fam)
+    # iterates in closed form, angle + k * height
+    expected = max(tower_dist(TowerPoint(k * math.exp(-1), 1), TowerPoint(k * math.exp(-2), 2),
+                              fam)
                    for k in range(10))
     assert bowen_dist(system, x, y, 10) == pytest.approx(expected, abs=1e-12)
     assert bowen_dist(system, x, y, 10) > bowen_dist(system, x, y, 1)
-
-
-def test_bowen_dist_stop_at_is_partial_max():
-    system = tower_system(ExpHeights())
-    x, y = TowerPoint(0.0, 1), TowerPoint(0.0, 2)
-    full = bowen_dist(system, x, y, 10)
-    partial = bowen_dist(system, x, y, 10, stop_at=0.1)
-    assert 0.1 <= partial <= full
-    # a threshold above the true value cannot trigger the early exit
-    assert bowen_dist(system, x, y, 10, stop_at=full + 1.0) == full
 
 
 def _kernel(system, pa, pb, n):
@@ -127,15 +118,9 @@ def test_greedy_separated_is_chunk_invariant():
     assert a == b
 
 
-def _dense(system, pa, pb, n, threshold):
-    # uncapped distances on the path a routine deciding threshold takes
-    pack, block = _distance_path(system, threshold)
-    return block(pack(pa, n), pack(pb, n), n)
-
-
 def _greedy_by_hand(system, sample, n, eps):
     # the sequential rule over the dense matrix
-    d = _dense(system, sample, sample, n, eps)
+    d = _kernel(system, sample, sample, n)
     kept = []
     for k in range(len(sample)):
         if all(d[k, j] >= eps for j in kept):
@@ -150,11 +135,11 @@ _GRID = tower_sample(PowerHeights(2), 8, [0, 1, 3])
 _DEEP = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
 _GOLDEN_SHIFTS = [sturmian_point(GOLDEN).shifted(i) for i in range(0, 40, 3)]
 GREEDY_CASES = [
-    (tower_system(PowerHeights(2)), list(_GRID), (1, 3, 40), (0.05, 0.125, 0.25)),
+    (tower_system(PowerHeights(2)), list(_GRID), (1, 3, 40), (0.05, 0.125, 0.25, 0.5)),
     (tower_system(PowerHeights(2)), _GRID[:9] + _GRID[2:6] + _DEEP + _GRID[::5],
-     (1, 3, 40), (0.05, 0.125, 0.25)),
+     (1, 3, 40), (0.05, 0.125, 0.25, 0.5)),
     (product_system(tower_system(PowerHeights(2)), sturmian_system(GOLDEN)),
-     [(p, q) for p in _GRID[::3] for q in _GOLDEN_SHIFTS[:4]], (1, 5), (0.125, 0.25)),
+     [(p, q) for p in _GRID[::3] for q in _GOLDEN_SHIFTS[:4]], (1, 5), (0.125, 0.25, 0.5)),
     (full_shift(2), full_shift(2).sampler(40), (1, 3, 6), (0.125, 0.5, 1.0)),
 ]
 
@@ -169,7 +154,7 @@ def test_greedy_separated_matches_the_sequential_rule(chunk):
 
 
 def _spanning_by_hand(system, centers, sample, n, eps):
-    d = _dense(system, sample, centers, n, float(np.nextafter(eps, np.inf)))
+    d = _kernel(system, sample, centers, n)
     near = d.min(axis=1) if len(centers) else np.full(len(sample), np.inf)
     misses = np.flatnonzero(near > eps)
     return (len(misses), int(misses[0]) if misses.size else None,
@@ -206,8 +191,7 @@ def test_verify_spanning_matches_a_full_scan(chunk):
 def _rung_kinds(system, centers, sample, n, eps):
     # how many sample points have their nearest center below eps/2, in
     # [eps/2, eps), exactly at eps and beyond eps
-    d = _dense(system, sample, centers, n, float(np.nextafter(eps, np.inf)))
-    near = d.min(axis=1)
+    near = _kernel(system, sample, centers, n).min(axis=1)
     return [int(k.sum()) for k in (near < eps / 2, (near >= eps / 2) & (near < eps),
                                    near == eps, near > eps)]
 
@@ -277,29 +261,6 @@ def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
                         == _spanning_by_hand(tower, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps))
 
 
-def test_verify_spanning_steps_the_reference_in_one_pass(monkeypatch):
-    # eps 0.3 lies past the tower's exact_cap, so the audit steps pairs by
-    # the reference; no point settles on the first center, so one pass
-    # steps every pair once, and a second rung would step again the four
-    # points that lie no closer than eps/2 to either center
-    system = tower_system(PowerHeights(2))
-    centers = [TowerPoint(0.0, 0), TowerPoint(0.5, 0)]
-    sample = [TowerPoint(x, 0) for x in (0.6, 0.65, 0.7)] + [TowerPoint(0.3, 1),
-                                                             TowerPoint(0.0, 1)]
-    stepped = []
-
-    def counting(system, pa, pb, n, stop_at=None):
-        stepped.append((len(pa) * len(pb), stop_at))
-        return step(system, pa, pb, n, stop_at)
-
-    step = bowen._stepped
-    monkeypatch.setattr(bowen, "_stepped", counting)
-    check = verify_spanning(system, centers, sample, 3, 0.3, chunk=1)
-    assert (check.uncovered_count, check.first_uncovered, check.all_strict) == (2, 3, False)
-    assert sum(pairs for pairs, _ in stepped) == len(centers) * len(sample)
-    assert {stop_at for _, stop_at in stepped} == {float(np.nextafter(0.3, np.inf))}
-
-
 def test_routines_agree_on_a_grid_and_its_points():
     # a packed grid and the fromiter pack of its points are the same batch,
     # and the blocks here are wide enough for the angle band
@@ -315,6 +276,19 @@ def test_routines_agree_on_a_grid_and_its_points():
     kept = greedy_separated(system, sample, n, eps)
     assert kept == greedy_separated(system, list(sample), n, eps)
     assert all(isinstance(p, TowerPoint) for p in kept)
+
+
+def test_routines_refuse_a_handle_without_a_kernel():
+    rotation = circle_rotation(0.3)
+    bare = SystemHandle(name="bare", metric=rotation.metric, step=rotation.step)
+    for call in (lambda: greedy_separated(bare, [0.0, 0.5], 3, 0.1),
+                 lambda: verify_separated(bare, [0.0], 3, 0.1),
+                 lambda: verify_spanning(bare, [0.0], [0.5], 3, 0.1),
+                 lambda: bowen_block(bare, [0.0], [0.5], 3)):
+        with pytest.raises(ValueError, match="bare has no distance kernel"):
+            call()
+    # the stepping reference needs none
+    assert bowen_dist(bare, 0.0, 0.5, 3) == 0.5
 
 
 def test_greedy_separated_passes_both_verifiers():
@@ -334,32 +308,6 @@ def test_greedy_separated_keeps_one_shift_per_distinct_block():
     sample = [base.shifted(i) for i in range(31)]
     kept = greedy_separated(system, sample, 5, 1.0)
     assert len(kept) == 6
-
-
-def test_greedy_spanning_covers_and_hits_known_size():
-    system = circle_rotation(0.2)
-    sample = [j / 10 ** 4 for j in range(10 ** 4)]
-    centers = greedy_spanning(system, sample, 3, 0.1)
-    assert len(centers) in (5, 6)
-    assert verify_spanning(system, centers, sample, 3, 0.1).ok
-    assert set(centers) <= set(sample)
-
-
-def test_greedy_spanning_single_center_when_scale_dominates():
-    system = circle_rotation(0.0)
-    sample = [j / 8 for j in range(8)]
-    assert greedy_spanning(system, sample, 2, 0.5) == [0.0]
-    with pytest.raises(ValueError):
-        greedy_spanning(system, sample, 2, 0.0)
-
-
-def test_greedy_spanning_is_chunk_invariant():
-    fam = ExpHeights()
-    system = tower_system(fam)
-    sample = tower_sample(fam, 9, range(0, 6))
-    a = greedy_spanning(system, sample, 12, 0.2)
-    b = greedy_spanning(system, sample, 12, 0.2, chunk=7)
-    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +349,9 @@ def test_verify_separated_matches_brute_force_min():
 
 
 def _separation_by_blocks(system, pts, n, eps, chunk):
-    # uncapped distances on the path verify_separated takes, scanned in its
-    # block order with the first strictly smaller block minimum winning
-    pack, block = _distance_path(system, eps)
-    packed = pack(pts, n)
-    d = block(packed, packed, n)
+    # uncapped distances scanned in verify_separated's block order, with
+    # the first strictly smaller block minimum winning
+    d = _kernel(system, pts, pts, n)
     m = len(pts)
     best, pair = np.inf, None
     for lo in range(0, m, chunk):
@@ -420,7 +366,7 @@ def _separation_by_blocks(system, pts, n, eps, chunk):
 @pytest.mark.parametrize("chunk", range(1, 8))
 def test_verify_separated_capped_scan_matches_uncapped(chunk):
     # grid angles tie many pairs at one minimum, repeated points tie at 0,
-    # and eps = 0.3 sends the audit down the stepping path instead
+    # and eps = 0.3 lies past the height band, on the dense path
     grid = tower_sample(PowerHeights(2), 4, [0, 1, 3])
     deep = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
     families = [grid, grid[:5] + grid[2:4] + deep, deep + grid[::3]]
@@ -467,27 +413,66 @@ def test_verify_spanning_is_chunk_invariant():
     assert a == b
 
 
+def _proven_cover(system, sample, n, eps):
+    # a maximal eps-separated family keeps every other sample point
+    # strictly within eps of a kept one, which the covering audit proves
+    centers = greedy_separated(system, sample, n, eps)
+    check = verify_spanning(system, centers, sample, n, eps)
+    assert check.ok and check.all_strict
+    return centers
+
+
 @pytest.mark.parametrize("n,eps", [(5, 0.1), (20, 0.05)])
 def test_separated_at_double_scale_never_beats_spanning(n, eps):
-    # pigeonhole: distinct 2eps-separated points need distinct eps-centers
+    # pigeonhole: distinct 2eps-separated points need distinct centers
+    # within eps of them, when each point lies strictly within eps
     fam = PowerHeights(2)
     system = tower_system(fam)
     sample = tower_sample(fam, 20, range(0, 7))
     sep = greedy_separated(system, sample, n, 2 * eps)
-    span = greedy_spanning(system, sample, n, eps)
-    assert len(sep) <= len(span)
+    assert len(sep) <= len(_proven_cover(system, sample, n, eps))
 
 
 def test_separated_vs_spanning_pigeonhole_on_shift():
     system = full_shift(2)
     sample = system.sampler(8)
     sep = greedy_separated(system, sample, 3, 1.0)
-    span = greedy_spanning(system, sample, 3, 0.5)
-    assert len(sep) <= len(span)
+    assert len(sep) <= len(_proven_cover(system, sample, 3, 0.5))
 
 
 # ---------------------------------------------------------------------------
 # exact tiny-case search
+
+def max_separated_exact(system, points, n, eps, limit=20):
+    """Exact maximum size of an eps-separated subfamily (tiny inputs only).
+
+    Branch and bound over the separation graph; cost is exponential, hence
+    the hard ``limit``. Serves as the quality oracle for the greedy bound.
+    """
+    m = len(points)
+    if m > limit:
+        raise ValueError(f"exact search limited to {limit} points, got {m}")
+    if m == 0:
+        return 0
+    adj = bowen_block(system, points, points, n) >= eps
+    np.fill_diagonal(adj, False)
+
+    best = 0
+
+    def grow(chosen, candidates):
+        nonlocal best
+        if chosen + len(candidates) <= best:
+            return
+        if not candidates:
+            best = max(best, chosen)
+            return
+        head, *rest = candidates
+        grow(chosen + 1, [j for j in rest if adj[head, j]])
+        grow(chosen, rest)
+
+    grow(0, list(range(m)))
+    return best
+
 
 def test_max_separated_exact_known_value():
     system = circle_rotation(0.0)

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-import polyent.bowen as bowen
 import polyent.cli as cli
 import polyent.estimation as estimation
 import polyent.systems as systems
@@ -442,64 +441,17 @@ def test_tower_sample_limit_refuses_deep_greedy_cells(tmp_path, capsys, monkeypa
     assert sizes == []
 
 
-def _count_stepped(monkeypatch):
-    # pairs the stepping reference evaluates
-    calls = []
-    real = bowen.bowen_dist
-
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(bowen, "bowen_dist", counted)
-    return calls
-
-
-# eps 0.3 lies above the tower kernel's exact cap: the separated audit
-# steps 15 * 14 / 2 pairs over window 8, the covering audit 28 centers
-# against 408 sample points
-REFERENCE_AUDITS = [
-    (("--system", "tower-power:1", "--which", "separated"), 15 * 14 // 2 * 8),
-    (("--system", "tower-power:2", "--which", "spanning", "--grid", "34"), 28 * 408 * 8),
-]
-
-
-@pytest.mark.parametrize("args,steps", REFERENCE_AUDITS)
-def test_reference_budget_admits_an_audit_at_the_limit(tmp_path, monkeypatch, args, steps):
-    monkeypatch.setattr(systems, "REFERENCE_PAIR_STEPS", steps)
-    calls = _count_stepped(monkeypatch)
-    rc = _run("verify-construction", *args, "--n0", "8", "--steps", "1", "--eps", "0.3",
-              "--out", str(tmp_path))
-    assert rc == 0
-    assert calls and set(calls) == {8}
-    assert (tmp_path / "construction.json").exists()
-
-
-@pytest.mark.parametrize("args,steps", REFERENCE_AUDITS)
-def test_reference_budget_refuses_an_audit_before_any_work(tmp_path, capsys, monkeypatch,
-                                                          args, steps):
-    monkeypatch.setattr(systems, "REFERENCE_PAIR_STEPS", steps - 1)
-    calls = _count_stepped(monkeypatch)
-    rc = _run("verify-construction", *args, "--n0", "8", "--steps", "1", "--eps", "0.3",
-              "--out", str(tmp_path))
-    assert rc == 64
-    assert f"{steps} pair-steps, beyond the budget of {steps - 1}" in capsys.readouterr().err
-    assert calls == [] and not (tmp_path / "construction.json").exists()
-
-
-def test_reference_budget_refuses_the_product_greedy_hang(tmp_path, capsys, monkeypatch):
-    # 3,600 sample points above the product's exact cap: this ran for over
-    # ten CPU minutes on the stepping reference before the budget existed
+def test_product_greedy_past_a_quarter_writes_counts(tmp_path, monkeypatch):
+    # 3,600 points of a tower x Sturmian product at eps 0.5, past the tower
+    # kernel's height band, where wrapped drifts take the exact descent
     sizes = _count_greedy(monkeypatch)
-    calls = _count_stepped(monkeypatch)
     rc = _run("estimate", "--system", f"product:tower-power:2,sturmian:{GOLDEN!r}",
               "--method", "greedy", "--n0", "4", "--steps", "6", "--eps", "0.5",
               "--grid", "20", "--out", str(tmp_path))
-    assert rc == 64
-    assert (f"{3600 * 3599 // 2 * 4} pair-steps, beyond the budget of "
-            f"{systems.REFERENCE_PAIR_STEPS}" in capsys.readouterr().err)
-    assert sizes == [] and calls == []
-    assert not (tmp_path / "counts.csv").exists()
+    assert rc == 0
+    assert sizes == [3600] * 6
+    lines = (tmp_path / "counts.csv").read_text().splitlines()
+    assert lines[0] == "n,eps,count,method,bound" and len(lines) == 7
 
 
 @pytest.mark.parametrize("args", [

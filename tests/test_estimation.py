@@ -12,6 +12,7 @@ from polyent import (
     CountRecord,
     ExpHeights,
     PowerHeights,
+    bowen_dist,
     circle_rotation,
     count_table,
     eps_sweep,
@@ -190,6 +191,28 @@ def test_greedy_tower_counts_are_monotone():
         assert b >= a
 
 
+def test_greedy_product_counts_past_a_quarter_match_the_stepping_reference():
+    # scales past the tower kernel's height band: the counts equal the
+    # sequential greedy rule over distances stepped by bowen_dist, away
+    # from float ties
+    system = make_system(f"product:tower-power:2,sturmian:{GOLDEN!r}")
+    sample = system.sampler(2)
+    ns, epss = [2, 4, 8], [0.45, 0.3]
+    records = count_table(system, ns, epss, METHOD_GREEDY_SEPARATED, grid=2)
+    counts = {}
+    for n in ns:
+        d = {(j, k): bowen_dist(system, sample[j], sample[k], n)
+             for k in range(len(sample)) for j in range(k)}
+        for eps in epss:
+            assert all(abs(x - eps) > 1e-9 for x in d.values())
+            kept = []
+            for k in range(len(sample)):
+                if all(d[j, k] >= eps for j in kept):
+                    kept.append(k)
+            counts[eps, n] = len(kept)
+    assert [r.count for r in records] == [counts[r.eps, r.n] for r in records]
+
+
 # ---------------------------------------------------------------------------
 # fits
 
@@ -295,30 +318,6 @@ def test_eps_sweep_refuses_short_tails_before_counting(monkeypatch):
     system = make_system("product:tower-power:2,tower-exp")
     with pytest.raises(ValueError, match="need at least 3 tail points at eps 0.2, have 2"):
         eps_sweep(system, [2, 4, 8, 16], [0.2], METHOD_GREEDY_SEPARATED, grid=50)
-
-
-# tower-power:2 at eps 0.3, above the kernel's exact cap, with 2 angles per
-# circle: the largest cell is n = 16, over 22 points for separation and 28
-# for covering
-BUDGET_CELLS = [1, 2, 4, 8, 16]
-
-
-@pytest.mark.parametrize("method,steps", [
-    (METHOD_GREEDY_SEPARATED, 22 * 21 // 2 * 16),
-    (estimation.METHOD_GREEDY_SPANNING, 28 * 28 * 16),
-])
-def test_reference_budget_admits_greedy_cells_at_the_limit_only(monkeypatch, method, steps):
-    system = tower_system(PowerHeights(2))
-    monkeypatch.setattr(estimation.systems, "REFERENCE_PAIR_STEPS", steps)
-    records = count_table(system, BUDGET_CELLS, [0.3], method, grid=2)
-    assert [r.n for r in records] == BUDGET_CELLS
-    monkeypatch.setattr(estimation.systems, "REFERENCE_PAIR_STEPS", steps - 1)
-    counted = []
-    monkeypatch.setattr(estimation, "greedy_separated", lambda *a: counted.append(a))
-    monkeypatch.setattr(estimation, "greedy_spanning", lambda *a: counted.append(a))
-    with pytest.raises(ValueError, match=f"{steps} pair-steps, beyond the budget"):
-        count_table(system, BUDGET_CELLS, [0.3], method, grid=2)
-    assert counted == []
 
 
 def test_eps_sweep_mode_validation():
