@@ -18,9 +18,10 @@ counter queries one row at a time, and only for rows still alive when
 their turn comes. The covering audit scans in two rungs: a pass capped
 just past eps/2 settles every point with a center below eps/2, which on
 the closed-form witnesses is nearly every point, and only the points left
-open get the pass capped just past eps. :func:`bowen_dist` steps both
-points of a pair explicitly; it is the oracle the kernels are tested
-against, and no routine here calls it.
+open get the pass capped just past eps. No routine here calls the two test
+helpers: :func:`bowen_dist` steps both points of a pair explicitly, the
+oracle the kernels are tested against, and :func:`bowen_block`, the one
+dense view, writes the uncapped pair list into an array.
 """
 
 from __future__ import annotations
@@ -87,9 +88,14 @@ def _kernel(system: SystemHandle) -> tuple[Callable, Callable]:
 
 
 def bowen_block(system: SystemHandle, pa: Sequence, pb: Sequence, n: int) -> np.ndarray:
-    """Exact pairwise orbit distances between two point lists."""
-    pack, _ = _kernel(system)
-    return system.orbit_cdist(pack(pa, n), pack(pb, n), n)
+    """Exact pairwise orbit distances between two point lists, as a dense
+    array: the kernel's uncapped pair list written into a block prefilled
+    with NaN, so a pair the kernel fails to list reads NaN."""
+    pack, pairs = _kernel(system)
+    i, j, d = pairs(pack(pa, n), pack(pb, n), n, np.inf)
+    out = np.full((len(pa), len(pb)), np.nan)
+    out[i, j] = d
+    return out
 
 
 @dataclass(frozen=True, slots=True)

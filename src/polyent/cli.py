@@ -72,8 +72,8 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad eps list {text!r}") from None
     if not values:
         raise UsageError("eps list is empty")
-    if any(v <= 0.0 for v in values):
-        raise UsageError("eps values must be positive")
+    if not all(0.0 < v < math.inf for v in values):
+        raise UsageError("eps values must be positive and finite")
     if any(b >= a for a, b in zip(values, values[1:])):
         raise UsageError("eps list must be strictly decreasing")
     return values
@@ -112,8 +112,8 @@ def _parse_ratio(text: str) -> float:
         value = float(text)
     except ValueError:
         raise UsageError(f"bad ratio {text!r}") from None
-    if not value > 1.0:
-        raise UsageError(f"ratio must be > 1, got {value}")
+    if not 1.0 < value < math.inf:
+        raise UsageError(f"ratio must be > 1 and finite, got {value}")
     return value
 
 
@@ -189,18 +189,25 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
 
     ns: list[int] = []
     for k in range(cfg["steps"]):
-        n = int(round(cfg["n0"] * cfg["ratio"] ** k))
+        try:
+            n = int(round(cfg["n0"] * cfg["ratio"] ** k))
+        except OverflowError:
+            raise UsageError(f"window n0 * ratio^{k} overflows a float (n0 {cfg['n0']}, "
+                             f"ratio {cfg['ratio']!r})") from None
         if not ns or n > ns[-1]:
             ns.append(n)
     cfg["ns"] = ns
 
     min_eps = min(cfg["eps"])
+    need = 10.0 / min_eps
+    if need == math.inf:
+        raise UsageError(f"eps {min_eps!r} too small: 10 angles per scale overflow a float")
     if cfg["grid"] is None:
-        cfg["grid"] = math.ceil(10.0 / min_eps)
-    if cfg["grid"] < 10.0 / min_eps:
+        cfg["grid"] = math.ceil(need)
+    if cfg["grid"] < need:
         raise UsageError(
             f"grid {cfg['grid']} too coarse for eps {min_eps!r}: "
-            f"need at least 10 angles per scale, i.e. grid >= {math.ceil(10.0 / min_eps)}")
+            f"need at least 10 angles per scale, i.e. grid >= {math.ceil(need)}")
     return cfg
 
 
@@ -309,7 +316,7 @@ def _method_variants(cfg: dict[str, Any], system: SystemHandle) -> list[str]:
 def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
     variants = _method_variants(cfg, system)
     ns, epss, grid = cfg["ns"], list(cfg["eps"]), cfg["grid"]
-    estimates = [eps_sweep(system, ns, epss, method, grid, "polynomial", TAIL_FRACTION)
+    estimates = [eps_sweep(system, ns, epss, method, grid, TAIL_FRACTION)
                  for method in variants]
 
     out = cfg["out"]
@@ -327,7 +334,7 @@ def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
         "estimates": [
             {
                 "method": method,
-                "mode": est.mode,
+                "mode": "polynomial",
                 "per_eps": {_fmt(eps): _fit_json(fit) for eps, fit in est.per_eps.items()},
                 "headline": est.headline,
             }

@@ -23,7 +23,6 @@ __all__ = [
     "uniform_recurrence_check",
     "distality_gap",
     "word_complexities",
-    "word_complexity",
 ]
 
 
@@ -235,10 +234,3 @@ def word_complexities(word: SymbolicWord, lengths: Sequence[int],
         length = n
         counts.append(_distinct(code[:stop - word.start - n + 1]))
     return counts
-
-
-def word_complexity(word: SymbolicWord, n: int) -> int:
-    """Number of distinct length-n blocks in the word's materialized range:
-    ``word_complexities`` for the one length, so the blocks are coded by
-    the bit-packing and rank-folding ladder and counted by a sort."""
-    return word_complexities(word, [n], [word.end])[0]

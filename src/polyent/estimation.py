@@ -4,10 +4,10 @@ A count table is a list of :class:`~polyent.bowen.CountRecord` over a grid
 of window lengths and scales, produced by one of four methods: the greedy
 separated counter on a sampled system, the two closed-form witness sizes for
 towers, or exact block counting for symbolic systems. Slope fits then
-regress log(count) on log(n) (polynomial regime) or on n (exponential
-regime) over a tail of the window grid, and a scale sweep assembles per-eps
-fits with a max-over-grid headline standing in for the vanishing-scale
-limit.
+regress log(count) on log(n) (polynomial regime; ``fit_exp_rate`` regresses
+on n instead) over a tail of the window grid, and a scale sweep assembles
+per-eps polynomial fits with a max-over-grid headline standing in for the
+vanishing-scale limit.
 
 Fits are computed with an explicit centered least-squares formula in fixed
 summation order; no BLAS-backed solver is involved, so results are
@@ -302,7 +302,6 @@ class EntropyEstimate:
     ``records`` is the count table the fits were made on.
     """
 
-    mode: str
     per_eps: dict[float, SlopeFit]
     headline: float
     records: list[CountRecord]
@@ -310,18 +309,14 @@ class EntropyEstimate:
 
 def eps_sweep(system: SystemHandle, ns: list[int], epss: list[float],
               method: str, grid: int | None = None,
-              mode: str = "polynomial",
               tail_fraction: float = 0.5) -> EntropyEstimate:
-    """Count, fit per scale, and take the max slope as the headline."""
-    if mode not in ("polynomial", "topological"):
-        raise ValueError(f"mode must be polynomial or topological, got {mode!r}")
+    """Count, fit the polynomial exponent per scale, and take the max slope
+    as the headline."""
     # each eps gets one record per window, so an unfittable grid is known
     # before any counting
     for eps in epss:
         _tail_size(len(ns), eps, tail_fraction)
     records = count_table(system, ns, epss, method, grid=grid)
-    fit = fit_poly_slope if mode == "polynomial" else fit_exp_rate
-    per_eps = {eps: fit(records, eps, tail_fraction) for eps in epss}
+    per_eps = {eps: fit_poly_slope(records, eps, tail_fraction) for eps in epss}
     headline = max(f.slope for f in per_eps.values())
-    return EntropyEstimate(mode=mode, per_eps=per_eps, headline=headline,
-                           records=records)
+    return EntropyEstimate(per_eps=per_eps, headline=headline, records=records)

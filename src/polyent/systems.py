@@ -13,23 +13,23 @@ Products of any two systems use the max metric and the coordinatewise map.
 
 Each system is wrapped in a :class:`SystemHandle` carrying the metric, the
 step map, an optional inverse, a canonical sampler, and one vectorized
-Bowen-distance kernel over numpy batches of points, with two entries:
-``orbit_cdist`` gives the dense distance matrix, and ``orbit_pairs`` lists
-the pairs below a cap as ``(i, j, d)``. Every built-in kernel is exact at
-every threshold, and the counting code uses nothing else; the stepping
+Bowen-distance kernel over numpy batches of points made by ``pack``:
+``orbit_pairs`` lists the pairs below a cap as ``(i, j, d)``. Every
+built-in kernel is exact at every threshold; the stepping
 ``bowen.bowen_dist`` is the oracle the tests hold the kernels to.
 
 ``orbit_pairs(a, b, n, cap)`` is a fixed-radius near-neighbour query
-(Bentley, Stanat and Williams 1977). Every pair whose dense entry is below
-cap is listed exactly once, with that entry's bits. The list may also hold
-pairs at or above cap, read exactly or as a lower bound that is itself at
-least cap; no order is promised, and callers compare ``d`` with their own
-threshold. The kernel does not filter ``d < cap`` itself: the band paths
-already drop almost every pair, and a filter copies the survivors three
-more times per call. Measured on the spanning audit of a tower (power:2,
-n 500, eps 0.1, grid 1000), such a filter took the step from about 0.35
-to 0.46 s and its minor page faults from 20.7k to 71.1k: the copies are
-returned to the system and faulted in again on every call.
+(Bentley, Stanat and Williams 1977). Every pair whose distance is below
+cap is listed exactly once, and its listed ``d`` is exact. Other listed
+pairs read exactly or as a lower bound of at least cap, so at ``cap =
+inf`` every pair is listed, with its exact distance. No order is
+promised, and callers compare ``d`` with their own threshold. The kernel
+does not filter ``d < cap`` itself: the band paths already drop almost
+every pair, and a filter copies the survivors three more times per call.
+Measured on the spanning audit of a tower (power:2, n 500, eps 0.1, grid
+1000), such a filter took the step from about 0.35 to 0.46 s and its minor
+page faults from 20.7k to 71.1k: the copies are returned to the system and
+faulted in again on every call.
 
 A tower pair with angle gap theta and height gap dh drifts by delta =
 dh - rint(dh) per step, and its Bowen distance over n steps is the larger
@@ -82,6 +82,7 @@ points, the tests' stepping oracle) builds ``TowerPoint`` objects.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -92,10 +93,10 @@ from typing import Any, Callable
 import numpy as np
 
 __all__ = [
-    "circle_point",
     "circle_dist",
     "ExpHeights",
     "PowerHeights",
+    "POWER_EXPONENT_LIMIT",
     "CustomHeights",
     "HeightFamily",
     "TowerPoint",
@@ -127,11 +128,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # circle arithmetic
 
-def circle_point(angle: float) -> float:
-    """Normalize an angle to the canonical representative in [0, 1)."""
-    return angle % 1.0
-
-
 def circle_dist(x: float, y: float) -> float:
     """Arc distance on the unit circle (angles as fractions of a turn).
 
@@ -157,15 +153,26 @@ class ExpHeights:
         return math.exp(-n)
 
 
+# Largest decay exponent a power family takes: past it, level 2's height
+# 2^-c is no longer a normal float, and exact integer powers of the level
+# thresholds grow without bound.
+POWER_EXPONENT_LIMIT = 1022
+
+
 @dataclass(frozen=True, slots=True)
 class PowerHeights:
-    """Heights h(n) = n^-c for a fixed decay exponent c >= 1."""
+    """Heights h(n) = n^-c for a fixed decay exponent 1 <= c <= 1022.
+
+    ``height`` follows the rule of ``_power_heights``, so a level reads the
+    same bits alone as in any batch.
+    """
 
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.c >= 1.0:
-            raise ValueError(f"decay exponent must be >= 1, got {self.c}")
+        if not 1.0 <= self.c <= POWER_EXPONENT_LIMIT:
+            raise ValueError(f"decay exponent must be in [1, {POWER_EXPONENT_LIMIT}], "
+                             f"got {self.c}")
 
     @property
     def label(self) -> str:
@@ -184,9 +191,11 @@ class PowerHeights:
         if n < 1:
             raise ValueError(f"level index must be >= 1, got {n}")
         c = self.integer_c
-        if c is not None:
+        if c is not None and n <= _exact_power_top(c):
+            # _power_heights' exact branch: the int64 power, rounded once
+            # to float and once by the division
             return 1.0 / (n ** c)
-        return float(n) ** (-self.c)
+        return float(_power_heights(self, np.array([n], np.int64))[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,17 +235,43 @@ class CustomHeights:
 HeightFamily = ExpHeights | PowerHeights | CustomHeights
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_power_top(c: int) -> int:
+    """The largest level n with n^c < 2^62, so n^c is exact in int64."""
+    n = int(2.0 ** (62.0 / c))
+    while n ** c >= 1 << 62:
+        n -= 1
+    while (n + 1) ** c < 1 << 62:
+        n += 1
+    return n
+
+
+def _power_heights(fam: PowerHeights, levels: np.ndarray) -> np.ndarray:
+    """n^-c for levels n >= 1, by one rule per level.
+
+    With an integer c, a level whose n^c stays below 2^62 takes the exact
+    integer power and one rounded division; every other level takes
+    numpy's vectorized float power. The rule looks at each level alone, so
+    a level's height does not depend on the batch it comes in.
+    ``PowerHeights.height`` takes the float branch on a one-level array,
+    because numpy's vectorized power can round differently from the scalar
+    ``**``.
+    """
+    c = fam.integer_c
+    exact = levels <= (0 if c is None else _exact_power_top(c))
+    out = np.empty(levels.shape)
+    out[~exact] = levels[~exact].astype(np.float64) ** -fam.c
+    if c is not None:
+        out[exact] = 1.0 / (levels[exact].astype(np.int64) ** c).astype(np.float64)
+    return out
+
+
 def _heights_array(fam: HeightFamily, levels: np.ndarray) -> np.ndarray:
     """Vectorized heights with level 0 mapped to the base height 0."""
     if isinstance(fam, ExpHeights):
         out = np.exp(-levels.astype(np.float64))
     elif isinstance(fam, PowerHeights):
-        c = fam.integer_c
-        lv = np.maximum(levels, 1)
-        if c is not None and (levels.size == 0 or int(lv.max()) ** c < 2 ** 62):
-            out = 1.0 / (lv.astype(np.int64) ** c).astype(np.float64)
-        else:
-            out = lv.astype(np.float64) ** (-fam.c)
+        out = _power_heights(fam, np.maximum(levels, 1))
     else:
         table = np.concatenate(([0.0], np.asarray(fam.values, dtype=np.float64)))
         if levels.size and int(levels.max()) > fam.max_level:
@@ -576,16 +611,16 @@ class SystemHandle:
 
     ``metric``/``step``/``inverse`` act on opaque points. ``sampler(res)``
     returns the canonical finite sample at the requested resolution.
-    The kernel is set together, and the counting and verifying code
-    refuses a handle without one: ``pack(points, n)`` makes a numpy batch
-    (points on axis 0) for window n; ``orbit_cdist(a, b, n)`` is the exact
-    dense matrix of Bowen distances between two batches; and
-    ``orbit_pairs(a, b, n, cap)`` returns index and distance arrays
-    ``(i, j, d)`` that list every pair whose ``orbit_cdist`` entry is below
-    ``cap`` exactly once, with bitwise that entry. Listed pairs at or above
-    ``cap`` are allowed, with ``d`` exact or a lower bound of at least
-    ``cap``; there is no order, and the kernel leaves the comparison with a
-    threshold to the caller (the module docstring says why).
+    The kernel is ``pack`` and ``orbit_pairs``, set together, and the
+    counting and verifying code refuses a handle without it:
+    ``pack(points, n)`` makes a numpy batch (points on axis 0) for window
+    n, and ``orbit_pairs(a, b, n, cap)`` returns index and distance arrays
+    ``(i, j, d)`` that list every pair of two batches whose Bowen distance
+    is below ``cap`` exactly once, with that distance exact. Other listed
+    pairs read exactly or as a lower bound of at least ``cap``, so at
+    ``cap = inf`` every pair is listed with its exact distance; there is no
+    order, and the kernel leaves the comparison with a threshold to the
+    caller (the module docstring says why).
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
     multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
@@ -599,7 +634,6 @@ class SystemHandle:
     inverse: Callable[[Any], Any] | None = None
     sampler: Callable[[int], Sequence] | None = None
     pack: Callable[[Sequence, int], np.ndarray] | None = None
-    orbit_cdist: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
     orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     heights: HeightFamily | None = None
     word_fn: Callable[[int, int], SymbolicWord] | None = None
@@ -607,9 +641,8 @@ class SystemHandle:
     parts: tuple["SystemHandle", "SystemHandle"] | None = None
 
     def __post_init__(self) -> None:
-        if len({self.pack is None, self.orbit_cdist is None, self.orbit_pairs is None}) > 1:
-            raise ValueError(f"system {self.name}: pack, orbit_cdist and orbit_pairs "
-                             f"must be set together")
+        if (self.pack is None) != (self.orbit_pairs is None):
+            raise ValueError(f"system {self.name}: pack and orbit_pairs must be set together")
         if (self.word_fn is None) != (self.recurrence is None):
             raise ValueError(f"system {self.name}: word_fn and recurrence must be set together")
 
@@ -649,7 +682,7 @@ def circle_rotation(theta: float) -> SystemHandle:
     """Rigid rotation by theta on the unit circle; points are plain angles."""
     th = theta % 1.0
 
-    def cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    def dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         # rotations are isometries: the Bowen distance is the plain
         # distance, computed as in circle_dist
         d = np.abs(np.mod(a, 1.0)[:, None] - np.mod(b, 1.0)[None, :])
@@ -662,8 +695,7 @@ def circle_rotation(theta: float) -> SystemHandle:
         inverse=lambda x: (x - th) % 1.0,
         sampler=lambda res: [j / res for j in range(res)],
         pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
-        orbit_cdist=cdist,
-        orbit_pairs=lambda a, b, n, cap: _pairs_below(cdist(a, b, n), cap),
+        orbit_pairs=lambda a, b, n, cap: _pairs_below(dense(a, b, n), cap),
     )
 
 
@@ -870,7 +902,8 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
 _ANGLE_BAND_PAIRS = 1 << 18
 
 
-def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def _tower_dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    # serves n = 1 and caps outside (0, 1/4] of _tower_orbit_pairs
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
     return _tower_exact(a["angle"][:, None] - b["angle"][None, :],
@@ -880,7 +913,7 @@ def _tower_orbit_cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
                        cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n <= 1 or not 0.0 < cap <= _TOWER_BAND_CAP:
-        return _pairs_below(_tower_orbit_cdist(a, b, n), cap)
+        return _pairs_below(_tower_dense(a, b, n), cap)
     # Height band (module docstring): a pair below cap <= 1/4 has |dh| < cap,
     # so delta = dh and its iterates, dh apart, stay within cap of one
     # integer from first to last, hence (n-1)|dh| < 2 cap. Only pairs with
@@ -937,7 +970,6 @@ def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
         inverse=lambda p: tower_inverse(p, fam),
         sampler=sampler,
         pack=pack,
-        orbit_cdist=_tower_orbit_cdist,
         orbit_pairs=_tower_orbit_pairs,
         heights=fam,
     )
@@ -983,7 +1015,7 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         d[hit] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)
         return ii, jj, d
 
-    def cdist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    def dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         out = np.ones((len(a), len(b)))
         ii, jj, d = same_block_pairs(a, b, n)
         out[ii, jj] = d
@@ -994,7 +1026,7 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         if cap > 1.0:
             # pairs at distance 1 lie below cap too (the factor-shift audit
             # at eps 1.0 asks for them)
-            return _pairs_below(cdist(a, b, n), cap)
+            return _pairs_below(dense(a, b, n), cap)
         return same_block_pairs(a, b, n)
 
     return {
@@ -1002,7 +1034,6 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         "step": lambda x: x.shifted(1),
         "inverse": lambda x: x.shifted(-1),
         "pack": pack,
-        "orbit_cdist": cdist,
         "orbit_pairs": pairs,
     }
 
@@ -1062,18 +1093,14 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         def sampler(res: int) -> list:
             return [(pa, pb) for pa in a.sampler(res) for pb in b.sampler(res)]
 
-    pack = orbit_cdist = orbit_pairs = None
-    if a.orbit_cdist is not None and b.orbit_cdist is not None:
+    pack = orbit_pairs = None
+    if a.orbit_pairs is not None and b.orbit_pairs is not None:
         def pack(points: Sequence, n: int) -> np.ndarray:
             pa = a.pack([p[0] for p in points], n)
             pb = b.pack([p[1] for p in points], n)
             batch = np.empty(len(points), [("a", pa.dtype), ("b", pb.dtype)])
             batch["a"], batch["b"] = pa, pb
             return batch
-
-        def orbit_cdist(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-            return np.maximum(a.orbit_cdist(x["a"], y["a"], n),
-                              b.orbit_cdist(x["b"], y["b"], n))
 
         def orbit_pairs(x: np.ndarray, y: np.ndarray, n: int,
                         cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1103,7 +1130,6 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         inverse=inverse,
         sampler=sampler,
         pack=pack,
-        orbit_cdist=orbit_cdist,
         orbit_pairs=orbit_pairs,
         parts=(a, b),
     )

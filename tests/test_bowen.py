@@ -57,16 +57,12 @@ def test_bowen_dist_tower_grows_with_window():
     assert bowen_dist(system, x, y, 10) > bowen_dist(system, x, y, 1)
 
 
-def _kernel(system, pa, pb, n):
-    return system.orbit_cdist(system.pack(pa, n), system.pack(pb, n), n)
-
-
 def test_subshift_kernel_matches_stepping():
     system = sturmian_system(GOLDEN)
     base = sturmian_point(GOLDEN)
     pts = [base.shifted(i) for i in (0, 1, 4, 9)]
     for n in (1, 3, 10):
-        got = _kernel(system, pts, pts, n)
+        got = bowen_block(system, pts, pts, n)
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 assert got[i, j] == bowen_dist(system, x, y, n)
@@ -75,7 +71,7 @@ def test_subshift_kernel_matches_stepping():
 def test_full_shift_kernel_matches_stepping():
     system = full_shift(2)
     pts = system.sampler(4)
-    assert _kernel(system, [pts[0]], [pts[3]], 2)[0, 0] == bowen_dist(system, pts[0], pts[3], 2)
+    assert bowen_block(system, [pts[0]], [pts[3]], 2)[0, 0] == bowen_dist(system, pts[0], pts[3], 2)
 
 
 def test_bowen_block_matches_pointwise_and_kernel():
@@ -85,7 +81,6 @@ def test_bowen_block_matches_pointwise_and_kernel():
     n = 8
     by_hand = np.array([[bowen_dist(system, p, q, n) for q in pb] for p in pa])
     assert np.allclose(bowen_block(system, pa, pb, n), by_hand, atol=1e-12)
-    assert np.allclose(_kernel(system, pa, pb, n), by_hand, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +115,7 @@ def test_greedy_separated_is_chunk_invariant():
 
 def _greedy_by_hand(system, sample, n, eps):
     # the sequential rule over the dense matrix
-    d = _kernel(system, sample, sample, n)
+    d = bowen_block(system, sample, sample, n)
     kept = []
     for k in range(len(sample)):
         if all(d[k, j] >= eps for j in kept):
@@ -154,7 +149,7 @@ def test_greedy_separated_matches_the_sequential_rule(chunk):
 
 
 def _spanning_by_hand(system, centers, sample, n, eps):
-    d = _kernel(system, sample, centers, n)
+    d = bowen_block(system, sample, centers, n)
     near = d.min(axis=1) if len(centers) else np.full(len(sample), np.inf)
     misses = np.flatnonzero(near > eps)
     return (len(misses), int(misses[0]) if misses.size else None,
@@ -191,7 +186,7 @@ def test_verify_spanning_matches_a_full_scan(chunk):
 def _rung_kinds(system, centers, sample, n, eps):
     # how many sample points have their nearest center below eps/2, in
     # [eps/2, eps), exactly at eps and beyond eps
-    near = _kernel(system, sample, centers, n).min(axis=1)
+    near = bowen_block(system, sample, centers, n).min(axis=1)
     return [int(k.sum()) for k in (near < eps / 2, (near >= eps / 2) & (near < eps),
                                    near == eps, near > eps)]
 
@@ -247,8 +242,8 @@ def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
     tower = tower_system(PowerHeights(2))
 
     def lower_bounds(a, b, n, cap):
-        i, j = np.indices((len(a), len(b))).reshape(2, -1)
-        return i, j, np.minimum(tower.orbit_cdist(a, b, n), cap).ravel()
+        i, j, d = tower.orbit_pairs(a, b, n, np.inf)
+        return i, j, np.minimum(d, cap)
 
     stub = dataclasses.replace(tower, orbit_pairs=lower_bounds)
     check = verify_spanning(stub, [TowerPoint(0.0, 0)], [TowerPoint(0.2, 0)], 3, 0.125)
@@ -351,7 +346,7 @@ def test_verify_separated_matches_brute_force_min():
 def _separation_by_blocks(system, pts, n, eps, chunk):
     # uncapped distances scanned in verify_separated's block order, with
     # the first strictly smaller block minimum winning
-    d = _kernel(system, pts, pts, n)
+    d = bowen_block(system, pts, pts, n)
     m = len(pts)
     best, pair = np.inf, None
     for lo in range(0, m, chunk):

@@ -205,6 +205,36 @@ def test_unknown_command_exits_with_usage_code():
     assert exc.value.code == 64
 
 
+# numbers no count can be made from: non-finite scales and ratios, windows
+# and grids past the float range, and decay exponents past the limit
+OUT_OF_RANGE = [
+    ("system", "tower-power:2", "method", "analytic", "eps", "inf", "grid", "10"),
+    ("system", "tower-power:2", "method", "analytic", "eps", "0.2,nan"),
+    ("system", "tower-power:2", "method", "analytic", "ratio", "inf", "eps", "0.1"),
+    ("system", "tower-power:2", "method", "analytic", "ratio", "1e308", "eps", "0.1"),
+    ("system", "tower-power:2", "method", "analytic", "eps", "1e-320"),
+    ("system", "tower-power:1e20", "method", "analytic", "eps", "0.1"),
+    ("system", "tower-power:1023", "method", "greedy", "eps", "0.1"),
+]
+
+
+@pytest.mark.parametrize("pairs", OUT_OF_RANGE)
+def test_out_of_range_numbers_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          pairs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted before the check")
+
+    monkeypatch.setattr(cli, "eps_sweep", no_work)
+    keys, values = pairs[::2], pairs[1::2]
+    flags = [arg for key, value in zip(keys, values) for arg in (f"--{key}", value)]
+    assert _run("estimate", *flags, "--out", str(tmp_path)) == 64
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in zip(keys, values)))
+    assert _run("estimate", "--config", str(cfg), "--out", str(tmp_path)) == 64
+    assert capsys.readouterr().err.count("polyent: error:") == 2
+    assert not (tmp_path / "counts.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-construction
 
@@ -322,6 +352,15 @@ def test_diagnose_distality(tmp_path, capsys):
     assert doc["levels"] == [1, 2]
     assert doc["gap"] == doc["height_gap"] == math.exp(-1) - math.exp(-2)
     assert "levels 1,2" in capsys.readouterr().out
+
+
+def test_diagnose_distality_on_a_steep_power_tower(tmp_path):
+    # level 10's height 10^-400 underflows to 0, the base circle's height
+    rc = _run("diagnose", "--system", "tower-power:400", "--check", "distality",
+              "--levels", "1,10", "--out", str(tmp_path))
+    assert rc == 0
+    doc = _read_json(tmp_path / "distality.json")
+    assert doc["height_gap"] == 1.0 and doc["gap"] == 1.0
 
 
 # each symbolic command with the block length behind its longest word:

@@ -22,7 +22,6 @@ from polyent import (
     tower_system,
     uniform_recurrence_check,
     word_complexities,
-    word_complexity,
 )
 from polyent.systems import SymbolicWord
 
@@ -139,25 +138,25 @@ def test_tower_iterates_preserve_level_over_long_windows():
 
 def test_word_complexity_golden_prefix():
     word = sturmian_generate(GOLDEN, 0, 60)
-    assert [word_complexity(word, n) for n in range(1, 6)] == [2, 3, 4, 5, 6]
+    assert [word_complexities(word, [n], [word.end])[0] for n in range(1, 6)] == [2, 3, 4, 5, 6]
 
 
 def test_word_complexity_degenerate_words():
     constant = SymbolicWord(symbols=(1,) * 30, start=0)
-    assert word_complexity(constant, 1) == 1
-    assert word_complexity(constant, 7) == 1
+    assert word_complexities(constant, [1], [constant.end])[0] == 1
+    assert word_complexities(constant, [7], [constant.end])[0] == 1
     periodic = SymbolicWord(symbols=(0, 1) * 15, start=0)
-    assert word_complexity(periodic, 1) == 2
-    assert word_complexity(periodic, 2) == 2
-    assert word_complexity(periodic, 9) == 2
+    assert word_complexities(periodic, [1], [periodic.end])[0] == 2
+    assert word_complexities(periodic, [2], [periodic.end])[0] == 2
+    assert word_complexities(periodic, [9], [periodic.end])[0] == 2
 
 
 def test_word_complexity_validations():
     word = SymbolicWord(symbols=(0, 1, 0), start=0)
     with pytest.raises(ValueError):
-        word_complexity(word, 0)
+        word_complexities(word, [0], [word.end])
     with pytest.raises(ValueError, match="shorter than block length"):
-        word_complexity(word, 4)
+        word_complexities(word, [4], [word.end])
 
 
 @st.composite
@@ -185,7 +184,7 @@ def test_word_complexity_matches_brute_force(case):
     word, n = case
     symbols = tuple(word.symbols.tolist())
     brute = len({symbols[i:i + n] for i in range(len(symbols) - n + 1)})
-    assert word_complexity(word, n) == brute
+    assert word_complexities(word, [n], [word.end])[0] == brute
 
 
 @st.composite
@@ -254,7 +253,7 @@ def test_word_complexity_growth_bounds():
     word = sturmian_generate(SILVER, 0, 400)
     prev = 0
     for n in range(1, 30):
-        p = word_complexity(word, n)
+        p = word_complexities(word, [n], [word.end])[0]
         assert p >= prev
         assert p <= min(2 ** n, 401 - n + 1)
         prev = p
@@ -263,13 +262,13 @@ def test_word_complexity_growth_bounds():
 def test_word_complexity_one_defect():
     symbols = tuple(0 if k == 0 else 1 for k in range(-20, 21))
     word = SymbolicWord(symbols=symbols, start=-20)
-    assert [word_complexity(word, n) for n in (1, 3, 5)] == [2, 4, 6]
+    assert [word_complexities(word, [n], [word.end])[0] for n in (1, 3, 5)] == [2, 4, 6]
 
 
 def test_complexity_dichotomy_at_small_lengths():
     # aperiodic words clear n+1 everywhere; periodic words dip below n
     for alpha in (GOLDEN, SILVER):
         word = sturmian_generate(alpha, 0, 330)
-        assert all(word_complexity(word, n) >= n + 1 for n in range(1, 31))
+        assert all(word_complexities(word, [n], [word.end])[0] >= n + 1 for n in range(1, 31))
     periodic = SymbolicWord(symbols=(0, 1, 1) * 40, start=0)
-    assert any(word_complexity(periodic, n) <= n for n in range(1, 31))
+    assert any(word_complexities(periodic, [n], [periodic.end])[0] <= n for n in range(1, 31))

@@ -24,7 +24,7 @@ from polyent import (
     spanning_witness,
     sturmian_system,
     tower_system,
-    word_complexity,
+    word_complexities,
 )
 from polyent.estimation import (
     METHOD_ANALYTIC_SEPARATED,
@@ -116,7 +116,7 @@ def test_symbolic_counts_share_a_word_per_window():
     for r in records:
         span = r.n + 2 * estimation._dyadic_index(r.eps)
         word = system.word_fn(0, word_window(system, span) - 1)
-        assert r.count == word_complexity(word, span)
+        assert r.count == word_complexities(word, [span], [word.end])[0]
 
 
 def _continued(quotients):
@@ -138,11 +138,11 @@ def test_recurrence_windows_hold_every_block(quotients):
     for n in ns:
         window = system.recurrence(n)
         longer = system.word_fn(0, 4 * window - 1)
-        assert word_complexity(longer, n) == n + 1
+        assert word_complexities(longer, [n], [longer.end])[0] == n + 1
         # a recurrence window holds every block wherever it starts
         for start in (1, 977, 123457):
             word = system.word_fn(start, start + window - 1)
-            assert word_complexity(word, n) == n + 1
+            assert word_complexities(word, [n], [word.end])[0] == n + 1
 
 
 def test_greedy_counts_on_well_separated_shift_points():
@@ -282,7 +282,6 @@ def test_eps_sweep_identity_map_has_zero_headline():
     ns = [2 ** k for k in range(4, 10)]
     est = eps_sweep(system, ns, [0.2, 0.1], METHOD_GREEDY_SEPARATED, grid=50)
     assert est.headline == pytest.approx(0.0, abs=1e-12)
-    assert est.mode == "polynomial"
     assert set(est.per_eps) == {0.2, 0.1}
 
 
@@ -318,10 +317,3 @@ def test_eps_sweep_refuses_short_tails_before_counting(monkeypatch):
     system = make_system("product:tower-power:2,tower-exp")
     with pytest.raises(ValueError, match="need at least 3 tail points at eps 0.2, have 2"):
         eps_sweep(system, [2, 4, 8, 16], [0.2], METHOD_GREEDY_SEPARATED, grid=50)
-
-
-def test_eps_sweep_mode_validation():
-    system = tower_system(ExpHeights())
-    with pytest.raises(ValueError):
-        eps_sweep(system, [16, 32, 64], [0.1], METHOD_ANALYTIC_SPANNING,
-                  mode="sideways")

@@ -1,10 +1,10 @@
 """Every built-in block kernel against the stepping reference ``bowen_dist``.
 
-Generated point sets check the kernel contract. Every dense entry is the
-exact orbit distance, at any threshold. The pair list of a cap holds every
-pair whose dense entry is below the cap exactly once, bitwise equal to
-that entry, and any other pair it holds reads its dense entry or at least
-the cap. The tower kernel is also held to a closed-form brute force, per
+Generated point sets check the kernel contract. The uncapped pair list
+holds every pair exactly once, with its exact orbit distance. The pair list
+of any cap holds every pair whose uncapped distance is below the cap
+exactly once, bitwise equal to that distance, and any other pair it holds
+reads that distance or at least the cap. The tower kernel is also held to a closed-form brute force, per
 step k, out to windows of a million steps, where the stepping reference
 accumulates too much rounding to serve.
 """
@@ -124,14 +124,25 @@ def _listed(pairs, shape):
     assert i.shape == j.shape == d.shape and i.ndim == 1
     assert ((0 <= i) & (i < shape[0]) & (0 <= j) & (j < shape[1])).all()
     flat = i * shape[1] + j
-    assert np.unique(flat).size == flat.size
+    assert np.bincount(flat, minlength=shape[0] * shape[1]).max(initial=0) <= 1
     return flat
 
 
+def _dense(system, a, b, n):
+    """The uncapped pair list of two batches as a block, checking that it
+    lists every pair exactly once."""
+    pairs = system.orbit_pairs(a, b, n, math.inf)
+    flat = _listed(pairs, (len(a), len(b)))
+    assert flat.size == len(a) * len(b)
+    dense = np.empty(flat.size)
+    dense[flat] = pairs[2]
+    return dense.reshape(len(a), len(b))
+
+
 def _assert_pair_contract(pairs, dense, cap):
-    """``orbit_pairs`` against the dense block of the same batches: every
-    entry below cap listed once, bitwise equal, and every listed distance
-    its entry's or at least cap."""
+    """``orbit_pairs`` against the uncapped block of the same batches:
+    every entry below cap listed once, bitwise equal, and every listed
+    distance its entry's or at least cap."""
     flat = _listed(pairs, dense.shape)
     d, entry = pairs[2], dense.ravel()[flat]
     listed = np.zeros(dense.size, bool)
@@ -151,8 +162,7 @@ def test_kernel_cap_contract(name):
     def check(pair, n, cap, wide):
         pa, pb = pair
         a, b = system.pack(pa, n), system.pack(pb, n)
-        dense = system.orbit_cdist(a, b, n)
-        assert dense.shape == (len(pa), len(pb))
+        dense = _dense(system, a, b, n)
         with pytest.MonkeyPatch.context() as mp:
             if wide:
                 # tower factors take the angle band on these small blocks
@@ -205,7 +215,7 @@ def _deep_tower_blocks(draw):
 @given(_deep_tower_blocks())
 def test_tower_height_band_keeps_every_entry_below_cap(block):
     system, a, b, n, cap = block
-    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), system.orbit_cdist(a, b, n), cap)
+    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), _dense(system, a, b, n), cap)
 
 
 def test_tower_height_band_margin_covers_rounding():
@@ -217,7 +227,7 @@ def test_tower_height_band_margin_covers_rounding():
     w = 2.0 * cap / (n - 1)
     a = system.pack([TowerPoint(0.5, 0)], n)
     b = np.array([(0.4979, np.nextafter(w, 1.0))], a.dtype)
-    dense = system.orbit_cdist(a, b, n)
+    dense = _dense(system, a, b, n)
     assert b["height"][0] > w and dense[0, 0] < cap
     _assert_pair_contract(system.orbit_pairs(a, b, n, cap), dense, cap)
 
@@ -257,7 +267,7 @@ def _wide_tower_blocks(draw):
 @given(_wide_tower_blocks())
 def test_tower_angle_band_keeps_every_entry_below_cap(block):
     system, a, b, n, cap = block
-    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), system.orbit_cdist(a, b, n), cap)
+    _assert_pair_contract(system.orbit_pairs(a, b, n, cap), _dense(system, a, b, n), cap)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (3, 1)])
@@ -273,10 +283,10 @@ def test_tower_angle_band_margin_covers_rounding(monkeypatch, rows, cols):
     assert 1.0 + (theta - phi) < cap < 1 - Fraction(phi) + Fraction(theta)
     a = system.pack([TowerPoint(theta, 0)] * rows, n)
     b = system.pack([TowerPoint(phi, 0)] * cols, n)
-    dense = system.orbit_cdist(a, b, n)
+    dense = _dense(system, a, b, n)
     assert (dense < cap).all()
     _assert_pair_contract(system.orbit_pairs(a, b, n, cap), dense, cap)
-    _assert_pair_contract(system.orbit_pairs(b, a, n, cap), system.orbit_cdist(b, a, n), cap)
+    _assert_pair_contract(system.orbit_pairs(b, a, n, cap), _dense(system, b, a, n), cap)
 
 
 @pytest.mark.parametrize("rows,cols", [(700, 400), (400, 700)])
@@ -312,7 +322,7 @@ def test_tower_angle_band_matches_height_band_bitwise(monkeypatch, fam, rows, co
         order = [np.argsort(_listed(p, (a.size, b.size))) for p in (wide, thin)]
         for x, y in zip(wide, thin):
             assert x[order[0]].tobytes() == y[order[1]].tobytes()
-        _assert_pair_contract(wide, system.orbit_cdist(a, b, n), cap)
+        _assert_pair_contract(wide, _dense(system, a, b, n), cap)
 
 
 @pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
@@ -341,7 +351,7 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
             order = [np.argsort(p[1], kind="stable") for p in (scan, band)]
             for u, v in zip(scan, band):
                 assert u[order[0]].tobytes() == v[order[1]].tobytes()
-            _assert_pair_contract(scan, system.orbit_cdist(row, block, n), cap)
+            _assert_pair_contract(scan, _dense(system, row, block, n), cap)
 
 
 def test_product_pairs_line_up_factor_lists_in_any_order(monkeypatch):
@@ -362,7 +372,7 @@ def test_product_pairs_line_up_factor_lists_in_any_order(monkeypatch):
         a, b = system.pack(points(30), n), system.pack(points(20), n)
         pairs = system.orbit_pairs(a, b, n, cap)
         assert pairs[0].size >= 20
-        _assert_pair_contract(pairs, system.orbit_cdist(a, b, n), cap)
+        _assert_pair_contract(pairs, _dense(system, a, b, n), cap)
 
 
 def test_covering_at_exact_cap_sees_distances_past_it():
@@ -427,7 +437,7 @@ def test_tower_kernel_matches_a_per_step_loop_on_twelfths(fam, n):
     # and their orbits meet half-integers exactly or by a twelfth
     points = [TowerPoint(x, lv) for lv in range(7) for x in TWELFTHS]
     system = tower_system(fam)
-    dense = system.orbit_cdist(system.pack(points, n), system.pack(points, n), n)
+    dense = _dense(system, system.pack(points, n), system.pack(points, n), n)
     assert np.abs(dense - _per_step(fam, points, points, n)).max() <= FLOAT_TOL
 
 
@@ -437,7 +447,7 @@ def test_tower_kernel_reads_a_wrapped_half_turn():
     system = tower_system(PowerHeights(2))
     a = system.pack([TowerPoint(1 / 12, 0)], 16)
     b = system.pack([TowerPoint(11 / 12, 3)], 16)
-    assert system.orbit_cdist(a, b, 16)[0, 0] == pytest.approx(0.5, abs=FLOAT_TOL)
+    assert _dense(system, a, b, 16)[0, 0] == pytest.approx(0.5, abs=FLOAT_TOL)
 
 
 def _closed_form(theta, dh, n):
@@ -471,5 +481,5 @@ def test_tower_kernel_matches_the_closed_form_out_to_a_million_steps(n):
     batch = np.dtype([("angle", np.float64), ("height", np.float64)])
     a = np.array(list(zip(theta, dh)), batch)
     zero = np.zeros(1, batch)
-    got = tower_system(PowerHeights(1)).orbit_cdist(a, zero, n)[:, 0]
+    got = _dense(tower_system(PowerHeights(1)), a, zero, n)[:, 0]
     assert np.abs(got - _closed_form(theta, dh, n)).max() <= 1e-9

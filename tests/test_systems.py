@@ -35,12 +35,13 @@ from polyent import (
     tower_system,
 )
 from polyent import constructions
-from polyent.bowen import bowen_dist
+from polyent.bowen import bowen_block, bowen_dist
 from polyent.systems import (
+    POWER_EXPONENT_LIMIT,
     AngleLevelGrid,
     _drift_peak,
     _floor_multiples,
-    circle_point,
+    _heights_array,
     tower_inverse,
 )
 
@@ -56,12 +57,10 @@ FAMILIES = [
 ]
 
 
-def _cdist(system, pa, pb, n, cap=None):
+def _capped(system, pa, pb, n, cap):
+    """The pair list over a block that reads cap wherever nothing is
+    listed: unlisted pairs lie at or above cap."""
     a, b = system.pack(pa, n), system.pack(pb, n)
-    if cap is None:
-        return system.orbit_cdist(a, b, n)
-    # the pair list over a block that reads cap wherever nothing is listed:
-    # unlisted pairs lie at or above cap
     i, j, d = system.orbit_pairs(a, b, n, cap)
     assert np.unique(i * len(pb) + j).size == i.size
     out = np.full((len(pa), len(pb)), cap)
@@ -98,12 +97,6 @@ def test_circle_dist_is_a_metric_on_samples():
         assert circle_dist(x, z) <= circle_dist(x, y) + circle_dist(y, z) + 1e-12
 
 
-def test_circle_point_range():
-    assert circle_point(2.75) == 0.75
-    assert circle_point(-0.25) == 0.75
-    assert 0.0 <= circle_point(-1e-9) < 1.0
-
-
 # ---------------------------------------------------------------------------
 # height families
 
@@ -135,6 +128,46 @@ def test_power_heights_fractional_exponent():
 def test_power_heights_rejects_small_exponent():
     with pytest.raises(ValueError):
         PowerHeights(0.5)
+
+
+def test_power_heights_refuse_exponents_past_the_limit():
+    # at the limit level 2's height 2^-c is still a normal float
+    assert PowerHeights(POWER_EXPONENT_LIMIT).height(2) == 2.0 ** -POWER_EXPONENT_LIMIT
+    for c in (POWER_EXPONENT_LIMIT + 1, 1e20, math.inf, math.nan):
+        with pytest.raises(ValueError, match="decay exponent must be in"):
+            PowerHeights(c)
+    with pytest.raises(ValueError, match="decay exponent must be in"):
+        make_system("tower-power:1e20")
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 7, 400, 1022, 1.5, 17.3])
+def test_power_heights_are_one_rule_per_level(c):
+    # every level reads the same bits alone, through height(), as in any
+    # batch: levels on both sides of the exact-integer edge n^c < 2^62
+    # (n = 2^31 for c = 2, 1,664,510 for c = 3, 5,404 for c = 5, 463 for
+    # c = 7) and far past it, where heights underflow
+    fam = PowerHeights(c)
+    edges = [463, 464, 5404, 5405, 1664510, 1664511, 2 ** 31 - 1, 2 ** 31]
+    levels = np.unique(np.concatenate((np.arange(1, 2000), edges, 10 ** np.arange(4, 12))))
+    batch = _heights_array(fam, levels)
+    alone = np.array([fam.height(int(n)) for n in levels])
+    assert batch.tobytes() == alone.tobytes()
+    for part in (levels[:3], levels[-3:], levels[::7]):
+        picked = batch[np.searchsorted(levels, part)]
+        assert _heights_array(fam, part).tobytes() == picked.tobytes()
+    if fam.integer_c is not None:
+        # below the edge a height is the exact power, rounded once
+        exact = [n for n in levels.tolist() if n ** fam.integer_c < 2 ** 62]
+        assert [fam.height(n) for n in exact] == [1.0 / n ** fam.integer_c for n in exact]
+
+
+def test_power_heights_level_does_not_depend_on_its_batch():
+    # level 5 of power:5 next to level 10^6, whose fifth power is past 2^62
+    fam = PowerHeights(5)
+    assert _heights_array(fam, np.array([5, 10 ** 6]))[0] == 1.0 / 3125
+    assert fam.height(5) == 1.0 / 3125
+    # past the float range a height underflows instead of overflowing
+    assert PowerHeights(400).height(10) == 0.0
 
 
 def test_custom_heights_validation():
@@ -422,15 +455,12 @@ def test_circle_rotation_handle():
     assert system.inverse(system.step(0.4)) == pytest.approx(0.4, abs=1e-15)
     assert system.sampler(4) == [0.0, 0.25, 0.5, 0.75]
     # isometry: the orbit distance is the plain distance at any window
-    assert _cdist(system, [0.0], [0.2], 50)[0, 0] == pytest.approx(0.2, abs=1e-15)
+    assert bowen_block(system, [0.0], [0.2], 50)[0, 0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_system_handle_sets_pack_and_kernel_together():
     kernel = circle_rotation(0.3)
-    for half in ({"pack": kernel.pack}, {"orbit_cdist": kernel.orbit_cdist},
-                 {"orbit_pairs": kernel.orbit_pairs},
-                 {"pack": kernel.pack, "orbit_cdist": kernel.orbit_cdist},
-                 {"pack": kernel.pack, "orbit_pairs": kernel.orbit_pairs}):
+    for half in ({"pack": kernel.pack}, {"orbit_pairs": kernel.orbit_pairs}):
         with pytest.raises(ValueError, match="set together"):
             SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
     SystemHandle(name="none", metric=circle_dist, step=kernel.step)
@@ -445,7 +475,7 @@ def test_tower_system_handle():
     assert system.heights == ExpHeights()
     # the kernel is exact past a quarter turn: this pair's drift wraps
     x, y = TowerPoint(0.0, 0), TowerPoint(0.4, 1)
-    assert (_cdist(system, [x], [y], 6)[0, 0]
+    assert (bowen_block(system, [x], [y], 6)[0, 0]
             == pytest.approx(bowen_dist(system, x, y, 6), abs=1e-12))
     assert bowen_dist(system, x, y, 6) > 0.4
     p = TowerPoint(0.2, 1)
@@ -516,7 +546,7 @@ def test_rotation_kernel_matches_pairwise_metric():
     system = circle_rotation(0.37)
     a = [0.0, 0.2, 0.55, 0.9]
     b = [0.1, 0.8]
-    got = _cdist(system, a, b, 17)
+    got = bowen_block(system, a, b, 17)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             assert got[i, j] == pytest.approx(circle_dist(x, y), abs=1e-15)
@@ -529,7 +559,7 @@ def test_tower_kernel_matches_reference(fam):
     pa = _random_tower_points(rng, fam, 12)
     pb = _random_tower_points(rng, fam, 12)
     for n in (1, 2, 5, 33):
-        got = _cdist(system, pa, pb, n)
+        got = bowen_block(system, pa, pb, n)
         for i, p in enumerate(pa):
             for j, q in enumerate(pb):
                 assert got[i, j] == pytest.approx(bowen_dist(system, p, q, n), abs=1e-12)
@@ -542,9 +572,9 @@ def test_tower_kernel_cap_contract(fam):
     pa = _random_tower_points(rng, fam, 10)
     pb = _random_tower_points(rng, fam, 10)
     for n in (2, 9, 40):
-        dense = _cdist(system, pa, pb, n)
+        dense = bowen_block(system, pa, pb, n)
         for cap in (0.05, 0.125, 0.2, 0.2500001):
-            got = _cdist(system, pa, pb, n, cap)
+            got = _capped(system, pa, pb, n, cap)
             below = got < cap
             # threshold classification must agree with the dense kernel,
             # sub-cap entries must be the same exact values
@@ -558,11 +588,11 @@ def test_tower_kernel_window_one_is_plain_metric():
     system = tower_system(fam)
     pa = [TowerPoint(0.1, 0), TowerPoint(0.3, 2)]
     pb = [TowerPoint(0.6, 1)]
-    got = _cdist(system, pa, pb, 1)
+    got = bowen_block(system, pa, pb, 1)
     for i, p in enumerate(pa):
         assert got[i, 0] == pytest.approx(tower_dist(p, pb[0], fam), abs=1e-15)
     with pytest.raises(ValueError):
-        _cdist(system, pa, pb, 0)
+        bowen_block(system, pa, pb, 0)
 
 
 def test_drift_peak_is_quiet_on_vanishing_exp_drifts():
@@ -582,7 +612,7 @@ def test_drift_peak_is_quiet_on_vanishing_exp_drifts():
 def test_tower_kernel_rejects_levels_beyond_custom_family():
     system = tower_system(CustomHeights((0.5, 0.25)))
     with pytest.raises(ValueError, match="sequence too short"):
-        _cdist(system, [TowerPoint(0.0, 5)], [TowerPoint(0.0, 1)], 4)
+        bowen_block(system, [TowerPoint(0.0, 5)], [TowerPoint(0.0, 1)], 4)
 
 
 def test_product_kernel_is_max_of_factors_and_forwards_cap():
@@ -595,12 +625,12 @@ def test_product_kernel_is_max_of_factors_and_forwards_cap():
     pb = [(p, q) for p, q in zip(_random_tower_points(rng, a.heights, 8),
                                  _random_tower_points(rng, b.heights, 8))]
     n = 12
-    da = _cdist(a, [p[0] for p in pa], [q[0] for q in pb], n)
-    db = _cdist(b, [p[1] for p in pa], [q[1] for q in pb], n)
-    dense = _cdist(prod, pa, pb, n)
+    da = bowen_block(a, [p[0] for p in pa], [q[0] for q in pb], n)
+    db = bowen_block(b, [p[1] for p in pa], [q[1] for q in pb], n)
+    dense = bowen_block(prod, pa, pb, n)
     assert np.array_equal(dense, np.maximum(da, db))
     for cap in (0.1, 0.2):
-        got = _cdist(prod, pa, pb, n, cap)
+        got = _capped(prod, pa, pb, n, cap)
         below = got < cap
         assert np.array_equal(below, dense < cap)
         assert (got[below] == dense[below]).all()
