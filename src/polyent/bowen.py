@@ -15,10 +15,13 @@ that is not listed lies at or above the cap, and every listed distance is
 compared with the routine's own threshold. Every built-in kernel is exact
 at every threshold, and a handle without a kernel is refused. The greedy
 counter queries one row at a time, and only for rows still alive when
-their turn comes. The covering audit scans in two rungs: a pass capped
-just past eps/2 settles every point with a center below eps/2, which on
-the closed-form witnesses is nearly every point, and only the points left
-open get the pass capped just past eps. No routine here calls the two test
+their turn comes: the rows still to query sit in an index list that drops
+the rows each query kills. Counting reads its keep mask
+(:func:`greedy_separated_mask`), so no point is built only to be counted.
+The covering audit scans in two rungs: a pass capped just past eps/2
+settles every point with a center below eps/2, which on the closed-form
+witnesses is nearly every point, and only the points left open get the
+pass capped just past eps. No routine here calls the two test
 helpers: :func:`bowen_dist` steps both points of a pair explicitly, the
 oracle the kernels are tested against, and :func:`bowen_block`, the one
 dense view, writes the uncapped pair list into an array.
@@ -41,6 +44,7 @@ __all__ = [
     "BOUND_SPANNING_UPPER",
     "BOUND_EXACT",
     "greedy_separated",
+    "greedy_separated_mask",
     "SeparationCheck",
     "SpanningCheck",
     "verify_separated",
@@ -126,13 +130,14 @@ class CountRecord:
 # ---------------------------------------------------------------------------
 # greedy families
 
-def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
-                     chunk: int = DEFAULT_CHUNK) -> list:
-    """A maximal eps-separated subfamily, greedily in sample order.
+def greedy_separated_mask(system: SystemHandle, sample: Sequence, n: int, eps: float,
+                          chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """Keep mask of the maximal eps-separated subfamily, greedily in sample
+    order.
 
     A point is kept iff its orbit distance to every earlier kept point is
     >= eps; every rejected point therefore sits within eps of some kept one,
-    so the result both certifies a separation lower bound and covers the
+    so the kept points both certify a separation lower bound and cover the
     sample. The chunked evaluation reproduces the sequential rule exactly.
     """
     _check_scale(n, eps)
@@ -148,14 +153,23 @@ def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
             i, _, d = pairs(rows, kept[clo:clo + chunk], n, eps)
             alive[i[d < eps]] = False
         # one row query per survivor: a chunk-wide conflict list would
-        # mostly hold pairs among rows the sequential rule kills anyway
-        for i in np.flatnonzero(alive).tolist():
-            if not alive[i]:
-                continue
-            rest = alive[i + 1:]
-            if rest.any():
-                _, j, d = pairs(rows[i:i + 1], rows[i + 1:], n, eps)
-                rest[j[d < eps]] = False
+        # mostly hold pairs among rows the sequential rule kills anyway.
+        # The survivors still to query shrink after every query, and the
+        # last one has no later row left to kill.
+        todo = np.flatnonzero(alive)
+        while todo.size > 1:
+            i = todo[0]
+            _, j, d = pairs(rows[i:i + 1], rows[i + 1:], n, eps)
+            alive[i + 1 + j[d < eps]] = False
+            todo = todo[1:]
+            todo = todo[alive[todo]]
+    return keep
+
+
+def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
+                     chunk: int = DEFAULT_CHUNK) -> list:
+    """The points of :func:`greedy_separated_mask`, in sample order."""
+    keep = greedy_separated_mask(system, sample, n, eps, chunk)
     return [sample[i] for i in np.flatnonzero(keep)]
 
 

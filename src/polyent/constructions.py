@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import systems
 from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_spanning
 from .diagnostics import _block_codes
 from .systems import (
@@ -98,16 +99,14 @@ def drift_cutoff(window: int, eps: float, fam: HeightFamily) -> int:
             return window * f.denominator < f.numerator * n ** c
 
         cand = math.ceil((window / eps) ** (1.0 / c))
-    elif isinstance(fam, ExpHeights):
-        def below(n: int) -> bool:
-            return window * math.exp(-n) < eps
-
-        cand = math.ceil(math.log(window / eps)) if window / eps > 1.0 else 1
     else:
         def below(n: int) -> bool:
             return window * fam.height(n) < eps
 
-        cand = math.ceil((window / eps) ** (1.0 / fam.c))
+        if isinstance(fam, ExpHeights):
+            cand = math.ceil(math.log(window / eps)) if window / eps > 1.0 else 1
+        else:
+            cand = math.ceil((window / eps) ** (1.0 / fam.c))
 
     n = max(1, cand)
     while n > 1 and below(n - 1):
@@ -284,11 +283,18 @@ def certified_spanning_witness(window: int, eps: float, fam: HeightFamily,
 
     The sample puts ``grid`` angles on the base circle and on every level
     up to cutoff + extra_levels; levels beyond that sit closer to the base
-    circle than any point the family must resolve.
+    circle than any point the family must resolve. A sample or family of
+    more than ``systems.TOWER_SAMPLE_LIMIT`` points is refused before
+    anything is packed.
     """
     report = spanning_witness(window, eps, fam)
     system = tower_system(fam)
     sample = tower_sample(fam, grid, range(0, report.cutoff + extra_levels + 1))
+    for what, size in (("sample", len(sample)), ("center family", report.size)):
+        if size > systems.TOWER_SAMPLE_LIMIT:
+            raise ValueError(
+                f"the spanning audit at n={window}, eps={eps!r} needs a {what} of "
+                f"{size} points, beyond the limit of {systems.TOWER_SAMPLE_LIMIT}")
     check = verify_spanning(system, report.points, sample, window, eps)
     return replace(report, verified=check.ok, strict=check.all_strict), check
 

@@ -26,7 +26,7 @@ from .bowen import (
     BOUND_SEPARATED_LOWER,
     BOUND_SPANNING_UPPER,
     CountRecord,
-    greedy_separated,
+    greedy_separated_mask,
 )
 from .constructions import (
     drift_cutoff,
@@ -206,7 +206,7 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
             elif method == METHOD_SYMBOLIC_EXACT:
                 count = symbolic[eps, n]
             else:
-                count = len(greedy_separated(system, samples[eps, n], n, eps))
+                count = int(greedy_separated_mask(system, samples[eps, n], n, eps).sum())
             records.append(CountRecord(n, eps, count, method, bound))
     return records
 

@@ -68,9 +68,16 @@ and float rounding of keys and window ends is monotone, so it can only
 admit extra pairs, which the exact step-0 test then drops. Thinner blocks
 keep the height band alone, where the extra sort costs more than it saves,
 and a single row, such as the greedy loop's 1 x k queries, scans b for its
-band instead of sorting it. All three paths list the same pairs with
-bitwise the same distances, because they test band membership alike and
-every pair they evaluate is the same a - b arithmetic.
+band instead of sorting it. A pair of equal heights has zero drift, so its
+window max is its step-0 term or ||theta - floor(theta)||, whichever is
+larger, bit for bit what the drift scan returns at delta = 0; the row scan
+reads that directly and drift-scans only its candidates across heights,
+which most greedy rows do not have. The two sorting paths keep one drift
+scan for all candidates: most pairs of their wide blocks lie across
+heights, and the split made the tower-certify benchmark 12-23% slower. All
+three paths list the same pairs with bitwise the same distances, because
+they test band membership alike and every pair they evaluate is the same
+a - b arithmetic.
 
 Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
@@ -83,7 +90,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -142,7 +148,11 @@ def circle_dist(x: float, y: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class ExpHeights:
-    """Heights h(n) = e^-n; drift dies fast enough for zero polynomial slope."""
+    """Heights h(n) = e^-n; drift dies fast enough for zero polynomial slope.
+
+    ``height`` reads numpy's exp on a one-level array, as batches do:
+    ``math.exp`` differs from it in the last bit at some levels.
+    """
 
     label: str = field(default="exp", init=False)
     max_level: None = field(default=None, init=False)
@@ -150,7 +160,14 @@ class ExpHeights:
     def height(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"level index must be >= 1, got {n}")
-        return math.exp(-n)
+        return _exp_height(n)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _exp_height(n: int) -> float:
+    # cached: the stepping paths ask for a level's height at every step,
+    # and a one-level numpy call costs far more than math.exp
+    return float(_heights_array(ExpHeights(), np.array([n], np.int64))[0])
 
 
 # Largest decay exponent a power family takes: past it, level 2's height
@@ -839,11 +856,28 @@ def _tower_height_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
 def _tower_row_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
                     w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a single row (the greedy loop's queries) finds its band in one scan
-    # of b, by the height band's own float test, without sorting b
-    hb = b["height"]
-    col = np.flatnonzero((hb >= a["height"] - w) & (hb <= a["height"] + w))
-    live, dist = _below_cap(a["angle"] - b["angle"][col], a["height"] - hb[col], n, cap)
-    return np.zeros(live.size, np.intp), col[live], dist
+    # of b, by the height band's own float test, without sorting b. A
+    # step-0 survivor of the row's own height has zero drift: it reads what
+    # _drift_peak returns at delta = 0, the larger of its step-0 term and
+    # ||theta - floor(theta)||, and only survivors across heights get the
+    # drift scan. The sorting paths keep _below_cap whole (module
+    # docstring). Rows are short, so contiguous copies, scalar operands and
+    # ndarray.nonzero save most of the per-call overhead.
+    h = a["height"].item()
+    hb = b["height"].copy()
+    col = ((hb >= h - w) & (hb <= h + w)).nonzero()[0]
+    theta = a["angle"].item() - b["angle"][col]
+    dh = h - hb[col]
+    dist = _step0(theta, dh)
+    live = (dist < cap).nonzero()[0]
+    theta, dh = theta[live], dh[live]
+    peak = theta - np.floor(theta)
+    np.abs(peak - np.rint(peak), out=peak)
+    cross = dh.nonzero()[0]
+    if cross.size:
+        dh = dh[cross]
+        peak[cross] = _drift_peak(theta[cross], dh - np.rint(dh), n)
+    return np.zeros(live.size, np.intp), col[live], np.maximum(peak, dist[live], out=peak)
 
 
 def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,

@@ -29,6 +29,7 @@ from polyent import (
 )
 from polyent import systems
 from polyent.bowen import bowen_block
+from polyent.estimation import METHOD_GREEDY_SEPARATED, count_table
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -113,14 +114,18 @@ def test_greedy_separated_is_chunk_invariant():
     assert a == b
 
 
-def _greedy_by_hand(system, sample, n, eps):
-    # the sequential rule over the dense matrix
-    d = bowen_block(system, sample, sample, n)
+def _sequential_rule(d, eps):
+    # the points the sequential rule keeps, given all pair distances
     kept = []
-    for k in range(len(sample)):
+    for k in range(len(d)):
         if all(d[k, j] >= eps for j in kept):
             kept.append(k)
-    return [sample[k] for k in kept]
+    return kept
+
+
+def _greedy_by_hand(system, sample, n, eps):
+    d = bowen_block(system, sample, sample, n)
+    return [sample[k] for k in _sequential_rule(d, eps)]
 
 
 # tower grids tie many pairs at dyadic distances and repeat points, deep
@@ -146,6 +151,59 @@ def test_greedy_separated_matches_the_sequential_rule(chunk):
             for eps in epss:
                 got = greedy_separated(system, sample, n, eps, chunk=chunk)
                 assert got == _greedy_by_hand(system, sample, n, eps)
+
+
+# small tower samples that repeat points, so a row's band holds its own
+# duplicates and other points of its level next to points across heights
+_STEPPED_SAMPLES = [
+    (PowerHeights(1), list(tower_sample(PowerHeights(1), 7, [0, 2, 30, 31])) * 2),
+    (ExpHeights(), [TowerPoint(x, lv) for x in (0.0, 0.31, 0.3, 0.98) for lv in (0, 1, 4, 40)]
+     + [TowerPoint(0.31, 4), TowerPoint(0.0, 40), TowerPoint(0.0, 0)]),
+]
+
+
+@pytest.mark.parametrize("fam,sample", _STEPPED_SAMPLES, ids=["power:1", "exp"])
+def test_greedy_separated_matches_a_stepped_sequential_loop(fam, sample):
+    system = tower_system(fam)
+    for n in (2, 3, 40):
+        # every pair stepped by the reference
+        d = np.array([[bowen_dist(system, p, q, n) for q in sample] for p in sample])
+        for eps in (0.013, 0.07, 0.123, 0.27):
+            # no pair sits within float reach of the scale, so stepping and
+            # the closed-form kernel cannot split a tie
+            assert np.abs(d - eps).min() > 1e-9
+            want = [sample[k] for k in _sequential_rule(d, eps)]
+            for chunk in (1, 7, 2048):
+                assert greedy_separated(system, sample, n, eps, chunk=chunk) == want
+
+
+def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch):
+    # a block query drift-scans its step-0 survivors once; a row query does
+    # so only when one of its survivors lies at another height
+    scans = []
+    real_peak = systems._drift_peak
+
+    def peak(*args):
+        scans.append(1)
+        return real_peak(*args)
+
+    queries = {"block": 0, "row": 0, "cross": 0}
+
+    def pairs(a, b, n, cap):
+        i, j, d = systems._tower_orbit_pairs(a, b, n, cap)
+        if len(a) > 1:
+            queries["block"] += 1
+        else:
+            queries["row"] += 1
+            queries["cross"] += bool((b["height"][j] != a["height"][0]).any())
+        return i, j, d
+
+    monkeypatch.setattr(systems, "_drift_peak", peak)
+    system = dataclasses.replace(tower_system(PowerHeights(1)), orbit_pairs=pairs)
+    record, = count_table(system, [32], [0.1], METHOD_GREEDY_SEPARATED, grid=60)
+    assert record.count > 0
+    assert len(scans) == queries["block"] + queries["cross"]
+    assert 0 < queries["cross"] < queries["row"]
 
 
 def _spanning_by_hand(system, centers, sample, n, eps):

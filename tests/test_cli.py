@@ -10,11 +10,13 @@ import importlib.util
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import polyent.cli as cli
+import polyent.constructions as constructions
 import polyent.estimation as estimation
 import polyent.systems as systems
 
@@ -434,14 +436,15 @@ def test_symbolic_block_length_past_the_last_convergent_is_refused(tmp_path, cap
 
 
 def _count_greedy(monkeypatch):
+    # count_table counts the keep mask of the greedy core routine
     sizes = []
-    real = estimation.greedy_separated
+    real = estimation.greedy_separated_mask
 
     def counted(system, sample, *args):
         sizes.append(len(sample))
         return real(system, sample, *args)
 
-    monkeypatch.setattr(estimation, "greedy_separated", counted)
+    monkeypatch.setattr(estimation, "greedy_separated_mask", counted)
     return sizes
 
 
@@ -478,6 +481,33 @@ def test_tower_sample_limit_refuses_deep_greedy_cells(tmp_path, capsys, monkeypa
     assert (f"sample of 3623500 points, beyond the limit of {systems.TOWER_SAMPLE_LIMIT}"
             in capsys.readouterr().err)
     assert sizes == []
+
+
+def _count_spanning_audits(monkeypatch):
+    calls = []
+    real = constructions.verify_spanning
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "verify_spanning", counted)
+    return calls
+
+
+def test_oversized_spanning_audit_is_refused_before_packing(tmp_path, capsys, monkeypatch):
+    # power:1 at n = 10^9 and eps 0.1 needs about 10^10 levels of 100 angles
+    calls = _count_spanning_audits(monkeypatch)
+    start = time.perf_counter()
+    rc = _run("verify-construction", "--system", "tower-power:1", "--which", "spanning",
+              "--n0", str(10 ** 9), "--steps", "1", "--eps", "0.1", "--grid", "100",
+              "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert f"beyond the limit of {systems.TOWER_SAMPLE_LIMIT}" in err
+    assert "Traceback" not in err
+    assert calls == [] and not (tmp_path / "construction.json").exists()
 
 
 def test_product_greedy_past_a_quarter_writes_counts(tmp_path, monkeypatch):

@@ -37,6 +37,7 @@ from polyent import (
     tower_system,
     verify_separated,
 )
+from polyent import constructions, systems
 from polyent.constructions import AngleLevelGrid
 from polyent.systems import SymbolicWord
 
@@ -294,6 +295,19 @@ def test_certified_spanning_witness_passes_strictly():
     assert rep.size == 80
     # sample covers base plus levels 1..cutoff+5 at the requested resolution
     assert check.sample_size == 200 * (rep.cutoff + 6)
+
+
+@pytest.mark.parametrize("limit,what", [(646, "center family of 6410"),
+                                        (6410, "sample of 64600")])
+def test_certified_spanning_witness_refuses_past_the_sample_limit(monkeypatch, limit, what):
+    # power:1 at n = 64 and eps 0.1 has drift cutoff 640: grid 1 samples
+    # 646 points against 10 x 641 = 6,410 centers (the float 0.1 lies just
+    # above 1/10), and grid 100 samples 64,600; the audit is never reached
+    monkeypatch.setattr(systems, "TOWER_SAMPLE_LIMIT", limit)
+    monkeypatch.setattr(constructions, "verify_spanning", None)
+    grid = 1 if what.startswith("center") else 100
+    with pytest.raises(ValueError, match=f"{what} points, beyond the limit of {limit}"):
+        certified_spanning_witness(64, 0.1, PowerHeights(1), grid=grid)
 
 
 def test_certified_separated_witness_passes_at_full_depth():

@@ -327,31 +327,58 @@ def test_tower_angle_band_matches_height_band_bitwise(monkeypatch, fam, rows, co
 
 @pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
 def test_tower_row_scan_matches_height_band_bitwise(fam):
-    # a single row scans b where the height band sorts it; b ends with
-    # points on the row's widened band edge and one ulp to either side,
-    # where a test rounded differently would disagree
+    # a single row scans b where the height band sorts it, and drift-scans
+    # only the survivors across heights: a survivor at the row's own height
+    # takes the zero-drift rule. Blocks hold only the row's own level, only
+    # other levels, or both. The other levels end with points on the row's
+    # widened band edge and one ulp to either side, where a test rounded
+    # differently would disagree; deep exp levels lie within the band of
+    # each other and of the base circle
     rng = np.random.default_rng(5)
     system = tower_system(fam)
     levels = [0, 1, 2, 30, 31, 700, 701]
-    pts = [TowerPoint(float(x), int(lv)) for x, lv in
-           zip(np.where(rng.random(300) < 0.3, rng.choice(WRAP_ANGLES, 300), rng.random(300)),
-               rng.choice(levels, 300))]
-    for n, cap in ((2, 0.25), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
-        a, b = system.pack(pts[:20], n), system.pack(pts[20:], n)
-        w = min(cap, 2.0 * cap / (n - 1))
-        w += 1e-9 * w + 1e-9
-        for k in range(len(a)):
-            row = a[k:k + 1]
-            x, ha = row.tolist()[0]
-            edge = [(x, h) for e in (ha - w, ha + w)
-                    for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
-            block = np.concatenate((b, np.array(edge, b.dtype)))
-            scan = system.orbit_pairs(row, block, n, cap)
-            band = systems._tower_height_band(row, block, n, cap, w)
-            order = [np.argsort(p[1], kind="stable") for p in (scan, band)]
-            for u, v in zip(scan, band):
-                assert u[order[0]].tobytes() == v[order[1]].tobytes()
-            _assert_pair_contract(scan, _dense(system, row, block, n), cap)
+
+    def angles(m):
+        return np.where(rng.random(m) < 0.3, rng.choice(WRAP_ANGLES, m), rng.random(m))
+
+    rows = [TowerPoint(float(x), int(lv)) for x, lv in zip(angles(12), rng.choice(levels, 12))]
+    rows += [TowerPoint(x, lv) for x in (1.0, -1e-300, 0.5) for lv in (0, 31, 701)]
+    mixed = 0
+    for n in (2, 3, 500, 20000):
+        for cap in (0.25, 0.1, 1e-4):
+            w = min(cap, 2.0 * cap / (n - 1))
+            w += 1e-9 * w + 1e-9
+            for p in rows:
+                row = system.pack([p], n)
+                x, ha = row.tolist()[0]
+                # at row angle 0, angle 8e-17 gives theta = -8e-17, whose
+                # reduced angle 1 - 8e-17 rounds to 1 - 2^-53: its distance
+                # 2^-53 exceeds the step-0 term
+                own = [TowerPoint(y, p.level) for y in WRAP_ANGLES + [1.0, 8e-17, p.angle]]
+                own += [TowerPoint(float(y), p.level) for y in angles(20)]
+                other = [TowerPoint(float(y), int(lv)) for y, lv in
+                         zip(angles(40), rng.choice([v for v in levels if v != p.level], 40))]
+                edge = np.array([(x, h) for e in (ha - w, ha + w)
+                                 for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))],
+                                row.dtype)
+                blocks = {"same": system.pack(own, n),
+                          "cross": np.concatenate((system.pack(other, n), edge))}
+                blocks["mix"] = np.concatenate((blocks["cross"], blocks["same"]))
+                for kind, block in blocks.items():
+                    scan = system.orbit_pairs(row, block, n, cap)
+                    band = systems._tower_height_band(row, block, n, cap, w)
+                    order = [np.argsort(q[1], kind="stable") for q in (scan, band)]
+                    for u, v in zip(scan, band):
+                        assert u[order[0]].tobytes() == v[order[1]].tobytes()
+                    _assert_pair_contract(scan, _dense(system, row, block, n), cap)
+                    flat = block["height"][scan[1]] == ha
+                    if kind == "same":
+                        assert flat.all()
+                    if kind == "cross":
+                        assert not flat.any()
+                    mixed += flat.any() and not flat.all()
+    # some rows list survivors of both kinds
+    assert mixed > 0
 
 
 def test_product_pairs_line_up_factor_lists_in_any_order(monkeypatch):

@@ -161,6 +161,20 @@ def test_power_heights_are_one_rule_per_level(c):
         assert [fam.height(n) for n in exact] == [1.0 / n ** fam.integer_c for n in exact]
 
 
+def test_exp_heights_are_one_rule_per_level():
+    # math.exp and numpy's exp disagree in the last bit at some levels
+    # (first at 26, 31, 36 and 61 on an AVX-512 build), so height() must
+    # read the batch rule; the sweep runs past level 745, where e^-n
+    # underflows to 0
+    fam = ExpHeights()
+    levels = np.concatenate((np.arange(1, 800), 10 ** np.arange(3, 10)))
+    alone = np.array([fam.height(int(n)) for n in levels])
+    assert alone.tobytes() == _heights_array(fam, levels).tobytes()
+    for part in (levels[:3], levels[25:62], levels[::7]):
+        assert (_heights_array(fam, part).tobytes()
+                == np.array([fam.height(int(n)) for n in part]).tobytes())
+
+
 def test_power_heights_level_does_not_depend_on_its_batch():
     # level 5 of power:5 next to level 10^6, whose fifth power is past 2^62
     fam = PowerHeights(5)
