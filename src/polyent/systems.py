@@ -84,6 +84,12 @@ uniform angle grid crossed with a level list, indexed lazily. The tower
 ``pack`` builds a grid's batch from its two axes, so no point object is
 made on the counting paths; only indexing a grid (output, returned kept
 points, the tests' stepping oracle) builds ``TowerPoint`` objects.
+
+A symbolic point is a rule plus a shift offset. A rule takes an int64
+index array and returns the symbols there, so the subshift ``pack`` fills
+all rows of one rule with one call. Built-in rules are exact for |k| <
+2^36; the Sturmian rule's int64 floors (``_floor_multiples``) refuse
+indices beyond with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -158,16 +164,17 @@ class ExpHeights:
     max_level: None = field(default=None, init=False)
 
     def height(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"level index must be >= 1, got {n}")
-        return _exp_height(n)
+        return _level_height(self, n)
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _exp_height(n: int) -> float:
-    # cached: the stepping paths ask for a level's height at every step,
-    # and a one-level numpy call costs far more than math.exp
-    return float(_heights_array(ExpHeights(), np.array([n], np.int64))[0])
+def _level_height(fam: HeightFamily, n: int) -> float:
+    # the batch rule on one level, cached: the tower's step map reads its
+    # level's height at every step, and a one-level numpy call costs far
+    # more than a cache lookup
+    if n < 1:
+        raise ValueError(f"level index must be >= 1, got {n}")
+    return float(_heights_array(fam, np.array([n], np.int64))[0])
 
 
 # Largest decay exponent a power family takes: past it, level 2's height
@@ -180,8 +187,9 @@ POWER_EXPONENT_LIMIT = 1022
 class PowerHeights:
     """Heights h(n) = n^-c for a fixed decay exponent 1 <= c <= 1022.
 
-    ``height`` follows the rule of ``_power_heights``, so a level reads the
-    same bits alone as in any batch.
+    ``height`` reads ``_power_heights`` on a one-level array, as batches
+    do: numpy's vectorized power can round differently from the scalar
+    ``**``.
     """
 
     c: float = 1.0
@@ -205,14 +213,7 @@ class PowerHeights:
         return int(self.c) if float(self.c).is_integer() else None
 
     def height(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"level index must be >= 1, got {n}")
-        c = self.integer_c
-        if c is not None and n <= _exact_power_top(c):
-            # _power_heights' exact branch: the int64 power, rounded once
-            # to float and once by the division
-            return 1.0 / (n ** c)
-        return float(_power_heights(self, np.array([n], np.int64))[0])
+        return _level_height(self, n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,9 +271,6 @@ def _power_heights(fam: PowerHeights, levels: np.ndarray) -> np.ndarray:
     integer power and one rounded division; every other level takes
     numpy's vectorized float power. The rule looks at each level alone, so
     a level's height does not depend on the batch it comes in.
-    ``PowerHeights.height`` takes the float branch on a one-level array,
-    because numpy's vectorized power can round differently from the scalar
-    ``**``.
     """
     c = fam.integer_c
     exact = levels <= (0 if c is None else _exact_power_top(c))
@@ -400,13 +398,14 @@ class SymbolicWord:
     ``symbols`` is a read-only one-dimensional integer array (a sequence
     passed in is copied into one); ``symbols[i]`` is the symbol at index
     ``start + i``. When ``rule`` is set, indices outside the window are
-    computed on demand (the window itself is never mutated).
+    computed on demand (the window itself is never mutated): int64 index
+    array in, symbols out, exact for |k| < 2^36 (module docstring).
     """
 
     symbols: np.ndarray
     start: int = 0
     alphabet_size: int = 2
-    rule: Callable[[int], int] | None = None
+    rule: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 2:
@@ -435,7 +434,7 @@ class SymbolicWord:
         if self.start <= k < self.end:
             return int(self.symbols[k - self.start])
         if self.rule is not None:
-            return self.rule(k)
+            return int(self.rule(np.int64(k)))
         raise IndexError(f"index {k} outside materialized range [{self.start}, {self.end})")
 
     def factor(self, i: int, n: int) -> tuple[int, ...]:
@@ -443,36 +442,47 @@ class SymbolicWord:
         return tuple(self.symbol(i + j) for j in range(n))
 
     def point(self, offset: int = 0) -> "SymbolicPoint":
-        """View the word as a shift-orbit point (rule-backed if possible)."""
-        rule = self.rule if self.rule is not None else self.symbol
+        """View the word as a shift-orbit point: its rule if it has one,
+        else a gather over the window that refuses indices outside it."""
+        rule = self.rule if self.rule is not None else self._gather
         return SymbolicPoint(rule=rule, offset=offset, alphabet_size=self.alphabet_size)
+
+    def _gather(self, k: np.ndarray) -> np.ndarray:
+        i = k - self.start
+        if i.size and (i.min() < 0 or i.max() >= len(self.symbols)):
+            raise IndexError(f"indices {k.min()}..{k.max()} leave the materialized "
+                             f"range [{self.start}, {self.end})")
+        return self.symbols[i]
 
 
 @dataclass(frozen=True)
 class SymbolicPoint:
     """A two-sided sequence given by an evaluation rule plus a shift offset.
 
-    Points sharing one rule object compare equal exactly when their offsets
-    agree, so shift orbits of a common base are well-behaved dict keys.
+    The rule maps an int64 index array to its symbols, exact for |k| <
+    2^36 (module docstring). Points sharing one rule object compare equal
+    exactly when their offsets agree, so shift orbits of a common base are
+    well-behaved dict keys.
     """
 
-    rule: Callable[[int], int]
+    rule: Callable[[np.ndarray], np.ndarray]
     offset: int = 0
     alphabet_size: int = 2
 
     def symbol(self, k: int) -> int:
-        return self.rule(k + self.offset)
+        return int(self.rule(np.int64(k + self.offset)))
 
     def shifted(self, j: int) -> "SymbolicPoint":
         return SymbolicPoint(self.rule, self.offset + j, self.alphabet_size)
 
 
-def _sturmian_rule(alpha: float) -> Callable[[int], int]:
-    # floors taken exactly on the binary64 value p / 2^e of the slope
-    p, q = Fraction(alpha).as_integer_ratio()
+def _sturmian_rule(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"slope must be in (0, 1), got {alpha}")
+    _reject_rational(alpha)
 
-    def rule(k: int) -> int:
-        return (k + 1) * p // q - k * p // q
+    def rule(k: np.ndarray) -> np.ndarray:
+        return _floor_multiples(alpha, k + 1) - _floor_multiples(alpha, k)
 
     return rule
 
@@ -483,17 +493,20 @@ _EXACT_INDEX = 1 << 36
 _SPLIT = 26
 
 
-def _floor_multiples(alpha: float, k_lo: int, k_hi: int) -> np.ndarray:
-    """floor(k * alpha) for k = k_lo..k_hi, exact on the binary64 alpha.
+def _floor_multiples(alpha: float, k: np.ndarray) -> np.ndarray:
+    """floor(k * alpha) for an int64 index array k, exact on the binary64
+    alpha; indices outside (-2^36, 2^36) are refused.
 
     With alpha = p / 2^e, split p = hi * 2^26 + lo: then k * p = (k * hi +
     floor(k * lo / 2^26)) * 2^26 + r with 0 <= r < 2^26, and the leftover r
     cannot change the floor of the quotient by 2^e once e >= 26. A shift of
     63 already gives floor(c / 2^m) = 0 or -1 for every |c| < 2^63, m >= 63.
     """
-    p, q = Fraction(alpha).as_integer_ratio()
+    if k.size and (k.min() <= -_EXACT_INDEX or k.max() >= _EXACT_INDEX):
+        raise ValueError(f"indices {k.min()}..{k.max()} leave the exact range "
+                         f"(-2^36, 2^36)")
+    p, q = alpha.as_integer_ratio()
     e = q.bit_length() - 1
-    k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
     if e <= _SPLIT:
         # alpha < 1 makes p < 2^e, so k * p itself fits
         return (k * p) >> e
@@ -548,45 +561,32 @@ def sturmian_generate(alpha: float, k_lo: int, k_hi: int) -> SymbolicWord:
     """Mechanical binary word s_k = floor((k+1)*alpha) - floor(k*alpha).
 
     Materializes indices k_lo..k_hi inclusive as a read-only int8 array and
-    keeps the rule for lazy extension. Both take the floors exactly on the
-    binary64 value of alpha; the array is computed in int64 arithmetic,
-    which is exact for -2^36 < k_lo <= k_hi < 2^36 - 1, and ranges outside
-    that are refused (the rule is exact at every index). Slopes too close
-    to a small-denominator rational are rejected (see ``_reject_rational``
-    for the documented thresholds).
+    keeps the rule for lazy extension. Both take the floors through
+    ``_floor_multiples``, exactly on the binary64 value of alpha, so both
+    are exact for -2^36 < k < 2^36 - 1 and refuse indices outside that.
+    Slopes too close to a small-denominator rational are rejected (see
+    ``_reject_rational`` for the documented thresholds).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"slope must be in (0, 1), got {alpha}")
-    _reject_rational(alpha)
+    rule = _sturmian_rule(alpha)
     if k_hi < k_lo:
         raise ValueError("empty index range")
-    if k_lo <= -_EXACT_INDEX or k_hi + 1 >= _EXACT_INDEX:
-        raise ValueError(f"index range [{k_lo}, {k_hi}] leaves the exact range "
-                         f"(-2^36, 2^36 - 1)")
-    symbols = np.diff(_floor_multiples(alpha, k_lo, k_hi + 1)).astype(np.int8)
+    k = np.arange(k_lo, k_hi + 2, dtype=np.int64)
+    symbols = np.diff(_floor_multiples(alpha, k)).astype(np.int8)
     symbols.flags.writeable = False
-    return SymbolicWord(
-        symbols=symbols,
-        start=k_lo,
-        alphabet_size=2,
-        rule=_sturmian_rule(alpha),
-    )
+    return SymbolicWord(symbols=symbols, start=k_lo, alphabet_size=2, rule=rule)
 
 
 def sturmian_point(alpha: float, offset: int = 0) -> SymbolicPoint:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"slope must be in (0, 1), got {alpha}")
-    _reject_rational(alpha)
     return SymbolicPoint(_sturmian_rule(alpha), offset, 2)
 
 
 def periodic_point(pattern: Sequence[int], alphabet_size: int = 2) -> SymbolicPoint:
-    pat = tuple(int(s) for s in pattern)
-    if not pat:
+    pat = np.array([int(s) for s in pattern], np.int64)
+    if not pat.size:
         raise ValueError("pattern must be nonempty")
-    period = len(pat)
+    period = pat.size
 
-    def rule(k: int) -> int:
+    def rule(k: np.ndarray) -> np.ndarray:
         return pat[k % period]
 
     return SymbolicPoint(rule, 0, alphabet_size)
@@ -599,8 +599,8 @@ def one_defect_point(alphabet_size: int = 2) -> SymbolicPoint:
     itself, so its backward orbit is a ready-made separated family.
     """
 
-    def rule(k: int) -> int:
-        return 0 if k == 0 else 1
+    def rule(k: np.ndarray) -> np.ndarray:
+        return (k != 0).astype(np.int64)
 
     return SymbolicPoint(rule, 0, alphabet_size)
 
@@ -609,14 +609,12 @@ def shift_metric(x: SymbolicPoint, y: SymbolicPoint, window: int = 64) -> float:
     """Coding metric 2^-m, m = min{|k| <= window : x_k != y_k}; 0 if none.
 
     A zero return is window-limited, not a proof of equality: a wider
-    window may still find a difference.
+    window may still find a difference. Each point's rule reads the whole
+    window, so every index within it must lie in the rule's exact range.
     """
-    if x.symbol(0) != y.symbol(0):
-        return 1.0
-    for j in range(1, window + 1):
-        if x.symbol(j) != y.symbol(j) or x.symbol(-j) != y.symbol(-j):
-            return 2.0 ** (-j)
-    return 0.0
+    k = np.arange(-window, window + 1)
+    differ = np.abs(k[x.rule(k + x.offset) != y.rule(k + y.offset)])
+    return 2.0 ** -int(differ.min()) if differ.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1022,17 +1020,12 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         order = np.concatenate((np.arange(n), outward.ravel()))
         key = np.dtype((np.void, n * symbol.itemsize))
         batch = np.empty(len(points), [("rows", symbol, (order.size,)), ("key", key)])
-        groups: dict[Callable[[int], int], list[int]] = {}
+        groups: dict[Callable[[np.ndarray], np.ndarray], list[int]] = {}
         for i, p in enumerate(points):
             groups.setdefault(p.rule, []).append(i)
         for rule, members in groups.items():
-            # shifts of one sequence overlap, so each needed index of the
-            # shared rule is evaluated once
             offsets = np.array([points[i].offset for i in members], np.int64)
-            index = offsets[:, None] + order
-            need, where = np.unique(index, return_inverse=True)
-            values = np.array([rule(k) for k in need.tolist()], symbol)
-            batch["rows"][members] = values[where.reshape(index.shape)]
+            batch["rows"][members] = rule(offsets[:, None] + order)
         batch["key"] = np.ascontiguousarray(batch["rows"][:, :n]).view(key)[:, 0]
         return batch
 

@@ -73,8 +73,10 @@ def _shift_batches(draw, alphabet):
                               st.integers(1, alphabet - 1), max_size=2)
 
     def point(changes):
+        # rules take index arrays: the scalar formula, applied elementwise
         return SymbolicPoint(
-            lambda k: (pattern[k % len(pattern)] + changes.get(k, 0)) % alphabet,
+            np.vectorize(lambda k: (pattern[k % len(pattern)] + changes.get(k, 0)) % alphabet,
+                         otypes=[np.int64]),
             0, alphabet)
 
     batch = st.lists(defects.map(point), min_size=1, max_size=4)

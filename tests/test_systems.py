@@ -4,6 +4,7 @@ The vectorized orbit-distance kernels are checked against the step-by-step
 reference here; everything downstream trusts that agreement.
 """
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -362,10 +363,11 @@ def test_sturmian_generation_is_exact_on_the_binary_slope(alpha):
         assert word.symbols.tolist() == want
         # the floors themselves, which a shared offset would hide from the
         # symbols
-        assert _floor_multiples(alpha, lo, hi).tolist() == \
+        index = np.arange(lo, hi + 1, dtype=np.int64)
+        assert _floor_multiples(alpha, index).tolist() == \
             [math.floor(k * exact) for k in range(lo, hi + 1)]
         # the lazy rule is the same integer formula
-        assert [word.rule(k) for k in range(lo, hi + 1)] == want
+        assert word.rule(index).tolist() == want
     for lo, hi in ((edge - 5, edge + 1), (-2 ** 36, -2 ** 36 + 5)):
         with pytest.raises(ValueError, match="exact range"):
             sturmian_generate(alpha, lo, hi)
@@ -457,6 +459,68 @@ def test_shift_metric_is_window_limited():
     assert shift_metric(ones, far, window=128) == 2.0 ** -100
     assert shift_metric(ones, far, window=100) == 2.0 ** -100
     assert shift_metric(ones, far, window=99) == 0.0
+
+
+def _packed_rows(symbol, offsets, n, window):
+    # the subshift pack's columns: the block 0..n-1, then -1, n, -2, n + 1,
+    # ... out to the coding window
+    cols = list(range(n)) + [c for m in range(1, window + 1) for c in (-m, n + m - 1)]
+    return np.array([[symbol(o + c) for c in cols] for o in offsets])
+
+
+# the last offsets o whose packed windows (n = 5, coding window 64) stay
+# inside the Sturmian rule's exact range: the rule reads floors at k and
+# k + 1 for k in o - 64 .. o + 68, all strictly inside (-2^36, 2^36)
+NEAR_TOP = 2 ** 36 - 70
+NEAR_BOTTOM = -2 ** 36 + 65
+PACK_OFFSETS = (list(range(-300, 301)) + list(range(NEAR_TOP - 3, NEAR_TOP + 1))
+                + list(range(NEAR_BOTTOM, NEAR_BOTTOM + 4)))
+
+
+@pytest.mark.parametrize("alpha", EXACT_SLOPES)
+def test_packed_sturmian_rows_are_the_exact_floors(alpha):
+    exact = Fraction(alpha)
+
+    @functools.cache
+    def symbol(k):
+        return math.floor((k + 1) * exact) - math.floor(k * exact)
+
+    system, base = sturmian_system(alpha), sturmian_point(alpha)
+    packed = system.pack([base.shifted(o) for o in PACK_OFFSETS], 5)
+    assert packed["rows"].tolist() == _packed_rows(symbol, PACK_OFFSETS, 5, 64).tolist()
+    # one index past either end of the exact range is refused, not computed
+    for o in (NEAR_TOP + 1, NEAR_BOTTOM - 1):
+        with pytest.raises(ValueError, match="exact range"):
+            system.pack([base.shifted(0), base.shifted(o)], 5)
+
+
+def test_packed_periodic_and_defect_rows_are_their_rules():
+    # one batch of three rule groups: two periodic patterns and the defect
+    patterns = ((0, 1, 1), (1, 0, 1, 1, 0))
+    bases = [periodic_point(pat) for pat in patterns] + [one_defect_point()]
+    symbols = [lambda k, pat=pat: pat[k % len(pat)] for pat in patterns]
+    symbols.append(lambda k: 0 if k == 0 else 1)
+    points = [base.shifted(o) for o in PACK_OFFSETS for base in bases]
+    rows = full_shift(2).pack(points, 5)["rows"]
+    for g, symbol in enumerate(symbols):
+        assert rows[g::3].tolist() == _packed_rows(symbol, PACK_OFFSETS, 5, 64).tolist()
+
+
+def test_rule_less_word_packs_by_gathering_its_window():
+    symbols = (0, 1, 1, 0, 1, 0, 0, 1) * 4
+    word = SymbolicWord(symbols=symbols, start=-10)
+    system = full_shift(2, window=4)
+    # window n = 3 packs indices offset - 4 .. offset + 6, inside [-10, 22)
+    # for offsets -6..15
+    inside = range(-6, 16)
+    rows = system.pack([word.point(o) for o in inside], 3)["rows"]
+    assert rows.tolist() == _packed_rows(word.symbol, inside, 3, 4).tolist()
+    assert word.point(2).symbol(5) == word.symbol(7)
+    for o in (-7, 16):
+        with pytest.raises(IndexError, match="materialized range"):
+            system.pack([word.point(0), word.point(o)], 3)
+    with pytest.raises(IndexError):
+        word.point(0).symbol(22)
 
 
 # ---------------------------------------------------------------------------
