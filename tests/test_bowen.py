@@ -242,17 +242,19 @@ def test_verify_spanning_matches_a_full_scan(chunk):
 
 
 def _rung_kinds(system, centers, sample, n, eps):
-    # how many sample points have their nearest center below eps/2, in
-    # [eps/2, eps), exactly at eps and beyond eps
+    # how many sample points have their nearest center below eps/4, in
+    # [eps/4, eps/2), in [eps/2, eps), exactly at eps and beyond eps
     near = bowen_block(system, sample, centers, n).min(axis=1)
-    return [int(k.sum()) for k in (near < eps / 2, (near >= eps / 2) & (near < eps),
+    return [int(k.sum()) for k in (near < eps / 4, (near >= eps / 4) & (near < eps / 2),
+                                   (near >= eps / 2) & (near < eps),
                                    near == eps, near > eps)]
 
 
 # base-circle centers a quarter turn apart put base grid points at every
 # multiple of 1/32 up to eps = 1/8 from their nearest center, exactly at
-# eps/2 and at eps included; level 3 sits 1/9 above the base, between the
-# rungs at n = 1 and drifting away past eps at n = 3, and level 2 is missed
+# eps/4, eps/2 and eps included; level 3 sits 1/9 above the base, between
+# the rungs at n = 1 and drifting away past eps at n = 3, and level 2 is
+# missed
 _RUNG_CENTERS = tower_sample(PowerHeights(2), 4, [0])
 _RUNG_SAMPLE = tower_sample(PowerHeights(2), 32, [0, 2, 3])
 
@@ -295,8 +297,9 @@ def test_verify_spanning_rungs_match_a_full_scan_on_wide_blocks(monkeypatch):
 def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
     # the pair contract lets a kernel list any pair at or above the cap
     # with a lower bound of at least the cap; this one lists every pair
-    # and reads each such pair as exactly the cap, which the first rung
-    # (capped just past eps/2) must not take for a cover below eps
+    # and reads each such pair as exactly the cap, which the first two
+    # rungs (capped just past eps/4 and eps/2) must not take for a cover
+    # below eps
     tower = tower_system(PowerHeights(2))
 
     def lower_bounds(a, b, n, cap):
@@ -307,6 +310,7 @@ def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
     check = verify_spanning(stub, [TowerPoint(0.0, 0)], [TowerPoint(0.2, 0)], 3, 0.125)
     assert not check.ok and check.first_uncovered == 0
     for n in (1, 3):
+        assert all(_rung_kinds(tower, _RUNG_CENTERS, _RUNG_SAMPLE, n, 0.125))
         for eps in (0.0625, 0.1, 0.125):
             for chunk in (3, 2048):
                 check = verify_spanning(stub, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps, chunk=chunk)

@@ -9,6 +9,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -276,6 +277,92 @@ def test_verify_factor_shifts_construction(tmp_path):
     assert rep["kind"] == "factor-shifts"
     assert rep["size"] == 9 and rep["eps"] == 1.0
     assert all(isinstance(i, int) for i in rep["points"])
+
+
+_WITNESSES = {
+    "spanning": ("certified_spanning_witness", "--system", "tower-power:2",
+                 "--n0", "40", "--eps", "0.1", "--grid", "100"),
+    "separated": ("certified_separated_witness", "--system", "tower-power:1",
+                  "--n0", "200", "--eps", "0.1"),
+    "factor-shifts": ("certified_factor_shifts", "--system", f"sturmian:{GOLDEN!r}",
+                      "--n0", "12", "--eps", "1"),
+}
+
+
+def _run_witness(monkeypatch, out, which):
+    # runs verify-construction and returns the report the CLI dumped
+    certifier, *args = _WITNESSES[which]
+    real = getattr(cli, certifier)
+    reports = []
+
+    def recorded(*a, **kw):
+        result = real(*a, **kw)
+        reports.append(result[0])
+        return result
+
+    monkeypatch.setattr(cli, certifier, recorded)
+    rc = _run("verify-construction", "--which", which, *args, "--steps", "1",
+              "--out", str(out))
+    return rc, reports[-1]
+
+
+def _assert_dump_is_the_encoder_output(path, report, dumped):
+    # the file is json.dumps(doc, indent=2) + newline, with the doc's
+    # points (when dumped) built by _point_json over every point
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    if dumped:
+        doc["report"]["points"] = [cli._point_json(p) for p in report.points]
+    else:
+        assert "points" not in doc["report"]
+    expected = json.dumps(doc, indent=2) + "\n"
+    # report the first difference: pytest's own diff of two long texts
+    # takes minutes
+    at = len(os.path.commonprefix([text, expected]))
+    assert at == len(text) == len(expected), (
+        f"differs at byte {at}: {text[at - 60:at + 20]!r} against "
+        f"{expected[at - 60:at + 20]!r}")
+
+
+@pytest.mark.parametrize("which", sorted(_WITNESSES))
+def test_construction_dump_matches_the_point_encoder(tmp_path, monkeypatch, which):
+    rc, report = _run_witness(monkeypatch, tmp_path, which)
+    assert rc == 0 and report.size > 10
+    assert isinstance(report.points, systems.AngleLevelGrid) == (which != "factor-shifts")
+    _assert_dump_is_the_encoder_output(tmp_path / "construction.json", report, True)
+
+
+def test_construction_dump_of_a_tuple_level_grid(tmp_path, monkeypatch):
+    # levels in descending order, as a tuple rather than a range
+    monkeypatch.setattr(constructions, "_separated_points", lambda m, levels:
+                        systems.AngleLevelGrid(m, tuple(range(levels, 0, -1))))
+    rc, report = _run_witness(monkeypatch, tmp_path, "separated")
+    assert rc == 0 and report.points.levels == tuple(range(report.levels, 0, -1))
+    _assert_dump_is_the_encoder_output(tmp_path / "construction.json", report, True)
+
+
+@pytest.mark.parametrize("which", sorted(_WITNESSES))
+def test_construction_dump_stops_at_the_point_limit(tmp_path, monkeypatch, which):
+    size = _run_witness(monkeypatch, tmp_path / "full", which)[1].size
+    for limit, dumped in ((size, True), (size - 1, False)):
+        monkeypatch.setattr(cli, "POINT_DUMP_LIMIT", limit)
+        out = tmp_path / str(limit)
+        rc, report = _run_witness(monkeypatch, out, which)
+        assert rc == 0
+        _assert_dump_is_the_encoder_output(out / "construction.json", report, dumped)
+
+
+def test_tower_witness_dumps_build_no_points(tmp_path, monkeypatch):
+    def refuse(self, i):
+        raise AssertionError(f"grid point {i} built")
+
+    monkeypatch.setattr(systems.AngleLevelGrid, "__getitem__", refuse)
+    for which in ("spanning", "separated"):
+        rc = _run("verify-construction", "--which", which, *_WITNESSES[which][1:],
+                  "--steps", "1", "--out", str(tmp_path / which))
+        assert rc == 0
+        rep = _read_json(tmp_path / which / "construction.json")["report"]
+        assert rep["verified"] and len(rep["points"]) == rep["size"] > 10
 
 
 @pytest.mark.parametrize("args", [
