@@ -31,7 +31,7 @@ import numpy as np
 
 from . import systems
 from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_spanning
-from .diagnostics import _block_codes
+from .diagnostics import _block_codes, _fold_ranks
 from .systems import (
     AngleLevelGrid,
     CustomHeights,
@@ -251,7 +251,9 @@ def separated_shift_family(word: SymbolicWord, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    codes, _ = _block_codes(word.symbols, word.alphabet_size, n)
+    codes, length, _ = _block_codes(word.symbols, word.alphabet_size, n)
+    while length < n:
+        codes, length, _ = _fold_ranks(codes, length, n)
     first = np.sort(np.unique(codes, return_index=True)[1])
     if first.size <= n:
         raise ValueError(

@@ -96,18 +96,21 @@ def distality_gap(system: SystemHandle, x: Any, y: Any, window: int) -> float:
     return gap
 
 
-def _ranks(code: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ranks 0..K-1 of the codes, equal codes equal ranks, and K:
-    one argsort and one cumsum over the adjacent changes of the sorted
-    codes."""
+def _ranks(code: np.ndarray) -> int:
+    """Overwrite the codes with their dense ranks 0..K-1, equal codes equal
+    ranks, and return K: one argsort, then the cumsum of the sorted codes'
+    adjacent-change mask in the gathered buffer, scattered back. The mask
+    is copied into that buffer and summed in place, because a cumsum from
+    bool into int64 casts through a temporary of the full int64 size."""
     order = np.argsort(code)
     ordered = code[order]
-    step = np.zeros(code.size, np.int64)
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
-    np.cumsum(step, out=step)
-    rank = ordered  # no longer needed: its buffer takes the ranks
-    rank[order] = step
-    return rank, int(step[-1]) + 1
+    change = np.empty(code.size, bool)
+    change[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    ordered[:] = change
+    np.cumsum(ordered, out=ordered)
+    code[order] = ordered
+    return int(ordered[-1]) + 1
 
 
 def _distinct(code: np.ndarray) -> int:
@@ -117,53 +120,54 @@ def _distinct(code: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
-def _fold_ranks(code: np.ndarray, length: int, n: int,
-                bound: int) -> tuple[np.ndarray, int]:
-    """From codes of the length-``length`` blocks (values below ``bound``)
-    to codes of the length-n blocks, n >= length, and their bound.
+def _fold_ranks(code: np.ndarray, length: int,
+                n: int) -> tuple[np.ndarray, int, int]:
+    """One round from codes of the length-``length`` blocks towards the
+    length-n blocks, n > length: the longer blocks' codes, their length and
+    the bound the codes stay below.
 
-    Each round turns the codes into dense ranks 0..K-1 and folds as many
-    consecutive ranks into one int64 as K^a < 2^63 allows, so the block
-    length grows by a factor a per sort. The last round lets its final
-    part overlap the one before, ending exactly at length n, and its codes
-    need no ranking.
+    The round overwrites ``code`` with its dense ranks 0..K-1 and folds as
+    many consecutive ranks into one int64 as K^a < 2^63 allows, so the
+    block length grows by a factor a per sort. A round that reaches n lets
+    its final part overlap the one before, ending exactly at length n.
+    Callers loop over rounds, rebinding their codes to each round's result,
+    so no frame keeps the previous round's codes while the next one sorts.
     """
     m = code.size + length - 1
-    while length < n:
-        rank, k = _ranks(code)
-        parts = -(-n // length)
-        arity = 2
-        while arity < parts and k ** (arity + 1) < 2 ** 63:
-            arity += 1
-        if arity == parts:
-            offsets = [t * length for t in range(parts - 1)] + [n - length]
-        else:
-            offsets = [t * length for t in range(arity)]
-        count = m - (offsets[-1] + length) + 1
-        code = rank[:count].copy()
-        for off in offsets[1:]:
-            code *= k
-            code += rank[off:off + count]
-        length = offsets[-1] + length
-        bound = k ** len(offsets)
-    return code, bound
+    k = _ranks(code)
+    parts = -(-n // length)
+    arity = 2
+    while arity < parts and k ** (arity + 1) < 2 ** 63:
+        arity += 1
+    if arity == parts:
+        offsets = [t * length for t in range(parts - 1)] + [n - length]
+    else:
+        offsets = [t * length for t in range(arity)]
+    count = m - (offsets[-1] + length) + 1
+    folded = code[:count].copy()
+    for off in offsets[1:]:
+        folded *= k
+        folded += code[off:off + count]
+    return folded, offsets[-1] + length, k ** len(offsets)
 
 
 def _block_codes(symbols: np.ndarray, alphabet_size: int,
-                 n: int) -> tuple[np.ndarray, int]:
-    """One int64 code per start of a length-n block of ``symbols``, two
-    starts getting equal codes exactly when their blocks are equal, and a
-    bound the codes stay below.
+                 n: int) -> tuple[np.ndarray, int, int]:
+    """Packed codes of the blocks of ``symbols``: one int64 per start of a
+    length-w block, w = min(n, 63 // b), two starts getting equal codes
+    exactly when their blocks are equal, together with w and a bound the
+    codes stay below.
 
-    The first min(n, 63 // b) symbols of each block are packed b bits
-    apiece, b being the bit width of the alphabet, by doubling the packed
-    width; ``_fold_ranks`` takes the codes the rest of the way. Ranks come
-    from an argsort rather than ``np.unique(return_inverse=True)``, which
-    sorts too and then hashes.
+    Each block's w symbols are packed b bits apiece, b being the bit width
+    of the alphabet, by doubling the packed width with in-place shifts.
+    Callers take the codes the rest of the way to length n by looping over
+    ``_fold_ranks`` rounds, each of which overwrites the codes it is given
+    with their ranks. The ranks come from an argsort rather than
+    ``np.unique(return_inverse=True)``, which sorts too and then hashes.
     """
     m = symbols.size
     if m < n:
-        return np.empty(0, np.int64), 1
+        return np.empty(0, np.int64), n, 1
     bits = (alphabet_size - 1).bit_length()
     width = min(n, 63 // bits)
     code = symbols.astype(np.int64)
@@ -174,9 +178,11 @@ def _block_codes(symbols: np.ndarray, alphabet_size: int,
         grow = min(length, width - length)
         count = m - length - grow + 1
         tail = code[grow:grow + count] & ((1 << bits * grow) - 1)
-        code = (code[:count] << bits * grow) | tail
+        code = code[:count]
+        code <<= bits * grow
+        code |= tail
         length += grow
-    return _fold_ranks(code, length, n, 1 << bits * width)
+    return code, length, 1 << bits * width
 
 
 def word_complexities(word: SymbolicWord, lengths: Sequence[int],
@@ -190,11 +196,12 @@ def word_complexities(word: SymbolicWord, lengths: Sequence[int],
     and callers report the range alongside the count so any undercount is
     attributable.
 
-    One ladder serves every length: ``_block_codes`` codes the first, and
-    each longer one folds its extra d symbols into the codes as the low
-    bits, ``code << b*d | packed_d``, while the codes' bound times 2^(b*d)
-    stays below 2^63 (b bits per symbol, d <= 63 // b); otherwise
-    ``_fold_ranks`` ranks the codes and folds overlapping ranks. Each count
+    One ladder serves every length: ``_block_codes`` packs the first, and
+    each longer one shifts its extra d symbols into the codes in place,
+    ``code <<= b; code |= symbol`` once per symbol, while the codes' bound
+    times 2^(b*d) stays below 2^63 (b bits per symbol, d <= 63 // b);
+    otherwise ``_fold_ranks`` rounds rank the codes over themselves and
+    fold overlapping ranks until the length is reached. Each count
     sorts its prefix of the codes and counts adjacent changes rather than
     calling ``np.unique``, which hashes: on numpy 2.4.6 (2-core Xeon KVM
     guest) the sort count takes 0.9 ms on 107,792 distinct int64 codes
@@ -217,20 +224,22 @@ def word_complexities(word: SymbolicWord, lengths: Sequence[int],
     if not lengths:
         return []
     symbols = word.symbols[:max(stops) - word.start]
+    if symbols.dtype == np.uint64:
+        # no bitwise loop mixes uint64 with int64; the symbols are small
+        symbols = symbols.view(np.int64)
     bits = (word.alphabet_size - 1).bit_length()
-    length = lengths[0]
-    code, bound = _block_codes(symbols, word.alphabet_size, length)
+    code, length, bound = _block_codes(symbols, word.alphabet_size, lengths[0])
     counts = []
     for n, stop in zip(lengths, stops):
         d = n - length
         if 0 < d <= 63 // bits and bound < 1 << (63 - bits * d):
-            packed, _ = _block_codes(symbols, word.alphabet_size, d)
             count = code.size - d
-            code = code[:count] << bits * d
-            code |= packed[length:length + count]
-            bound <<= bits * d
-        elif d:
-            code, bound = _fold_ranks(code, length, n, bound)
-        length = n
+            code = code[:count]
+            for t in range(length, n):
+                code <<= bits
+                code |= symbols[t:t + count]
+            length, bound = n, bound << bits * d
+        while length < n:
+            code, length, bound = _fold_ranks(code, length, n)
         counts.append(_distinct(code[:stop - word.start - n + 1]))
     return counts

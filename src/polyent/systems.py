@@ -56,28 +56,27 @@ one contiguous run per row; only those pairs, and among them only those
 whose step-0 term is below cap, are evaluated exactly and listed. Every
 other pair has distance at least cap, so it need not be listed.
 
-Blocks of at least ``_ANGLE_BAND_PAIRS`` nominal pairs also prune by angle.
-The step-0 term is at least the arc distance between the two angles, so a
-pair whose angles lie cap or more apart mod 1 is settled without being
-formed. The longer batch is sorted by height and then by the key
-angle + 4g, where g numbers its runs of equal height; each point of the
-other batch looks up, in every run of its height band, one window per wrap
-image theta - 1, theta, theta + 1 of its angle, widened by the same margin
-as the height band. A spacing of 4 keeps each window inside its own run,
-and float rounding of keys and window ends is monotone, so it can only
-admit extra pairs, which the exact step-0 test then drops. Thinner blocks
-keep the height band alone, where the extra sort costs more than it saves,
-and a single row, such as the greedy loop's 1 x k queries, scans b for its
-band instead of sorting it. A pair of equal heights has zero drift, so its
-window max is its step-0 term or ||theta - floor(theta)||, whichever is
-larger, bit for bit what the drift scan returns at delta = 0; the row scan
-reads that directly and drift-scans only its candidates across heights,
-which most greedy rows do not have. The two sorting paths keep one drift
-scan for all candidates: most pairs of their wide blocks lie across
-heights, and the split made the tower-certify benchmark 12-23% slower. All
-three paths list the same pairs with bitwise the same distances, because
-they test band membership alike and every pair they evaluate is the same
-a - b arithmetic.
+Blocks of more than one row also prune by angle. The step-0 term is at
+least the arc distance between the two angles, so a pair whose angles lie
+cap or more apart mod 1 is settled without being formed. The longer batch
+is sorted by height and then by the key angle + 4g, where g numbers its
+runs of equal height; each point of the other batch looks up, in every run
+of its height band, one window per wrap image theta - 1, theta, theta + 1
+of its angle, widened by the same margin as the height band. A spacing of
+4 keeps each window inside its own run, and float rounding of keys and
+window ends is monotone, so it can only admit extra pairs, which the exact
+step-0 test then drops. A single row, such as the greedy loop's 1 x k
+queries, scans b for its height band instead of sorting it. A pair of
+equal heights has zero drift, so its window max is its step-0 term or
+||theta - floor(theta)||, whichever is larger, bit for bit what the drift
+scan returns at delta = 0; the row scan reads that directly and
+drift-scans only its candidates across heights, which most greedy rows do
+not have. The angle band keeps one drift scan
+for all candidates: most pairs of its wide blocks lie across heights, and
+the split made the tower-certify benchmark 12-23% slower. Both paths list
+the same pairs with bitwise the same distances, because they test band
+membership alike and every pair they evaluate is the same a - b
+arithmetic.
 
 Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
@@ -667,9 +666,10 @@ class SystemHandle:
 TOWER_SAMPLE_LIMIT = 1 << 21
 
 # Longest canonical word the counting code materializes. Counting the
-# blocks of a Sturmian word peaks at about 56 bytes per symbol (int64 codes,
-# ranks, sort permutations and change counts; tracemalloc on a 2^20-symbol
-# word), so about 0.44 GiB at this limit.
+# blocks of a Sturmian word peaks at 25 bytes per symbol (int64 codes that
+# their ranks overwrite, a sort permutation, the gathered sorted codes and a
+# bool change mask; tracemalloc on a 2^20-symbol word), so about 0.2 GiB at
+# this limit.
 WORD_SYMBOL_LIMIT = 1 << 23
 
 
@@ -835,22 +835,6 @@ def _below_cap(theta: np.ndarray, dh: np.ndarray, n: int,
     return live, np.maximum(best, step0[live], out=best)
 
 
-def _tower_height_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
-                       w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # b sorted by height; each row of a meets one contiguous run of it
-    order = np.argsort(b["height"], kind="stable")
-    hb = b["height"][order]
-    lo = np.searchsorted(hb, a["height"] - w, "left")
-    counts = np.searchsorted(hb, a["height"] + w, "right") - lo
-    ends = np.cumsum(counts)
-    # band pairs row by row, as positions in the sorted b
-    pos = np.arange(counts.sum()) + np.repeat(lo - ends + counts, counts)
-    theta = np.repeat(a["angle"], counts) - b["angle"][order][pos]
-    dh = np.repeat(a["height"], counts) - hb[pos]
-    live, dist = _below_cap(theta, dh, n, cap)
-    return np.searchsorted(ends, live, "right"), order[pos[live]], dist
-
-
 def _tower_row_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
                     w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a single row (the greedy loop's queries) finds its band in one scan
@@ -858,7 +842,7 @@ def _tower_row_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     # step-0 survivor of the row's own height has zero drift: it reads what
     # _drift_peak returns at delta = 0, the larger of its step-0 term and
     # ||theta - floor(theta)||, and only survivors across heights get the
-    # drift scan. The sorting paths keep _below_cap whole (module
+    # drift scan. The angle band keeps _below_cap whole (module
     # docstring). Rows are short, so contiguous copies, scalar operands and
     # ndarray.nonzero save most of the per-call overhead.
     h = a["height"].item()
@@ -893,6 +877,8 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     c = cap + 1e-9 * cap + 1e-9
     s_is_a = len(a) >= len(b)
     s, q = (a, b) if s_is_a else (b, a)
+    if not len(s):  # both batches empty: no run to find
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
     order = np.lexsort((s["angle"], s["height"]))
     hs = s["height"][order]
     first = np.empty(len(hs), bool)
@@ -900,7 +886,7 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     np.not_equal(hs[1:], hs[:-1], out=first[1:])
     run_height = hs[first]
     key = s["angle"][order] + 4.0 * (np.cumsum(first) - 1)
-    # runs in the height band, by the thin path's own float test
+    # runs in the height band, by the row scan's own float test
     # h_b in [h_a - w, h_a + w], so band membership is identical
     if s_is_a:
         glo = np.searchsorted(run_height + w, q["height"], "left")
@@ -919,19 +905,10 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     si, qi = order[pos], np.repeat(np.repeat(qi, 3), counts)
     ia, ib = (si, qi) if s_is_a else (qi, si)
     # the caller's orientation a - b keeps every distance bitwise equal to
-    # the thin path's
+    # the row scan's
     live, dist = _below_cap(a["angle"][ia] - b["angle"][ib],
                             a["height"][ia] - b["height"][ib], n, cap)
     return ia[live], ib[live], dist
-
-
-# Blocks with fewer nominal pairs than this take the height band alone: there
-# the angle band's sort and run bookkeeping cost more than the pairs it skips
-# (on a 2-core Xeon KVM guest, 1 x 720 sample-to-center rows took 0.20 ms
-# against 0.13 ms, 256 x 720 blocks 0.45 ms against 0.34 ms), while full
-# 2048 x 720 spanning-audit blocks ran about 1.8x faster with it. Single
-# rows take the row scan at any length.
-_ANGLE_BAND_PAIRS = 1 << 18
 
 
 def _tower_dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -952,18 +929,16 @@ def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
     # |h_a - h_b| <= w can lie below cap. The margin on w absorbs the
     # kernel's own rounding (an angle gap rounded inward can put a pair one
     # ulp past the edge just below cap), so every pair the exact kernel puts
-    # below cap is listed. Wide blocks also skip the band pairs whose angles
-    # lie more than c (cap with the same margin) apart mod 1: their step-0
-    # arc term is at least cap. Only pairs whose step-0 term is below cap
-    # get the drift scan, and those are all listed, whatever it reads. The
-    # path is chosen from the block's shape alone, and all three list the
-    # same pairs with bitwise the same distances.
+    # below cap is listed. Blocks of more than one row also skip the band
+    # pairs whose angles lie more than c (cap with the same margin) apart
+    # mod 1: their step-0 arc term is at least cap. Only pairs whose step-0
+    # term is below cap get the drift scan, and those are all listed,
+    # whatever it reads. The path is chosen from the block's shape alone,
+    # and both list the same pairs with bitwise the same distances.
     w = min(cap, 2.0 * cap / (n - 1))
     w += 1e-9 * w + 1e-9
     if len(a) == 1:
         return _tower_row_band(a, b, n, cap, w)
-    if len(a) * len(b) < _ANGLE_BAND_PAIRS:
-        return _tower_height_band(a, b, n, cap, w)
     return _tower_angle_band(a, b, n, cap, w)
 
 

@@ -273,7 +273,7 @@ def test_verify_spanning_rungs_match_a_full_scan(chunk):
 
 def test_verify_spanning_rungs_match_a_full_scan_on_wide_blocks(monkeypatch):
     # 2048 sample rows against 156 centers make first-rung blocks of
-    # 319,488 pairs, past the angle band's threshold
+    # 319,488 pairs, all through the angle band
     fam = PowerHeights(2)
     system = tower_system(fam)
     centers = tower_sample(fam, 4, [0, 1] + list(range(3, 40)))
@@ -291,7 +291,7 @@ def test_verify_spanning_rungs_match_a_full_scan_on_wide_blocks(monkeypatch):
         check = verify_spanning(system, centers, sample, n, eps)
         assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
                 == _spanning_by_hand(system, centers, sample, n, eps))
-    assert calls and max(calls) >= systems._ANGLE_BAND_PAIRS
+    assert calls and max(calls) == 2048 * len(centers)
 
 
 def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():

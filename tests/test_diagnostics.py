@@ -1,6 +1,7 @@
 """Recurrence, distality, and word-complexity probes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +20,12 @@ from polyent import (
     one_defect_point,
     return_time,
     sturmian_generate,
+    sturmian_system,
     tower_system,
     uniform_recurrence_check,
     word_complexities,
 )
-from polyent.systems import SymbolicWord
+from polyent.systems import SymbolicWord, word_window
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
@@ -247,6 +249,37 @@ def test_word_complexities_validations():
         word_complexities(word, [1], [15])
     with pytest.raises(ValueError, match="shorter than block length"):
         word_complexities(word, [3], [12])
+
+
+def test_word_complexities_take_unsigned_symbols():
+    # no bitwise loop mixes uint64 with the int64 codes
+    symbols = np.array([0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0], np.uint64)
+    word = SymbolicWord(symbols=symbols, start=0)
+    lengths, stops = [1, 2, 4, 5], [word.end] * 4
+    assert word_complexities(word, lengths, stops) == _brute_complexities(word, lengths, stops)
+
+
+def test_word_complexities_trace_at_most_40_bytes_per_symbol():
+    # the n = 32,768 cell of a three-scale golden estimate: spans n, n + 2
+    # and n + 4 over their own recurrence windows of one 107,796-symbol
+    # word. Ranks overwrite the codes they rank and extra symbols shift into
+    # the codes in place; a ladder that keeps a second code array, or the
+    # previous round's codes while the next one sorts, traces about 56
+    system = sturmian_system(GOLDEN)
+    spans = [32768, 32770, 32772]
+    stops = [word_window(system, span) for span in spans]
+    assert stops == [107792, 107794, 107796]
+    word = system.word_fn(0, max(stops) - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = word_complexities(word, spans, stops)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert counts == [span + 1 for span in spans]
+    assert peak <= 40 * word.symbols.size
 
 
 def test_word_complexity_growth_bounds():

@@ -26,6 +26,7 @@ from polyent import (
     bowen_dist,
     circle_rotation,
     full_shift,
+    periodic_point,
     product_system,
     sturmian_point,
     sturmian_system,
@@ -160,16 +161,12 @@ def test_kernel_cap_contract(name):
     system, batches, tol = KERNELS[name]
 
     @PROPERTY
-    @given(batches, st.integers(1, 24), CAPS, st.booleans())
-    def check(pair, n, cap, wide):
+    @given(batches, st.integers(1, 24), CAPS)
+    def check(pair, n, cap):
         pa, pb = pair
         a, b = system.pack(pa, n), system.pack(pb, n)
         dense = _dense(system, a, b, n)
-        with pytest.MonkeyPatch.context() as mp:
-            if wide:
-                # tower factors take the angle band on these small blocks
-                mp.setattr(systems, "_ANGLE_BAND_PAIRS", 1)
-            pairs = system.orbit_pairs(a, b, n, cap)
+        pairs = system.orbit_pairs(a, b, n, cap)
         _assert_pair_contract(pairs, dense, cap)
         got = dict(zip(_listed(pairs, dense.shape).tolist(), pairs[2].tolist()))
         for i, p in enumerate(pa):
@@ -185,6 +182,33 @@ def test_kernel_cap_contract(name):
                     assert cap - tol <= d <= true + tol
 
     check()
+
+
+# one short batch per kernel of the cap contract's list: towers through the
+# row scan and the angle band, a product through both factors' kernels
+EMPTY_BATCH_POINTS = {
+    "rotation": [0.1, 0.3, 0.35],
+    "tower-power:2": [TowerPoint(0.1, 0), TowerPoint(0.15, 3), TowerPoint(0.2, 3)],
+    "full-shift:2": [periodic_point((0, 1)), periodic_point((0, 1, 1)), periodic_point((1,))],
+    "sturmian": [sturmian_point(GOLDEN).shifted(k) for k in (0, 1, 5)],
+    "tower-x-sturmian": [(TowerPoint(0.1, 0), sturmian_point(GOLDEN)),
+                         (TowerPoint(0.15, 3), sturmian_point(GOLDEN).shifted(2))],
+}
+
+
+@pytest.mark.parametrize("cap", [0.1, 0.5, math.inf])
+@pytest.mark.parametrize("name", list(EMPTY_BATCH_POINTS))
+def test_kernels_list_no_pair_of_an_empty_batch(name, cap):
+    # the cap contract's strategies draw at least one point per batch; a
+    # band cap takes the towers' row scan or angle band, a cap above 1/4
+    # and inf their dense block
+    system = KERNELS[name][0]
+    points = EMPTY_BATCH_POINTS[name]
+    for n in (1, 2, 7):
+        for pa, pb in ((points, []), ([], points), (points[:1], []), ([], points[:1]),
+                       ([], [])):
+            i, j, d = system.orbit_pairs(system.pack(pa, n), system.pack(pb, n), n, cap)
+            assert i.shape == j.shape == d.shape == (0,)
 
 
 @st.composite
@@ -273,12 +297,11 @@ def test_tower_angle_band_keeps_every_entry_below_cap(block):
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (3, 1)])
-def test_tower_angle_band_margin_covers_rounding(monkeypatch, rows, cols):
+def test_tower_angle_band_margin_covers_rounding(rows, cols):
     # two base-circle points across the wrap whose angle gap rounds inward:
     # the exact kernel reads their distance just below cap, though the true
     # gap is past it, so the angle window needs its margin to keep the pair
-    # whichever side is sorted
-    monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", 1)
+    # whichever side is sorted; single rows take the row scan
     system = tower_system(PowerHeights(2))
     n, cap = 40, 0.1
     theta, phi = 0.05000000000000019, 0.9500000000000002
@@ -293,12 +316,10 @@ def test_tower_angle_band_margin_covers_rounding(monkeypatch, rows, cols):
 
 @pytest.mark.parametrize("rows,cols", [(700, 400), (400, 700)])
 @pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
-def test_tower_angle_band_matches_height_band_bitwise(monkeypatch, fam, rows, cols):
-    # whichever side is longer gets sorted, but every entry keeps the
-    # caller's a - b arithmetic and the height band keeps the thin path's
-    # float test, so both paths give the same bits; b ends with points on
-    # the widened band edge of some a rows and one ulp to either side,
-    # where a test rounded from the other side would disagree
+def test_tower_angle_band_keeps_band_edge_pairs(fam, rows, cols):
+    # whichever side is longer gets sorted; b ends with points on the
+    # widened band edge of some a rows and one ulp to either side, where a
+    # band test rounded from the other side would lose a pair
     rng = np.random.default_rng(rows)
     system = tower_system(fam)
     levels = [0, 1, 2, 30, 31, 700, 701]
@@ -316,26 +337,19 @@ def test_tower_angle_band_matches_height_band_bitwise(monkeypatch, fam, rows, co
         edge = [(x, h) for x, ha in a[:40].tolist() for e in (ha - w, ha + w)
                 for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
         b = np.concatenate((b, np.array(edge, b.dtype)))
-        wide = system.orbit_pairs(a, b, n, cap)
-        monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", a.size * b.size + 1)
-        thin = system.orbit_pairs(a, b, n, cap)
-        monkeypatch.undo()
-        # the same pairs, listed in different orders, with the same bits
-        order = [np.argsort(_listed(p, (a.size, b.size))) for p in (wide, thin)]
-        for x, y in zip(wide, thin):
-            assert x[order[0]].tobytes() == y[order[1]].tobytes()
-        _assert_pair_contract(wide, _dense(system, a, b, n), cap)
+        _assert_pair_contract(system.orbit_pairs(a, b, n, cap), _dense(system, a, b, n), cap)
 
 
 @pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
 def test_tower_row_scan_matches_height_band_bitwise(fam):
-    # a single row scans b where the height band sorts it, and drift-scans
-    # only the survivors across heights: a survivor at the row's own height
-    # takes the zero-drift rule. Blocks hold only the row's own level, only
-    # other levels, or both. The other levels end with points on the row's
-    # widened band edge and one ulp to either side, where a test rounded
-    # differently would disagree; deep exp levels lie within the band of
-    # each other and of the base circle
+    # a single row scans b for its height band where the angle band sorts
+    # it by the same float test, and drift-scans only the survivors across
+    # heights: a survivor at the row's own height takes the zero-drift rule.
+    # Blocks hold only the row's own level, only other levels, or both. The
+    # other levels end with points on the row's widened band edge and one
+    # ulp to either side, where a test rounded differently would disagree;
+    # deep exp levels lie within the band of each other and of the base
+    # circle
     rng = np.random.default_rng(5)
     system = tower_system(fam)
     levels = [0, 1, 2, 30, 31, 700, 701]
@@ -368,7 +382,7 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
                 blocks["mix"] = np.concatenate((blocks["cross"], blocks["same"]))
                 for kind, block in blocks.items():
                     scan = system.orbit_pairs(row, block, n, cap)
-                    band = systems._tower_height_band(row, block, n, cap, w)
+                    band = systems._tower_angle_band(row, block, n, cap, w)
                     order = [np.argsort(q[1], kind="stable") for q in (scan, band)]
                     for u, v in zip(scan, band):
                         assert u[order[0]].tobytes() == v[order[1]].tobytes()
@@ -383,12 +397,11 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
     assert mixed > 0
 
 
-def test_product_pairs_line_up_factor_lists_in_any_order(monkeypatch):
+def test_product_pairs_line_up_factor_lists_in_any_order():
     # the angle band lists each factor's pairs in its own sort order, and
     # coarse grids on the base circle and one slow level put many pairs
     # below cap in both factors, so the intersection must line the two
     # lists up by key
-    monkeypatch.setattr(systems, "_ANGLE_BAND_PAIRS", 1)
     rng = np.random.default_rng(3)
     system = product_system(tower_system(PowerHeights(2)), tower_system(ExpHeights()))
 
