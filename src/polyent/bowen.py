@@ -18,12 +18,17 @@ counter queries one row at a time, and only for rows still alive when
 their turn comes: the rows still to query sit in an index list that drops
 the rows each query kills. Counting reads its keep mask
 (:func:`greedy_separated_mask`), so no point is built only to be counted.
-The covering audit scans in three rungs, capped just past eps/4, eps/2
-and eps: each settles the points with a center below its threshold, and
-only the points it leaves open go on to the next. A rung costs about the
-square of its cap and settles a share of the points about proportional
-to it, so the cheap narrow rungs take most points before the wide one
-runs. Each rung runs over the whole sample before the next starts.
+The covering audit first tries each block of sample rows against the
+block's own covering centers: a narrow scan of all centers, capped just
+past eps/32, names the centers the block comes near, and a scan of those
+centers alone settles the block's points below eps/2. Only the points
+still open then go through three rungs over all centers, capped just past
+eps/4, eps/2 and eps: each settles the points with a center below its
+threshold, and only the points it leaves open go on to the next. A scan
+costs about the square of its cap, so the narrow scan is cheap, and
+neighbouring sample points share their covering centers, so the scan of
+those few centers takes most points before any wide rung runs. Each rung
+runs over every open point before the next starts.
 No routine here calls the two test helpers: :func:`bowen_dist` steps
 both points of a pair explicitly, the oracle the kernels are tested
 against, and :func:`bowen_block`, the one dense view, writes the uncapped
@@ -288,6 +293,28 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
     )
 
 
+def _nearest(pairs: Callable, rows: np.ndarray, ctr: np.ndarray, n: int, t: float,
+             chunk: int, hits: list | None = None) -> np.ndarray:
+    """Least listed distance from each row to the centers, in blocks of
+    ``chunk`` centers capped one ulp past t; a row leaves the scan once it
+    reads below t. ``hits`` collects the centers listed below t."""
+    # every distance below t is listed exactly, and one at or above t is
+    # never taken for less than t; at t = eps the open cap also reports
+    # distances equal to eps exactly, for the settled-vs-boundary split
+    cap = float(np.nextafter(t, np.inf))
+    near = np.full(len(rows), np.inf)
+    live = np.arange(len(rows))
+    for clo in range(0, len(ctr), chunk):
+        if live.size == 0:
+            break
+        i, j, d = pairs(rows[live], ctr[clo:clo + chunk], n, cap)
+        np.minimum.at(near, live[i], d)
+        if hits is not None:
+            hits.append(clo + j[d < t])
+        live = live[~(near[live] < t)]
+    return near
+
+
 def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
                     n: int, eps: float,
                     chunk: int = DEFAULT_CHUNK) -> SpanningCheck:
@@ -297,63 +324,73 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     found, so cost stays near one center pass when the cover is comfortable;
     points covered only at exactly eps are flagged via ``all_strict``.
 
-    The centers are scanned in three rungs, with thresholds eps/4, eps/2
-    and eps. Each rung asks for pairs below one ulp past its threshold t
-    and settles every point with a listed distance below t; only the
-    points it leaves open are scanned again in the next rung, and the last
-    decides covered, boundary and missed. Why this ladder:
-    ``spanning_witness`` spaces its centers less than eps apart on every
-    level it covers, and two points of one level keep their step-0 arc
-    distance for the whole window, so every sample point on those levels
-    lies below eps/2 of a center, its distance spread evenly over
-    [0, gap/2]. A rung's cost grows with the square of its cap, because
-    the kernel's height band and angle window both scale with it, while
-    the share of such points it settles grows only in proportion; so the
-    eps/4 rung settles about half of them at about a quarter of the cost
-    of the eps/2 rung. On the spanning audit of the ``tower-certify``
-    benchmark (``tower-power:2``, n 500, eps 0.1, grid 1000: 77,000
-    sample points, 720 centers) the kernel drift-scans 827,955 candidate
-    pairs in all, against 1,022,654 with the eps/2 and eps rungs alone.
+    A prefix first meets each block of ``chunk`` sample rows, in sample
+    order, with the block's own covering centers, in two kernel calls. A
+    narrow call over all centers, capped one ulp past eps/32, settles the
+    rows it lists below eps/32, and the centers it lists below eps/32
+    become the block's covering centers. A call over those centers alone,
+    capped one ulp past eps/2, settles the block's open rows below eps/2.
+    Why: ``spanning_witness`` spaces its centers less than eps apart on
+    every level it covers, and two points of one level keep their step-0
+    arc distance for the whole window, so every sample point on those
+    levels lies below eps/2 of a center of its own level, and neighbouring
+    sample points share those centers. A call's cost grows with the square
+    of its cap, because the kernel's height band and angle window both
+    scale with it: the narrow call costs about 1/64 of a scan of all
+    centers capped at eps/4, and where sample order has no locality the
+    prefix settles little for about that cost.
 
-    Each rung runs over every point still open before the next starts,
-    in blocks of the open points, ``chunk`` rows on the first rung and
-    half as many on each later one. A ladder run chunk by chunk would
-    follow each wide block with a narrow one wherever a chunk keeps a few
-    points open. On that audit, whose 174 midpoints between centers sit
-    exactly at eps/2, the two-rung audit run that way took about 23,000
-    minor page faults and this one about 2,400 (2-core Xeon KVM guest,
-    numpy 2.4.6). Halving the rows keeps the wider rungs' blocks, and so
-    the audit's peak memory, smaller than whole chunks at eps/2 would
-    make them: a ``tower-certify`` pass peaks at about 38 MiB, against 40
-    for the two-rung audit and 43 with whole chunks on every rung.
+    The points the prefix leaves open are scanned against all centers in
+    three rungs, with thresholds eps/4, eps/2 and eps. Each rung asks for
+    pairs below one ulp past its threshold t and settles every point with
+    a listed distance below t; only the points it leaves open are scanned
+    again in the next rung, and the last decides covered, boundary and
+    missed. A call settles a row only on a distance it lists below its own
+    threshold, never on a listed lower bound. Each rung runs over every
+    point still open before the next starts, in blocks of ``chunk`` rows on
+    the first rung and half as many on each later one, since doubling the
+    cap about quadruples a row's candidate pairs.
+
+    On the spanning audit of the ``tower-certify`` benchmark
+    (``tower-power:2``, n 500, eps 0.1, grid 1000: 77,000 sample points,
+    720 centers) the kernel drift-scans 227,486 candidate pairs in 81
+    calls: 7,910 in the narrow calls, 152,847 over the blocks' covering
+    centers, and 16,596, 42,505 and 7,628 on the three rungs over the
+    3,556 points left open. The last rung sees the 174 midpoints between
+    centers, which sit exactly at eps/2. The ladder alone drift-scanned
+    827,955 pairs in 78 calls, and an audit takes about 700–1,500 minor
+    page faults against its 2,000–3,200 (2-core Xeon KVM guest, numpy
+    2.4.6). The eps/4 rung still pays its way: dropping it made that audit,
+    the criterion 2 audits and a stride-permuted sample no faster.
     """
     _check_scale(n, eps)
     pack, pairs = _kernel(system)
     ctr = pack(centers, n)
     packed = pack(sample, n)
     m = len(packed)
-    # each rung lists pairs below one ulp past its threshold t, so every
-    # distance below t is listed exactly and one at or above t is never
-    # taken for less than t; the last rung's open cap also reports
-    # distances equal to eps exactly, for the settled-vs-boundary split
-    open_idx = np.arange(m)
+    # the prefix (docstring)
+    kept = []
+    for lo in range(0, m, chunk):
+        rows = packed[lo:lo + chunk]
+        hits: list[np.ndarray] = []
+        near = _nearest(pairs, rows, ctr, n, eps / 32, chunk, hits)
+        left = np.flatnonzero(~(near < eps / 32))
+        if left.size and hits:
+            cover = ctr[np.unique(np.concatenate(hits))]
+            near = _nearest(pairs, rows[left], cover, n, eps / 2, chunk)
+            left = left[~(near < eps / 2)]
+        kept.append(lo + left)
+    open_idx = np.concatenate(kept) if kept else np.arange(0)
+    # the ladder over all centers for the points the prefix leaves open
     for k, t in enumerate((eps / 4, eps / 2, eps)):
-        rung_cap = float(np.nextafter(t, np.inf))
-        near = np.full(open_idx.size, np.inf)
         # doubling the cap about quadruples a row's candidate pairs, so
         # each rung takes half the rows per block of the one before, which
         # bounds the block temporaries (docstring)
         rows_per_block = max(1, chunk >> k)
+        near = np.full(open_idx.size, np.inf)
         for lo in range(0, open_idx.size, rows_per_block):
-            rows = packed[open_idx[lo:lo + rows_per_block]]
-            row_min = near[lo:lo + rows_per_block]
-            live = np.arange(len(rows))
-            for clo in range(0, len(ctr), chunk):
-                if live.size == 0:
-                    break
-                i, _, d = pairs(rows[live], ctr[clo:clo + chunk], n, rung_cap)
-                np.minimum.at(row_min, live[i], d)
-                live = live[~(row_min[live] < t)]
+            block = open_idx[lo:lo + rows_per_block]
+            near[lo:lo + block.size] = _nearest(pairs, packed[block], ctr, n, t, chunk)
         left = ~(near < t)
         open_idx, near = open_idx[left], near[left]
     weak = near <= eps

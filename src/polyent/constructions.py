@@ -31,7 +31,7 @@ import numpy as np
 
 from . import systems
 from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_spanning
-from .diagnostics import _block_codes, _fold_ranks
+from .diagnostics import _block_codes, _first_occurrences, _fold_ranks
 from .systems import (
     AngleLevelGrid,
     CustomHeights,
@@ -254,7 +254,7 @@ def separated_shift_family(word: SymbolicWord, n: int) -> list[int]:
     codes, length, _ = _block_codes(word.symbols, word.alphabet_size, n)
     while length < n:
         codes, length, _ = _fold_ranks(codes, length, n)
-    first = np.sort(np.unique(codes, return_index=True)[1])
+    first = _first_occurrences(codes)
     if first.size <= n:
         raise ValueError(
             f"word periodic or range too short: {first.size} distinct "

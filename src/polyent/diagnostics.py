@@ -120,6 +120,21 @@ def _distinct(code: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def _first_occurrences(code: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct code,
+    sorting the codes in place: a stable argsort puts each code's first
+    index first among its equals, and the sorted codes give the
+    adjacent-change mask that picks it. No sorted copy is gathered, so this
+    traces 16 bytes per code on top of the codes, where
+    ``np.unique(code, return_index=True)`` traces 32."""
+    order = np.argsort(code, kind="stable")
+    code.sort()
+    change = np.empty(code.size, bool)
+    change[:1] = True
+    np.not_equal(code[1:], code[:-1], out=change[1:])
+    return np.sort(order[change])
+
+
 def _fold_ranks(code: np.ndarray, length: int,
                 n: int) -> tuple[np.ndarray, int, int]:
     """One round from codes of the length-``length`` blocks towards the

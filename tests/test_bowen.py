@@ -318,6 +318,59 @@ def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
                         == _spanning_by_hand(tower, _RUNG_CENTERS, _RUNG_SAMPLE, n, eps))
 
 
+@pytest.mark.parametrize("chunk", [3, 2048])
+def test_verify_spanning_without_sample_locality(chunk):
+    # the grid's points listed in stride order: each row sits three sample
+    # levels and 17/32 of a turn from its neighbours, so neighbouring rows
+    # share no center below eps and a block's covering centers hardly ever
+    # cover its other rows; the ladder must settle what the prefix leaves.
+    # Levels 2 and 45 carry no centers, so points are missed too
+    fam = PowerHeights(2)
+    system = tower_system(fam)
+    centers = tower_sample(fam, 4, [0, 1, 3, 10, 11, 38, 39, 40])
+    grid = tower_sample(fam, 32, [0, 2, 3, 10, 39, 45])
+    m = len(grid)
+    sample = [grid[k * 113 % m] for k in range(m)]
+    for n in (1, 3, 40):
+        near = bowen_block(system, sample, centers, n) < 0.125
+        assert near.any() and not (near[1:] & near[:-1]).any()
+        for eps in (0.1, 0.125):
+            check = verify_spanning(system, centers, sample, n, eps, chunk=chunk)
+            assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
+                    == _spanning_by_hand(system, centers, sample, n, eps))
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_verify_spanning_settles_most_rows_on_their_blocks_covering_centers(n):
+    # every sample level carries centers 1/8 apart, so each point lies at
+    # most 1/16 = eps/2 from a center of its own level. The narrow scan
+    # settles the points within eps/32 of a center and names the centers
+    # each block touches; the scan over those centers settles every other
+    # point but the 32 midpoints between centers, which sit exactly at
+    # eps/2. Only those 32 of 4,096 rows (0.8 %) reach the wider scans
+    # over all centers
+    fam = PowerHeights(2)
+    tower = tower_system(fam)
+    centers = tower_sample(fam, 8, range(0, 40))
+    sample = tower_sample(fam, 1024, [0, 3, 10, 39])
+    eps = 0.125
+    narrow = float(np.nextafter(eps / 32, np.inf))
+    ladder, cover = set(), []
+
+    def pairs(a, b, n, cap):
+        if len(b) < len(centers):
+            cover.append(len(b))
+        elif cap > narrow:
+            ladder.update(a.tolist())
+        return tower.orbit_pairs(a, b, n, cap)
+
+    stub = dataclasses.replace(tower, orbit_pairs=pairs)
+    check = verify_spanning(stub, centers, sample, n, eps)
+    assert check.ok and check.all_strict
+    assert cover
+    assert len(ladder) <= 0.01 * len(sample)
+
+
 def test_routines_agree_on_a_grid_and_its_points():
     # a packed grid and the fromiter pack of its points are the same batch,
     # and the blocks here are wide enough for the angle band

@@ -25,6 +25,8 @@ from polyent import (
     uniform_recurrence_check,
     word_complexities,
 )
+from polyent.constructions import separated_shift_family
+from polyent.diagnostics import _block_codes, _fold_ranks
 from polyent.systems import SymbolicWord, word_window
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -259,6 +261,18 @@ def test_word_complexities_take_unsigned_symbols():
     assert word_complexities(word, lengths, stops) == _brute_complexities(word, lengths, stops)
 
 
+def _traced_peak(fn, *args):
+    # the call's result and the peak of the memory it traced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_word_complexities_trace_at_most_40_bytes_per_symbol():
     # the n = 32,768 cell of a three-scale golden estimate: spans n, n + 2
     # and n + 4 over their own recurrence windows of one 107,796-symbol
@@ -270,16 +284,29 @@ def test_word_complexities_trace_at_most_40_bytes_per_symbol():
     stops = [word_window(system, span) for span in spans]
     assert stops == [107792, 107794, 107796]
     word = system.word_fn(0, max(stops) - 1)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        counts = word_complexities(word, spans, stops)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    counts, peak = _traced_peak(word_complexities, word, spans, stops)
     assert counts == [span + 1 for span in spans]
     assert peak <= 40 * word.symbols.size
+
+
+def test_separated_shift_family_traces_within_the_counting_peak():
+    # the factor-shift pick of the n = 32,768 audit over its 107,792-symbol
+    # word: 75,025 block codes, 5.6 bytes per symbol. The first-occurrence
+    # selection sorts them in place and traces 11.2 bytes per symbol on top
+    # of them, under the rank ladder's own peak of 25.0; np.unique(codes,
+    # return_index=True) traced 22.3 on top of them, which put the whole
+    # pick at 27.8
+    system = sturmian_system(GOLDEN)
+    n = 32768
+    word = system.word_fn(0, word_window(system, n) - 1)
+    assert word.symbols.size == 107792
+    first, peak = _traced_peak(separated_shift_family, word, n)
+    assert peak <= 26 * word.symbols.size
+    codes, length, _ = _block_codes(word.symbols, word.alphabet_size, n)
+    while length < n:
+        codes, length, _ = _fold_ranks(codes, length, n)
+    unique_first = np.sort(np.unique(codes, return_index=True)[1])
+    assert first == unique_first[:n + 1].tolist()
 
 
 def test_word_complexity_growth_bounds():
