@@ -13,11 +13,11 @@ Each call packs its points once with the system's ``pack`` and asks its
 kernel for pair lists (``orbit_pairs``), never for dense blocks: a pair
 that is not listed lies at or above the cap, and every listed distance is
 compared with the routine's own threshold. Every built-in kernel is exact
-at every threshold, and a handle without a kernel is refused. The greedy
-counter queries one row at a time, and only for rows still alive when
-their turn comes: the rows still to query sit in an index list that drops
-the rows each query kills. Counting reads its keep mask
-(:func:`greedy_separated_mask`), so no point is built only to be counted.
+at every threshold. The greedy counter queries one row at a time, and only
+for rows still alive when their turn comes: the rows still to query sit in
+an index list that drops the rows each query kills. The counter returns a
+keep mask (:func:`greedy_separated_mask`), so no point is built only to be
+counted.
 The covering audit first tries each block of sample rows against the
 block's own covering centers: a narrow scan of all centers, capped just
 past eps/32, names the centers the block comes near, and a scan of those
@@ -51,7 +51,6 @@ __all__ = [
     "BOUND_SEPARATED_LOWER",
     "BOUND_SPANNING_UPPER",
     "BOUND_EXACT",
-    "greedy_separated",
     "greedy_separated_mask",
     "SeparationCheck",
     "SpanningCheck",
@@ -91,20 +90,11 @@ def _check_scale(n: int, eps: float) -> None:
         raise ValueError(f"window must be >= 1, got {n}")
 
 
-def _kernel(system: SystemHandle) -> tuple[Callable, Callable]:
-    """The system's ``pack`` and ``orbit_pairs``; refuses a handle without
-    a kernel."""
-    if system.orbit_pairs is None:
-        raise ValueError(f"{system.name} has no distance kernel")
-    return system.pack, system.orbit_pairs
-
-
 def bowen_block(system: SystemHandle, pa: Sequence, pb: Sequence, n: int) -> np.ndarray:
     """Exact pairwise orbit distances between two point lists, as a dense
     array: the kernel's uncapped pair list written into a block prefilled
     with NaN, so a pair the kernel fails to list reads NaN."""
-    pack, pairs = _kernel(system)
-    i, j, d = pairs(pack(pa, n), pack(pb, n), n, np.inf)
+    i, j, d = system.orbit_pairs(system.pack(pa, n), system.pack(pb, n), n, np.inf)
     out = np.full((len(pa), len(pb)), np.nan)
     out[i, j] = d
     return out
@@ -150,8 +140,8 @@ def greedy_separated_mask(system: SystemHandle, sample: Sequence, n: int, eps: f
     """
     _check_scale(n, eps)
     m = len(sample)
-    pack, pairs = _kernel(system)
-    packed = pack(sample, n)
+    pairs = system.orbit_pairs
+    packed = system.pack(sample, n)
     keep = np.ones(m, dtype=bool)
     for lo in range(0, m, chunk):
         rows = packed[lo:lo + chunk]
@@ -174,13 +164,6 @@ def greedy_separated_mask(system: SystemHandle, sample: Sequence, n: int, eps: f
     return keep
 
 
-def greedy_separated(system: SystemHandle, sample: Sequence, n: int, eps: float,
-                     chunk: int = DEFAULT_CHUNK) -> list:
-    """The points of :func:`greedy_separated_mask`, in sample order."""
-    keep = greedy_separated_mask(system, sample, n, eps, chunk)
-    return [sample[i] for i in np.flatnonzero(keep)]
-
-
 # ---------------------------------------------------------------------------
 # witness verification
 
@@ -201,14 +184,6 @@ class SeparationCheck:
     min_value: float
     min_pair: tuple[int, int] | None
 
-    def __str__(self) -> str:
-        if self.ok:
-            verdict = "ok (strict)" if self.all_strict else "ok (tight pair)"
-        else:
-            verdict = f"violated at pair {self.min_pair}"
-        return (f"separation >= {self.eps!r} over {self.pairs} pairs: "
-                f"{verdict}, min {self.min_value!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class SpanningCheck:
@@ -228,15 +203,6 @@ class SpanningCheck:
     uncovered_count: int
     first_uncovered: int | None
 
-    def __str__(self) -> str:
-        if self.ok:
-            verdict = "ok (strict)" if self.all_strict else "ok (boundary hit)"
-        else:
-            verdict = (f"{self.uncovered_count} uncovered, first at sample "
-                       f"index {self.first_uncovered}")
-        return (f"covering <= {self.eps!r} of {self.sample_size} points by "
-                f"{self.centers} centers: {verdict}")
-
 
 def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
                      chunk: int = DEFAULT_CHUNK) -> SeparationCheck:
@@ -249,10 +215,10 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
     """
     _check_scale(n, eps)
     m = len(points)
-    pack, pairs = _kernel(system)
     if m < 2:
         return SeparationCheck(True, True, n, eps, 0, np.inf, None)
-    pts = pack(points, n)
+    pairs = system.orbit_pairs
+    pts = system.pack(points, n)
     # Capping one ulp above the running minimum lists every pair at or
     # below it with its exact distance, and every unlisted pair lies
     # strictly above it, so neither the block minimum nor the update below
@@ -349,24 +315,14 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     threshold, never on a listed lower bound. Each rung runs over every
     point still open before the next starts, in blocks of ``chunk`` rows on
     the first rung and half as many on each later one, since doubling the
-    cap about quadruples a row's candidate pairs.
-
-    On the spanning audit of the ``tower-certify`` benchmark
-    (``tower-power:2``, n 500, eps 0.1, grid 1000: 77,000 sample points,
-    720 centers) the kernel drift-scans 227,486 candidate pairs in 81
-    calls: 7,910 in the narrow calls, 152,847 over the blocks' covering
-    centers, and 16,596, 42,505 and 7,628 on the three rungs over the
-    3,556 points left open. The last rung sees the 174 midpoints between
-    centers, which sit exactly at eps/2. The ladder alone drift-scanned
-    827,955 pairs in 78 calls, and an audit takes about 700–1,500 minor
-    page faults against its 2,000–3,200 (2-core Xeon KVM guest, numpy
-    2.4.6). The eps/4 rung still pays its way: dropping it made that audit,
-    the criterion 2 audits and a stride-permuted sample no faster.
+    cap about quadruples a row's candidate pairs. The midpoints between
+    two centers of a level sit exactly at eps/2, so they reach the last
+    rung.
     """
     _check_scale(n, eps)
-    pack, pairs = _kernel(system)
-    ctr = pack(centers, n)
-    packed = pack(sample, n)
+    pairs = system.orbit_pairs
+    ctr = system.pack(centers, n)
+    packed = system.pack(sample, n)
     m = len(packed)
     # the prefix (docstring)
     kept = []

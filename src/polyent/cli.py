@@ -314,8 +314,6 @@ def _fit_json(fit) -> dict[str, Any]:
 def _method_variants(cfg: dict[str, Any], system: SystemHandle) -> list[str]:
     method = cfg["method"]
     if method == "greedy":
-        if system.heights is None and system.sampler is None:
-            raise UsageError(f"{system.name} offers no sample for greedy counting")
         return [METHOD_GREEDY_SEPARATED]
     if method == "analytic":
         variants = list(analytic_methods(system))
@@ -446,8 +444,6 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
     os.makedirs(out, exist_ok=True)
 
     if check == "recurrence":
-        if system.sampler is None:
-            raise UsageError(f"{system.name} offers no sample for the recurrence probe")
         sample = system.sampler(cfg["grid"])
         reports = []
         for eps in cfg["eps"]:
@@ -536,8 +532,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", metavar="INT", help="angles per circle / sample resolution")
     sp.add_argument("--out", metavar="DIR", help="output directory")
     sp.add_argument("--method", metavar="NAME", help="greedy | analytic | symbolic")
-    sp.add_argument("--seed", metavar="INT", help="recorded in outputs; reserved "
-                    "for sampled subsets")
+    sp.add_argument("--seed", metavar="INT",
+                    help="echoed into the outputs; no computation reads it")
 
 
 def _build_parser() -> _Parser:

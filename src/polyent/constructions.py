@@ -31,7 +31,7 @@ import numpy as np
 
 from . import systems
 from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_spanning
-from .diagnostics import _block_codes, _first_occurrences, _fold_ranks
+from .diagnostics import block_codes
 from .systems import (
     AngleLevelGrid,
     CustomHeights,
@@ -221,9 +221,14 @@ def separated_witness(window: int, eps: float, c: float) -> ConstructionReport:
 
     floor(1/eps) equally spaced angles on each level strictly below the
     separation depth. Equal spacing puts every angle pair at least
-    1/floor(1/eps) > eps apart; an arithmetic progression with step eps
-    would not survive the strict audit, because float rounding nudges some
-    of its pair gaps just below the nominal scale.
+    1/floor(1/eps) >= eps apart, with equality up to rounding when 1/eps
+    is an integer (eps 0.25, 1/3, 0.125, ...): there neighbouring angles
+    of a level sit about eps apart for the whole window, so no family of
+    this shape passes the strict audit, and at some such scales (1/6, 1/7)
+    rounding puts one of those gaps just below eps. An arithmetic
+    progression with step eps would fail the audit at every scale, because
+    float rounding nudges some of its pair gaps just below the nominal
+    scale.
     """
     if not eps <= 0.5:
         raise ValueError(f"scale must be in (0, 1/2] for a separated family, got {eps}")
@@ -242,6 +247,21 @@ def separated_witness(window: int, eps: float, c: float) -> ConstructionReport:
     )
 
 
+def _first_occurrences(code: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct code,
+    sorting the codes in place: a stable argsort puts each code's first
+    index first among its equals, and the sorted codes give the
+    adjacent-change mask that picks it. No sorted copy is gathered, so this
+    traces 16 bytes per code on top of the codes, where
+    ``np.unique(code, return_index=True)`` traces 32."""
+    order = np.argsort(code, kind="stable")
+    code.sort()
+    change = np.empty(code.size, bool)
+    change[:1] = True
+    np.not_equal(code[1:], code[:-1], out=change[1:])
+    return np.sort(order[change])
+
+
 def separated_shift_family(word: SymbolicWord, n: int) -> list[int]:
     """First-occurrence indices of n + 1 distinct length-n blocks.
 
@@ -251,10 +271,7 @@ def separated_shift_family(word: SymbolicWord, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    codes, length, _ = _block_codes(word.symbols, word.alphabet_size, n)
-    while length < n:
-        codes, length, _ = _fold_ranks(codes, length, n)
-    first = _first_occurrences(codes)
+    first = _first_occurrences(block_codes(word.symbols, word.alphabet_size, n))
     if first.size <= n:
         raise ValueError(
             f"word periodic or range too short: {first.size} distinct "
@@ -279,19 +296,18 @@ def backward_orbit(system: SystemHandle, x, m: int) -> list:
 # certifiers: construction + generic verification in one call
 
 def certified_spanning_witness(window: int, eps: float, fam: HeightFamily,
-                               grid: int, extra_levels: int = 5,
-                               ) -> tuple[ConstructionReport, SpanningCheck]:
+                               grid: int) -> tuple[ConstructionReport, SpanningCheck]:
     """Build the covering family and audit it against a canonical sample.
 
     The sample puts ``grid`` angles on the base circle and on every level
-    up to cutoff + extra_levels; levels beyond that sit closer to the base
-    circle than any point the family must resolve. A sample or family of
-    more than ``systems.TOWER_SAMPLE_LIMIT`` points is refused before
-    anything is packed.
+    up to the cutoff plus ``systems.TOWER_SAMPLE_SLACK``. A sample or
+    family of more than ``systems.TOWER_SAMPLE_LIMIT`` points is refused
+    before anything is packed.
     """
     report = spanning_witness(window, eps, fam)
     system = tower_system(fam)
-    sample = tower_sample(fam, grid, range(0, report.cutoff + extra_levels + 1))
+    sample = tower_sample(fam, grid,
+                          range(0, report.cutoff + systems.TOWER_SAMPLE_SLACK + 1))
     for what, size in (("sample", len(sample)), ("center family", report.size)):
         if size > systems.TOWER_SAMPLE_LIMIT:
             raise ValueError(
@@ -309,7 +325,9 @@ def certified_separated_witness(window: int, eps: float, c: float,
     one from the window convention used here; if that slack ever bites, it
     bites at the deepest level, so on a non-strict audit the family retries
     with the top level dropped (recorded in the report notes) before giving
-    up. In practice the audit passes at full depth.
+    up. An audit that holds with its closest pair on one level stops the
+    retries: every level carries the same angles, so dropping levels keeps
+    a pair at that distance (see ``separated_witness``).
     """
     report = separated_witness(window, eps, c)
     system = tower_system(PowerHeights(c))
@@ -318,7 +336,10 @@ def certified_separated_witness(window: int, eps: float, c: float,
     notes: list[str] = []
     while True:
         check = verify_separated(system, report.points, window, eps)
-        if (check.ok and check.all_strict) or levels <= 1:
+        if check.all_strict or levels <= 1:
+            break
+        i, j = check.min_pair
+        if check.ok and i // m == j // m:
             break
         levels -= 1
         notes.append(

@@ -22,6 +22,7 @@ __all__ = [
     "RecurrenceReport",
     "uniform_recurrence_check",
     "distality_gap",
+    "block_codes",
     "word_complexities",
 ]
 
@@ -120,21 +121,6 @@ def _distinct(code: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
-def _first_occurrences(code: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct code,
-    sorting the codes in place: a stable argsort puts each code's first
-    index first among its equals, and the sorted codes give the
-    adjacent-change mask that picks it. No sorted copy is gathered, so this
-    traces 16 bytes per code on top of the codes, where
-    ``np.unique(code, return_index=True)`` traces 32."""
-    order = np.argsort(code, kind="stable")
-    code.sort()
-    change = np.empty(code.size, bool)
-    change[:1] = True
-    np.not_equal(code[1:], code[:-1], out=change[1:])
-    return np.sort(order[change])
-
-
 def _fold_ranks(code: np.ndarray, length: int,
                 n: int) -> tuple[np.ndarray, int, int]:
     """One round from codes of the length-``length`` blocks towards the
@@ -175,9 +161,10 @@ def _block_codes(symbols: np.ndarray, alphabet_size: int,
 
     Each block's w symbols are packed b bits apiece, b being the bit width
     of the alphabet, by doubling the packed width with in-place shifts.
-    Callers take the codes the rest of the way to length n by looping over
-    ``_fold_ranks`` rounds, each of which overwrites the codes it is given
-    with their ranks. The ranks come from an argsort rather than
+    :func:`block_codes` and :func:`word_complexities` take the codes the
+    rest of the way to length n by looping over ``_fold_ranks`` rounds,
+    each of which overwrites the codes it is given with their ranks. The
+    ranks come from an argsort rather than
     ``np.unique(return_inverse=True)``, which sorts too and then hashes.
     """
     m = symbols.size
@@ -200,6 +187,17 @@ def _block_codes(symbols: np.ndarray, alphabet_size: int,
     return code, length, 1 << bits * width
 
 
+def block_codes(symbols: np.ndarray, alphabet_size: int, n: int) -> np.ndarray:
+    """One int64 code per start of a length-n block of ``symbols``, two
+    starts getting equal codes exactly when their blocks are equal: the
+    packed codes of ``_block_codes`` taken to length n by ``_fold_ranks``
+    rounds. Fewer than n symbols give no codes."""
+    codes, length, _ = _block_codes(symbols, alphabet_size, n)
+    while length < n:
+        codes, length, _ = _fold_ranks(codes, length, n)
+    return codes
+
+
 def word_complexities(word: SymbolicWord, lengths: Sequence[int],
                       stops: Sequence[int]) -> list[int]:
     """Number of distinct length-``lengths[i]`` blocks of the word within
@@ -216,12 +214,9 @@ def word_complexities(word: SymbolicWord, lengths: Sequence[int],
     ``code <<= b; code |= symbol`` once per symbol, while the codes' bound
     times 2^(b*d) stays below 2^63 (b bits per symbol, d <= 63 // b);
     otherwise ``_fold_ranks`` rounds rank the codes over themselves and
-    fold overlapping ranks until the length is reached. Each count
-    sorts its prefix of the codes and counts adjacent changes rather than
-    calling ``np.unique``, which hashes: on numpy 2.4.6 (2-core Xeon KVM
-    guest) the sort count takes 0.9 ms on 107,792 distinct int64 codes
-    where ``np.unique`` takes 31 ms, and 0.6 ms against 8.2 ms on the
-    75,025 codes of the length-32,772 blocks of a golden Sturmian window.
+    fold overlapping ranks until the length is reached. Each count sorts
+    its prefix of the codes and counts adjacent changes rather than calling
+    ``np.unique``, which hashes and is many times slower on int64 codes.
     """
     if len(lengths) != len(stops):
         raise ValueError(f"{len(lengths)} block lengths but {len(stops)} stops")

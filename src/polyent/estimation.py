@@ -140,9 +140,10 @@ def _tower_sample_for(system: SystemHandle, n: int, eps: float,
                       grid: int) -> AngleLevelGrid:
     fam = system.heights
     if isinstance(fam, PowerHeights):
-        top = int(math.ceil(separation_depth(n, eps, fam.c))) + 5
+        top = int(math.ceil(separation_depth(n, eps, fam.c)))
     else:
-        top = drift_cutoff(n, eps, fam) + 5
+        top = drift_cutoff(n, eps, fam)
+    top += systems.TOWER_SAMPLE_SLACK
     if fam.max_level is not None:
         top = min(top, fam.max_level)
     return tower_sample(fam, grid, range(0, top + 1))
@@ -181,8 +182,6 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
 
     samples: dict[tuple[float, int], Sequence] = {}
     if greedy and system.heights is None:
-        if system.sampler is None:
-            raise ValueError(f"{system.name} has no sampler for greedy counting")
         samples = dict.fromkeys(((eps, n) for eps in epss for n in ns),
                                 system.sampler(grid))
     elif greedy:

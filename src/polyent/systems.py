@@ -25,11 +25,8 @@ pairs read exactly or as a lower bound of at least cap, so at ``cap =
 inf`` every pair is listed, with its exact distance. No order is
 promised, and callers compare ``d`` with their own threshold. The kernel
 does not filter ``d < cap`` itself: the band paths already drop almost
-every pair, and a filter copies the survivors three more times per call.
-Measured on the spanning audit of a tower (power:2, n 500, eps 0.1, grid
-1000), such a filter took the step from about 0.35 to 0.46 s and its minor
-page faults from 20.7k to 71.1k: the copies are returned to the system and
-faulted in again on every call.
+every pair, and a filter would copy the survivors three more times per
+call.
 
 A tower pair with angle gap theta and height gap dh drifts by delta =
 dh - rint(dh) per step, and its Bowen distance over n steps is the larger
@@ -71,12 +68,10 @@ equal heights has zero drift, so its window max is its step-0 term or
 ||theta - floor(theta)||, whichever is larger, bit for bit what the drift
 scan returns at delta = 0; the row scan reads that directly and
 drift-scans only its candidates across heights, which most greedy rows do
-not have. The angle band keeps one drift scan
-for all candidates: most pairs of its wide blocks lie across heights, and
-the split made the tower-certify benchmark 12-23% slower. Both paths list
-the same pairs with bitwise the same distances, because they test band
-membership alike and every pair they evaluate is the same a - b
-arithmetic.
+not have. The angle band keeps one drift scan for all candidates, because
+most pairs of its wide blocks lie across heights. Both paths list the same
+pairs with bitwise the same distances, because they test band membership
+alike and every pair they evaluate is the same a - b arithmetic.
 
 Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
@@ -396,9 +391,9 @@ class SymbolicWord:
 
     ``symbols`` is a read-only one-dimensional integer array (a sequence
     passed in is copied into one); ``symbols[i]`` is the symbol at index
-    ``start + i``. When ``rule`` is set, indices outside the window are
-    computed on demand (the window itself is never mutated): int64 index
-    array in, symbols out, exact for |k| < 2^36 (module docstring).
+    ``start + i``. ``rule``, when set, gives the symbols of the whole
+    sequence: int64 index array in, symbols out, exact for |k| < 2^36
+    (module docstring).
     """
 
     symbols: np.ndarray
@@ -429,29 +424,11 @@ class SymbolicWord:
         """One past the last materialized index."""
         return self.start + len(self.symbols)
 
-    def symbol(self, k: int) -> int:
-        if self.start <= k < self.end:
-            return int(self.symbols[k - self.start])
-        if self.rule is not None:
-            return int(self.rule(np.int64(k)))
-        raise IndexError(f"index {k} outside materialized range [{self.start}, {self.end})")
-
-    def factor(self, i: int, n: int) -> tuple[int, ...]:
-        """The length-n block starting at index i."""
-        return tuple(self.symbol(i + j) for j in range(n))
-
     def point(self, offset: int = 0) -> "SymbolicPoint":
-        """View the word as a shift-orbit point: its rule if it has one,
-        else a gather over the window that refuses indices outside it."""
-        rule = self.rule if self.rule is not None else self._gather
-        return SymbolicPoint(rule=rule, offset=offset, alphabet_size=self.alphabet_size)
-
-    def _gather(self, k: np.ndarray) -> np.ndarray:
-        i = k - self.start
-        if i.size and (i.min() < 0 or i.max() >= len(self.symbols)):
-            raise IndexError(f"indices {k.min()}..{k.max()} leave the materialized "
-                             f"range [{self.start}, {self.end})")
-        return self.symbols[i]
+        """View the word as a shift-orbit point through its rule."""
+        if self.rule is None:
+            raise ValueError("a word without a rule is no shift-orbit point")
+        return SymbolicPoint(rule=self.rule, offset=offset, alphabet_size=self.alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -467,9 +444,6 @@ class SymbolicPoint:
     rule: Callable[[np.ndarray], np.ndarray]
     offset: int = 0
     alphabet_size: int = 2
-
-    def symbol(self, k: int) -> int:
-        return int(self.rule(np.int64(k + self.offset)))
 
     def shifted(self, j: int) -> "SymbolicPoint":
         return SymbolicPoint(self.rule, self.offset + j, self.alphabet_size)
@@ -623,18 +597,17 @@ def shift_metric(x: SymbolicPoint, y: SymbolicPoint, window: int = 64) -> float:
 class SystemHandle:
     """A dynamical system packaged for the counting and diagnostic code.
 
-    ``metric``/``step``/``inverse`` act on opaque points. ``sampler(res)``
-    returns the canonical finite sample at the requested resolution.
-    The kernel is ``pack`` and ``orbit_pairs``, set together, and the
-    counting and verifying code refuses a handle without it:
-    ``pack(points, n)`` makes a numpy batch (points on axis 0) for window
-    n, and ``orbit_pairs(a, b, n, cap)`` returns index and distance arrays
-    ``(i, j, d)`` that list every pair of two batches whose Bowen distance
-    is below ``cap`` exactly once, with that distance exact. Other listed
-    pairs read exactly or as a lower bound of at least ``cap``, so at
-    ``cap = inf`` every pair is listed with its exact distance; there is no
-    order, and the kernel leaves the comparison with a threshold to the
-    caller (the module docstring says why).
+    ``metric``/``step``/``inverse`` act on opaque points; ``inverse`` is
+    None for a non-invertible map. ``sampler(res)`` returns the canonical
+    finite sample at the requested resolution. The kernel is ``pack`` and
+    ``orbit_pairs``: ``pack(points, n)`` makes a numpy batch (points on
+    axis 0) for window n, and ``orbit_pairs(a, b, n, cap)`` returns index
+    and distance arrays ``(i, j, d)`` that list every pair of two batches
+    whose Bowen distance is below ``cap`` exactly once, with that distance
+    exact. Other listed pairs read exactly or as a lower bound of at least
+    ``cap``, so at ``cap = inf`` every pair is listed with its exact
+    distance; there is no order, and the kernel leaves the comparison with
+    a threshold to the caller (the module docstring says why).
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
     multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
@@ -645,18 +618,16 @@ class SystemHandle:
     name: str
     metric: Callable[[Any, Any], float]
     step: Callable[[Any], Any]
+    sampler: Callable[[int], Sequence]
+    pack: Callable[[Sequence, int], np.ndarray]
+    orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     inverse: Callable[[Any], Any] | None = None
-    sampler: Callable[[int], Sequence] | None = None
-    pack: Callable[[Sequence, int], np.ndarray] | None = None
-    orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     heights: HeightFamily | None = None
     word_fn: Callable[[int, int], SymbolicWord] | None = None
     recurrence: Callable[[int], int] | None = None
     parts: tuple["SystemHandle", "SystemHandle"] | None = None
 
     def __post_init__(self) -> None:
-        if (self.pack is None) != (self.orbit_pairs is None):
-            raise ValueError(f"system {self.name}: pack and orbit_pairs must be set together")
         if (self.word_fn is None) != (self.recurrence is None):
             raise ValueError(f"system {self.name}: word_fn and recurrence must be set together")
 
@@ -664,6 +635,11 @@ class SystemHandle:
 # Largest tower sample the greedy counter takes on: 32 MiB packed, and the
 # greedy loop's work grows with the square of the sample in the worst case.
 TOWER_SAMPLE_LIMIT = 1 << 21
+
+# Levels a counting or audit sample takes past the deepest level its
+# witness family resolves: deeper circles sit closer to the base circle
+# than any point the family must tell apart.
+TOWER_SAMPLE_SLACK = 5
 
 # Longest canonical word the counting code materializes. Counting the
 # blocks of a Sturmian word peaks at 25 bytes per symbol (int64 codes that
@@ -717,6 +693,11 @@ def circle_rotation(theta: float) -> SystemHandle:
 # the height band needs cap <= 1/4: below it the drift is dh itself, and no
 # listed pair wraps (module docstring)
 _TOWER_BAND_CAP = 0.25
+
+
+def _widen(x: float) -> float:
+    # a band half-width plus the float margin for the kernel's own rounding
+    return x + (1e-9 * x + 1e-9)
 
 
 def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
@@ -874,7 +855,7 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     # the three windows are disjoint, as 2c < 1. Rounding of the keys and of
     # the window ends is monotone: it can admit extra pairs, which the step-0
     # test below removes, but never drops one inside the margin on c.
-    c = cap + 1e-9 * cap + 1e-9
+    c = _widen(cap)
     s_is_a = len(a) >= len(b)
     s, q = (a, b) if s_is_a else (b, a)
     if not len(s):  # both batches empty: no run to find
@@ -935,24 +916,27 @@ def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
     # term is below cap get the drift scan, and those are all listed,
     # whatever it reads. The path is chosen from the block's shape alone,
     # and both list the same pairs with bitwise the same distances.
-    w = min(cap, 2.0 * cap / (n - 1))
-    w += 1e-9 * w + 1e-9
+    w = _widen(min(cap, 2.0 * cap / (n - 1)))
     if len(a) == 1:
         return _tower_row_band(a, b, n, cap, w)
     return _tower_angle_band(a, b, n, cap, w)
 
 
-def tower_system(fam: HeightFamily, level_cap: int = 8) -> SystemHandle:
+# levels above the base circle that a tower's canonical sampler covers
+_SAMPLER_LEVELS = 8
+
+
+def tower_system(fam: HeightFamily) -> SystemHandle:
     """The rotation tower over a height family.
 
-    The default sampler places ``res`` angles on the base circle and on levels
-    1..level_cap; counting experiments pass their own level policy instead.
+    The canonical sampler places ``res`` angles on the base circle and on
+    levels 1..8 (fewer if the family ends sooner); counting experiments
+    pass their own level policy instead.
     """
-    if fam.max_level is not None:
-        level_cap = min(level_cap, fam.max_level)
+    top = _SAMPLER_LEVELS if fam.max_level is None else min(_SAMPLER_LEVELS, fam.max_level)
 
     def sampler(res: int) -> AngleLevelGrid:
-        return tower_sample(fam, res, range(0, level_cap + 1))
+        return tower_sample(fam, res, range(0, top + 1))
 
     def pack(points: Sequence[TowerPoint], n: int) -> np.ndarray:
         batch = np.empty(len(points), [("angle", np.float64), ("height", np.float64)])
@@ -1090,40 +1074,36 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
     if a.inverse is not None and b.inverse is not None:
         inverse = lambda p: (a.inverse(p[0]), b.inverse(p[1]))  # noqa: E731
 
-    sampler = None
-    if a.sampler is not None and b.sampler is not None:
-        def sampler(res: int) -> list:
-            return [(pa, pb) for pa in a.sampler(res) for pb in b.sampler(res)]
+    def sampler(res: int) -> list:
+        return [(pa, pb) for pa in a.sampler(res) for pb in b.sampler(res)]
 
-    pack = orbit_pairs = None
-    if a.orbit_pairs is not None and b.orbit_pairs is not None:
-        def pack(points: Sequence, n: int) -> np.ndarray:
-            pa = a.pack([p[0] for p in points], n)
-            pb = b.pack([p[1] for p in points], n)
-            batch = np.empty(len(points), [("a", pa.dtype), ("b", pb.dtype)])
-            batch["a"], batch["b"] = pa, pb
-            return batch
+    def pack(points: Sequence, n: int) -> np.ndarray:
+        pa = a.pack([p[0] for p in points], n)
+        pb = b.pack([p[1] for p in points], n)
+        batch = np.empty(len(points), [("a", pa.dtype), ("b", pb.dtype)])
+        batch["a"], batch["b"] = pa, pb
+        return batch
 
-        def orbit_pairs(x: np.ndarray, y: np.ndarray, n: int,
-                        cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # under the max metric a pair lies below cap iff it does in both
-            # factors, so both lists hold it; a factor distance at or above
-            # cap is exact or a lower bound >= cap, and so is their max
-            ia, ja, da = a.orbit_pairs(x["a"], y["a"], n, cap)
-            ib, jb, db = b.orbit_pairs(x["b"], y["b"], n, cap)
-            ka, kb = ia * len(y) + ja, ib * len(y) + jb
-            # intersect on the key through one flag per pair of the block,
-            # which is several times faster than sorting both lists when
-            # repeated factor coordinates make them long; only the common
-            # keys are sorted, to line the two lists up
-            flag = np.zeros(len(x) * len(y), bool)
-            flag[kb] = True
-            sa = np.flatnonzero(flag[ka])
-            flag[kb] = False
-            flag[ka[sa]] = True
-            sb = np.flatnonzero(flag[kb])
-            sa, sb = sa[np.argsort(ka[sa])], sb[np.argsort(kb[sb])]
-            return ia[sa], ja[sa], np.maximum(da[sa], db[sb])
+    def orbit_pairs(x: np.ndarray, y: np.ndarray, n: int,
+                    cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # under the max metric a pair lies below cap iff it does in both
+        # factors, so both lists hold it; a factor distance at or above cap
+        # is exact or a lower bound >= cap, and so is their max
+        ia, ja, da = a.orbit_pairs(x["a"], y["a"], n, cap)
+        ib, jb, db = b.orbit_pairs(x["b"], y["b"], n, cap)
+        ka, kb = ia * len(y) + ja, ib * len(y) + jb
+        # intersect on the key through one flag per pair of the block, which
+        # is several times faster than sorting both lists when repeated
+        # factor coordinates make them long; only the common keys are
+        # sorted, to line the two lists up
+        flag = np.zeros(len(x) * len(y), bool)
+        flag[kb] = True
+        sa = np.flatnonzero(flag[ka])
+        flag[kb] = False
+        flag[ka[sa]] = True
+        sb = np.flatnonzero(flag[kb])
+        sa, sb = sa[np.argsort(ka[sa])], sb[np.argsort(kb[sb])]
+        return ia[sa], ja[sa], np.maximum(da[sa], db[sb])
 
     return SystemHandle(
         name=f"product({a.name},{b.name})",

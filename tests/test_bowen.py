@@ -12,12 +12,10 @@ from polyent import (
     ExpHeights,
     PowerHeights,
     SeparationCheck,
-    SystemHandle,
     TowerPoint,
     bowen_dist,
     circle_rotation,
     full_shift,
-    greedy_separated,
     product_system,
     sturmian_point,
     sturmian_system,
@@ -28,7 +26,7 @@ from polyent import (
     verify_spanning,
 )
 from polyent import systems
-from polyent.bowen import bowen_block
+from polyent.bowen import bowen_block, greedy_separated_mask
 from polyent.estimation import METHOD_GREEDY_SEPARATED, count_table
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -87,31 +85,33 @@ def test_bowen_block_matches_pointwise_and_kernel():
 # ---------------------------------------------------------------------------
 # greedy families
 
+def _kept(system, sample, n, eps, **kwargs):
+    # sample indices of the points the greedy counter keeps, in order
+    return np.flatnonzero(greedy_separated_mask(system, sample, n, eps, **kwargs)).tolist()
+
+
 def test_greedy_separated_exact_on_dyadic_grid():
     system = circle_rotation(0.0)
     sample = [j / 8 for j in range(8)]
-    kept = greedy_separated(system, sample, 3, 0.25)
-    assert kept == [0.0, 0.25, 0.5, 0.75]
+    assert _kept(system, sample, 3, 0.25) == [0, 2, 4, 6]
 
 
 def test_greedy_separated_validations_and_duplicates():
     system = circle_rotation(0.0)
     with pytest.raises(ValueError):
-        greedy_separated(system, [0.0], 3, 0.0)
+        greedy_separated_mask(system, [0.0], 3, 0.0)
     with pytest.raises(ValueError):
-        greedy_separated(system, [0.0], 0, 0.1)
-    assert greedy_separated(system, [0.2, 0.2, 0.2], 2, 0.1) == [0.2]
+        greedy_separated_mask(system, [0.0], 0, 0.1)
+    assert _kept(system, [0.2, 0.2, 0.2], 2, 0.1) == [0]
     # scale above the diameter keeps only the first point
-    assert greedy_separated(system, [j / 8 for j in range(8)], 2, 0.75) == [0.0]
+    assert _kept(system, [j / 8 for j in range(8)], 2, 0.75) == [0]
 
 
 def test_greedy_separated_is_chunk_invariant():
     fam = PowerHeights(2)
     system = tower_system(fam)
     sample = tower_sample(fam, 11, range(0, 7))
-    a = greedy_separated(system, sample, 16, 0.1)
-    b = greedy_separated(system, sample, 16, 0.1, chunk=3)
-    assert a == b
+    assert _kept(system, sample, 16, 0.1) == _kept(system, sample, 16, 0.1, chunk=3)
 
 
 def _sequential_rule(d, eps):
@@ -124,8 +124,7 @@ def _sequential_rule(d, eps):
 
 
 def _greedy_by_hand(system, sample, n, eps):
-    d = bowen_block(system, sample, sample, n)
-    return [sample[k] for k in _sequential_rule(d, eps)]
+    return _sequential_rule(bowen_block(system, sample, sample, n), eps)
 
 
 # tower grids tie many pairs at dyadic distances and repeat points, deep
@@ -149,7 +148,7 @@ def test_greedy_separated_matches_the_sequential_rule(chunk):
     for system, sample, ns, epss in GREEDY_CASES:
         for n in ns:
             for eps in epss:
-                got = greedy_separated(system, sample, n, eps, chunk=chunk)
+                got = _kept(system, sample, n, eps, chunk=chunk)
                 assert got == _greedy_by_hand(system, sample, n, eps)
 
 
@@ -172,9 +171,9 @@ def test_greedy_separated_matches_a_stepped_sequential_loop(fam, sample):
             # no pair sits within float reach of the scale, so stepping and
             # the closed-form kernel cannot split a tie
             assert np.abs(d - eps).min() > 1e-9
-            want = [sample[k] for k in _sequential_rule(d, eps)]
+            want = _sequential_rule(d, eps)
             for chunk in (1, 7, 2048):
-                assert greedy_separated(system, sample, n, eps, chunk=chunk) == want
+                assert _kept(system, sample, n, eps, chunk=chunk) == want
 
 
 def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch):
@@ -383,22 +382,7 @@ def test_routines_agree_on_a_grid_and_its_points():
             == verify_spanning(system, list(centers), list(sample), n, eps))
     assert (verify_separated(system, sample, n, eps)
             == verify_separated(system, list(sample), n, eps))
-    kept = greedy_separated(system, sample, n, eps)
-    assert kept == greedy_separated(system, list(sample), n, eps)
-    assert all(isinstance(p, TowerPoint) for p in kept)
-
-
-def test_routines_refuse_a_handle_without_a_kernel():
-    rotation = circle_rotation(0.3)
-    bare = SystemHandle(name="bare", metric=rotation.metric, step=rotation.step)
-    for call in (lambda: greedy_separated(bare, [0.0, 0.5], 3, 0.1),
-                 lambda: verify_separated(bare, [0.0], 3, 0.1),
-                 lambda: verify_spanning(bare, [0.0], [0.5], 3, 0.1),
-                 lambda: bowen_block(bare, [0.0], [0.5], 3)):
-        with pytest.raises(ValueError, match="bare has no distance kernel"):
-            call()
-    # the stepping reference needs none
-    assert bowen_dist(bare, 0.0, 0.5, 3) == 0.5
+    assert _kept(system, sample, n, eps) == _kept(system, list(sample), n, eps)
 
 
 def test_greedy_separated_passes_both_verifiers():
@@ -406,7 +390,7 @@ def test_greedy_separated_passes_both_verifiers():
     system = tower_system(fam)
     sample = tower_sample(fam, 17, range(0, 8))
     n, eps = 24, 0.1
-    kept = greedy_separated(system, sample, n, eps)
+    kept = [sample[i] for i in _kept(system, sample, n, eps)]
     assert verify_separated(system, kept, n, eps).ok
     # maximality: every rejected point is within eps of a kept one
     assert verify_spanning(system, kept, sample, n, eps).ok
@@ -416,8 +400,7 @@ def test_greedy_separated_keeps_one_shift_per_distinct_block():
     system = sturmian_system(GOLDEN)
     base = sturmian_point(GOLDEN)
     sample = [base.shifted(i) for i in range(31)]
-    kept = greedy_separated(system, sample, 5, 1.0)
-    assert len(kept) == 6
+    assert len(_kept(system, sample, 5, 1.0)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +509,7 @@ def test_verify_spanning_is_chunk_invariant():
 def _proven_cover(system, sample, n, eps):
     # a maximal eps-separated family keeps every other sample point
     # strictly within eps of a kept one, which the covering audit proves
-    centers = greedy_separated(system, sample, n, eps)
+    centers = [sample[i] for i in _kept(system, sample, n, eps)]
     check = verify_spanning(system, centers, sample, n, eps)
     assert check.ok and check.all_strict
     return centers
@@ -539,14 +522,14 @@ def test_separated_at_double_scale_never_beats_spanning(n, eps):
     fam = PowerHeights(2)
     system = tower_system(fam)
     sample = tower_sample(fam, 20, range(0, 7))
-    sep = greedy_separated(system, sample, n, 2 * eps)
+    sep = _kept(system, sample, n, 2 * eps)
     assert len(sep) <= len(_proven_cover(system, sample, n, eps))
 
 
 def test_separated_vs_spanning_pigeonhole_on_shift():
     system = full_shift(2)
     sample = system.sampler(8)
-    sep = greedy_separated(system, sample, 3, 1.0)
+    sep = _kept(system, sample, 3, 1.0)
     assert len(sep) <= len(_proven_cover(system, sample, 3, 0.5))
 
 
@@ -601,6 +584,6 @@ def test_greedy_never_exceeds_exact_maximum():
         pts = [TowerPoint(float(rng.random()), int(rng.integers(0, 4)))
                for _ in range(10)]
         for eps in (0.05, 0.1, 0.2):
-            greedy = len(greedy_separated(system, pts, 8, eps))
+            greedy = len(_kept(system, pts, 8, eps))
             exact = max_separated_exact(system, pts, 8, eps)
             assert greedy <= exact <= len(pts)

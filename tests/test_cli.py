@@ -382,8 +382,8 @@ def test_verify_construction_usage_errors(tmp_path, capsys, args):
 def test_verify_construction_failure_exit_code(tmp_path, capsys, monkeypatch):
     real = cli.certified_spanning_witness
 
-    def rigged(window, eps, fam, grid, extra_levels=5):
-        report, check = real(window, eps, fam, grid, extra_levels)
+    def rigged(window, eps, fam, grid):
+        report, check = real(window, eps, fam, grid)
         return dataclasses.replace(report, verified=False), check
 
     monkeypatch.setattr(cli, "certified_spanning_witness", rigged)

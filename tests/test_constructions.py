@@ -4,6 +4,7 @@ Threshold counts are checked against exact rational re-derivations, so a
 float rounding drift in the construction arithmetic cannot pass unnoticed.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from polyent import (
     CustomHeights,
     ExpHeights,
     PowerHeights,
-    SystemHandle,
     TowerPoint,
     backward_orbit,
     certified_factor_shifts,
@@ -208,7 +208,7 @@ def test_separated_shift_family_golden():
     word = sturmian_generate(GOLDEN, 0, 40)
     indices = separated_shift_family(word, 3)
     assert len(indices) == 4
-    factors = [word.factor(i, 3) for i in indices]
+    factors = [tuple(word.symbols[i:i + 3].tolist()) for i in indices]
     assert len(set(factors)) == 4
     # first occurrences come out in scan order
     assert indices == sorted(indices)
@@ -222,7 +222,7 @@ def _tuple_scan(word, n):
     # replaced; None where it finds fewer than n + 1 distinct blocks
     seen, indices = set(), []
     for i in range(word.start, word.end - n + 1):
-        block = word.factor(i, n)
+        block = tuple(word.symbols[i - word.start:i - word.start + n].tolist())
         if block not in seen:
             seen.add(block)
             indices.append(i)
@@ -280,7 +280,7 @@ def test_backward_orbit_rotation():
 
 
 def test_backward_orbit_needs_an_inverse():
-    handle = SystemHandle(name="one-way", metric=circle_dist, step=lambda x: x)
+    handle = dataclasses.replace(circle_rotation(0.3), name="one-way", inverse=None)
     with pytest.raises(ValueError, match="no inverse"):
         backward_orbit(handle, 0.0, 2)
 
@@ -318,6 +318,50 @@ def test_certified_separated_witness_passes_at_full_depth():
     assert rep.size == 9 * 31
     assert rep.notes == ()
     assert check.min_value > 0.1
+
+
+def _recorded_audits(monkeypatch):
+    checks = []
+    real = constructions.verify_separated
+
+    def audit(*args):
+        checks.append(real(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(constructions, "verify_separated", audit)
+    return checks
+
+
+@pytest.mark.parametrize("eps,angles,levels", [(0.25, 4, 63), (1 / 3, 3, 54),
+                                                (0.125, 8, 89)])
+def test_certified_separated_witness_keeps_every_level_at_a_tight_scale(
+        monkeypatch, eps, angles, levels):
+    # with 1/eps an integer, neighbouring angles of one level sit exactly eps
+    # apart on every level: the first audit holds, not strictly, and its
+    # closest pair lies on one level, so no level is dropped
+    checks = _recorded_audits(monkeypatch)
+    rep, check = certified_separated_witness(1000, eps, 1)
+    assert checks == [check]
+    assert rep.verified and not rep.strict and rep.notes == ()
+    assert check.ok and check.min_value == eps
+    i, j = check.min_pair
+    assert i // angles == j // angles
+    assert rep.levels == levels and rep.size == rep.predicted_size == angles * levels
+
+
+def test_certified_separated_witness_drops_a_level_that_fails_the_audit(monkeypatch):
+    # at n 2, eps 0.2 the third level lies within eps of the second: the
+    # first audit fails on a pair across levels, and the second, on two
+    # levels, holds strictly
+    checks = _recorded_audits(monkeypatch)
+    rep, check = certified_separated_witness(2, 0.2, 1)
+    assert len(checks) == 2 and checks[1] == check
+    i, j = checks[0].min_pair
+    assert not checks[0].ok and i // 4 != j // 4
+    assert rep.verified and rep.strict
+    assert rep.notes == ("dropped level 3: separation not strict at depth boundary",)
+    assert rep.levels == 2 and rep.size == 8
+    assert separated_witness(2, 0.2, 1).levels == 3
 
 
 def test_certified_factor_shifts():

@@ -1,5 +1,6 @@
 """Recurrence, distality, and word-complexity probes."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from polyent import (
     ExpHeights,
-    SystemHandle,
     TowerPoint,
     circle_dist,
     circle_rotation,
@@ -26,7 +26,7 @@ from polyent import (
     word_complexities,
 )
 from polyent.constructions import separated_shift_family
-from polyent.diagnostics import _block_codes, _fold_ranks
+from polyent.diagnostics import block_codes
 from polyent.systems import SymbolicWord, word_window
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -118,7 +118,7 @@ def test_distality_gap_validations():
     p = TowerPoint(0.2, 1)
     with pytest.raises(ValueError, match="coincide"):
         distality_gap(system, p, p, 10)
-    one_way = SystemHandle(name="one-way", metric=circle_dist, step=lambda x: x)
+    one_way = dataclasses.replace(circle_rotation(0.0), name="one-way", inverse=None)
     with pytest.raises(ValueError, match="no inverse"):
         distality_gap(one_way, 0.1, 0.3, 5)
     # window 0 needs no inverse at all
@@ -302,9 +302,7 @@ def test_separated_shift_family_traces_within_the_counting_peak():
     assert word.symbols.size == 107792
     first, peak = _traced_peak(separated_shift_family, word, n)
     assert peak <= 26 * word.symbols.size
-    codes, length, _ = _block_codes(word.symbols, word.alphabet_size, n)
-    while length < n:
-        codes, length, _ = _fold_ranks(codes, length, n)
+    codes = block_codes(word.symbols, word.alphabet_size, n)
     unique_first = np.sort(np.unique(codes, return_index=True)[1])
     assert first == unique_first[:n + 1].tolist()
 

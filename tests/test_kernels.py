@@ -332,8 +332,7 @@ def test_tower_angle_band_keeps_band_edge_pairs(fam, rows, cols):
 
     for n, cap in ((2, 0.25), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
         a, b = batch(rows, n), batch(cols, n)
-        w = min(cap, 2.0 * cap / (n - 1))
-        w += 1e-9 * w + 1e-9
+        w = systems._widen(min(cap, 2.0 * cap / (n - 1)))
         edge = [(x, h) for x, ha in a[:40].tolist() for e in (ha - w, ha + w)
                 for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
         b = np.concatenate((b, np.array(edge, b.dtype)))
@@ -362,8 +361,7 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
     mixed = 0
     for n in (2, 3, 500, 20000):
         for cap in (0.25, 0.1, 1e-4):
-            w = min(cap, 2.0 * cap / (n - 1))
-            w += 1e-9 * w + 1e-9
+            w = systems._widen(min(cap, 2.0 * cap / (n - 1)))
             for p in rows:
                 row = system.pack([p], n)
                 x, ha = row.tolist()[0]

@@ -5,7 +5,9 @@ reference here; everything downstream trusts that agreement.
 """
 
 import functools
+import importlib
 import math
+import pkgutil
 import warnings
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from polyent import (
     tower_sample,
     tower_system,
 )
+import polyent
 from polyent import constructions
 from polyent.bowen import bowen_block, bowen_dist
 from polyent.systems import (
@@ -326,9 +329,8 @@ def test_sturmian_golden_prefix():
 
 def test_sturmian_matches_floor_formula():
     word = sturmian_generate(SILVER, -50, 200)
-    for k in range(-50, 201):
-        expected = math.floor((k + 1) * SILVER) - math.floor(k * SILVER)
-        assert word.symbol(k) == expected
+    assert word.symbols.tolist() == [math.floor((k + 1) * SILVER) - math.floor(k * SILVER)
+                                     for k in range(-50, 201)]
 
 
 def test_sturmian_symbol_density_tracks_slope():
@@ -391,14 +393,16 @@ def test_sturmian_recurrence_matches_morse_hedlund():
 
 def test_word_extends_past_materialized_range_via_rule():
     word = sturmian_generate(GOLDEN, 0, 4)
-    assert word.symbol(10) == math.floor(11 * GOLDEN) - math.floor(10 * GOLDEN)
-    assert word.factor(3, 3) == (word.symbol(3), word.symbol(4), word.symbol(5))
+    assert word.rule(np.array([10])).tolist() == [
+        math.floor(11 * GOLDEN) - math.floor(10 * GOLDEN)]
+    assert word.rule(np.arange(3, 6))[:2].tolist() == word.symbols[3:].tolist()
+    assert _symbols_of(word.point(3), range(3)) == word.rule(np.arange(3, 6)).tolist()
 
 
 def test_word_without_rule_raises_outside_range():
     word = SymbolicWord(symbols=(0, 1, 1), start=0)
-    with pytest.raises(IndexError):
-        word.symbol(3)
+    with pytest.raises(ValueError, match="without a rule"):
+        word.point()
     with pytest.raises(ValueError):
         SymbolicWord(symbols=(0, 2), alphabet_size=2)
     with pytest.raises(ValueError):
@@ -416,30 +420,34 @@ def test_word_symbols_are_a_private_read_only_array():
     source = np.array([0, 1, 2], dtype=np.uint8)
     word = SymbolicWord(symbols=source, alphabet_size=3)
     source[0] = 2
-    assert word.symbols.tolist() == [0, 1, 2] and word.symbol(0) == 0
+    assert word.symbols.tolist() == [0, 1, 2]
     assert not word.symbols.flags.writeable
-    assert isinstance(SymbolicWord(symbols=(1, 0)).symbol(0), int)
+    assert SymbolicWord(symbols=(1, 0)).symbols.dtype.kind == "i"
+
+
+def _symbols_of(p, ks):
+    # the point's symbols at the indices ks, read through its rule
+    return p.rule(np.asarray(ks, np.int64) + p.offset).tolist()
 
 
 def test_symbolic_point_shifting():
     p = sturmian_point(GOLDEN)
     q = p.shifted(3)
-    assert q.symbol(0) == p.symbol(3)
+    assert _symbols_of(q, range(-5, 5)) == _symbols_of(p, range(-2, 8))
     assert q.shifted(-3).offset == p.offset
-    assert p.symbol(-2) == math.floor(-GOLDEN) - math.floor(-2 * GOLDEN)
+    assert _symbols_of(p, [-2]) == [math.floor(-GOLDEN) - math.floor(-2 * GOLDEN)]
 
 
 def test_periodic_point_cycles_both_directions():
     p = periodic_point((0, 1, 1))
-    assert [p.symbol(k) for k in range(-3, 4)] == [0, 1, 1, 0, 1, 1, 0]
+    assert _symbols_of(p, range(-3, 4)) == [0, 1, 1, 0, 1, 1, 0]
     with pytest.raises(ValueError):
         periodic_point(())
 
 
 def test_one_defect_point_shape():
     p = one_defect_point()
-    assert p.symbol(0) == 0
-    assert p.symbol(1) == 1 and p.symbol(-1) == 1 and p.symbol(100) == 1
+    assert _symbols_of(p, [0, 1, -1, 100]) == [0, 1, 1, 1]
 
 
 def test_shift_metric_values():
@@ -506,23 +514,6 @@ def test_packed_periodic_and_defect_rows_are_their_rules():
         assert rows[g::3].tolist() == _packed_rows(symbol, PACK_OFFSETS, 5, 64).tolist()
 
 
-def test_rule_less_word_packs_by_gathering_its_window():
-    symbols = (0, 1, 1, 0, 1, 0, 0, 1) * 4
-    word = SymbolicWord(symbols=symbols, start=-10)
-    system = full_shift(2, window=4)
-    # window n = 3 packs indices offset - 4 .. offset + 6, inside [-10, 22)
-    # for offsets -6..15
-    inside = range(-6, 16)
-    rows = system.pack([word.point(o) for o in inside], 3)["rows"]
-    assert rows.tolist() == _packed_rows(word.symbol, inside, 3, 4).tolist()
-    assert word.point(2).symbol(5) == word.symbol(7)
-    for o in (-7, 16):
-        with pytest.raises(IndexError, match="materialized range"):
-            system.pack([word.point(0), word.point(o)], 3)
-    with pytest.raises(IndexError):
-        word.point(0).symbol(22)
-
-
 # ---------------------------------------------------------------------------
 # system handles
 
@@ -537,15 +528,21 @@ def test_circle_rotation_handle():
 
 
 def test_system_handle_sets_pack_and_kernel_together():
+    # the sampler and the kernel are required fields; the canonical word
+    # and its recurrence come as a pair
     kernel = circle_rotation(0.3)
-    for half in ({"pack": kernel.pack}, {"orbit_pairs": kernel.orbit_pairs}):
-        with pytest.raises(ValueError, match="set together"):
-            SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
-    SystemHandle(name="none", metric=circle_dist, step=kernel.step)
+    required = {"sampler": kernel.sampler, "pack": kernel.pack,
+                "orbit_pairs": kernel.orbit_pairs}
+    for missing in required:
+        given = {k: v for k, v in required.items() if k != missing}
+        with pytest.raises(TypeError, match=missing):
+            SystemHandle(name="half", metric=circle_dist, step=kernel.step, **given)
+    SystemHandle(name="whole", metric=circle_dist, step=kernel.step, **required)
     words = sturmian_system(GOLDEN)
     for half in ({"word_fn": words.word_fn}, {"recurrence": words.recurrence}):
         with pytest.raises(ValueError, match="set together"):
-            SystemHandle(name="half", metric=circle_dist, step=kernel.step, **half)
+            SystemHandle(name="half", metric=circle_dist, step=kernel.step,
+                         **required, **half)
 
 
 def test_tower_system_handle():
@@ -573,7 +570,7 @@ def test_full_shift_sampler_enumerates_periodic_points():
     system = full_shift(2)
     pts = system.sampler(4)
     assert len(pts) == 4
-    seen = {tuple(p.symbol(k) for k in range(2)) for p in pts}
+    seen = {tuple(_symbols_of(p, range(2))) for p in pts}
     assert seen == {(0, 0), (1, 0), (0, 1), (1, 1)}
     with pytest.raises(ValueError):
         full_shift(1)
@@ -615,6 +612,24 @@ def test_make_system_specs():
             make_system(bad)
     with pytest.raises(ValueError):
         make_system("sturmian:0.5")
+
+
+def test_public_names_resolve_and_every_family_carries_its_kernel():
+    # every module but the entry point, which runs the CLI on import
+    names = ["polyent"] + [f"polyent.{m.name}" for m in pkgutil.iter_modules(polyent.__path__)
+                           if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(name)
+        assert len(set(module.__all__)) == len(module.__all__), name
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+    for spec in ("tower-exp", "tower-power:2", f"sturmian:{GOLDEN!r}", "full-shift:3",
+                 f"product:tower-power:2,sturmian:{GOLDEN!r}"):
+        system = make_system(spec)
+        sample = system.sampler(2)
+        batch = system.pack(sample, 3)
+        i, j, d = system.orbit_pairs(batch, batch, 3, math.inf)
+        assert len(d) == len(sample) ** 2, spec
+        assert d[i == j].max() == 0.0, spec
 
 
 # ---------------------------------------------------------------------------
