@@ -22,10 +22,10 @@ The covering audit first tries each block of sample rows against the
 block's own covering centers: a narrow scan of all centers, capped just
 past eps/32, names the centers the block comes near, and a scan of those
 centers alone settles the block's points below eps/2. Only the points
-still open then go through three rungs over all centers, capped just past
-eps/4, eps/2 and eps: each settles the points with a center below its
-threshold, and only the points it leaves open go on to the next. A scan
-costs about the square of its cap, so the narrow scan is cheap, and
+still open then go through two rungs over all centers, capped just past
+eps/2 and eps: the first settles the points with a center below eps/2,
+and only the points it leaves open go on to the second. A scan costs
+about the square of its cap, so the narrow scan is cheap, and
 neighbouring sample points share their covering centers, so the scan of
 those few centers takes most points before any wide rung runs. Each rung
 runs over every open point before the next starts.
@@ -302,22 +302,22 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     levels lies below eps/2 of a center of its own level, and neighbouring
     sample points share those centers. A call's cost grows with the square
     of its cap, because the kernel's height band and angle window both
-    scale with it: the narrow call costs about 1/64 of a scan of all
-    centers capped at eps/4, and where sample order has no locality the
+    scale with it: the narrow call costs about 1/256 of a scan of all
+    centers capped at eps/2, and where sample order has no locality the
     prefix settles little for about that cost.
 
     The points the prefix leaves open are scanned against all centers in
-    three rungs, with thresholds eps/4, eps/2 and eps. Each rung asks for
-    pairs below one ulp past its threshold t and settles every point with
-    a listed distance below t; only the points it leaves open are scanned
-    again in the next rung, and the last decides covered, boundary and
+    two rungs, with thresholds eps/2 and eps. Each rung asks for pairs
+    below one ulp past its threshold t and settles every point with a
+    listed distance below t; only the points the first leaves open are
+    scanned again in the second, which decides covered, boundary and
     missed. A call settles a row only on a distance it lists below its own
     threshold, never on a listed lower bound. Each rung runs over every
-    point still open before the next starts, in blocks of ``chunk`` rows on
-    the first rung and half as many on each later one, since doubling the
-    cap about quadruples a row's candidate pairs. The midpoints between
-    two centers of a level sit exactly at eps/2, so they reach the last
-    rung.
+    point still open before the next starts, in blocks of ``chunk``/2 rows
+    on the first rung and ``chunk``/4 on the second: doubling the cap about
+    quadruples a row's candidate pairs, and smaller blocks bound the
+    temporaries of the wide rungs. The midpoints between two centers of a
+    level sit exactly at eps/2, so they reach the last rung.
     """
     _check_scale(n, eps)
     pairs = system.orbit_pairs
@@ -338,10 +338,10 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
         kept.append(lo + left)
     open_idx = np.concatenate(kept) if kept else np.arange(0)
     # the ladder over all centers for the points the prefix leaves open
-    for k, t in enumerate((eps / 4, eps / 2, eps)):
-        # doubling the cap about quadruples a row's candidate pairs, so
-        # each rung takes half the rows per block of the one before, which
-        # bounds the block temporaries (docstring)
+    for k, t in enumerate((eps / 2, eps), start=1):
+        # a row's candidate pairs grow with the square of the cap, so the
+        # rungs take chunk/2 and chunk/4 rows per block, which bounds the
+        # block temporaries (docstring)
         rows_per_block = max(1, chunk >> k)
         near = np.full(open_idx.size, np.inf)
         for lo in range(0, open_idx.size, rows_per_block):

@@ -325,9 +325,10 @@ def certified_separated_witness(window: int, eps: float, c: float,
     one from the window convention used here; if that slack ever bites, it
     bites at the deepest level, so on a non-strict audit the family retries
     with the top level dropped (recorded in the report notes) before giving
-    up. An audit that holds with its closest pair on one level stops the
-    retries: every level carries the same angles, so dropping levels keeps
-    a pair at that distance (see ``separated_witness``).
+    up. An audit whose closest pair lies on one level stops the retries,
+    whether it holds or not: every level carries the same angles, so
+    dropping levels keeps a pair at that distance (see
+    ``separated_witness``).
     """
     report = separated_witness(window, eps, c)
     system = tower_system(PowerHeights(c))
@@ -339,7 +340,7 @@ def certified_separated_witness(window: int, eps: float, c: float,
         if check.all_strict or levels <= 1:
             break
         i, j = check.min_pair
-        if check.ok and i // m == j // m:
+        if i // m == j // m:
             break
         levels -= 1
         notes.append(

@@ -23,8 +23,8 @@ built-in kernel is exact at every threshold; the stepping
 cap is listed exactly once, and its listed ``d`` is exact. Other listed
 pairs read exactly or as a lower bound of at least cap, so at ``cap =
 inf`` every pair is listed, with its exact distance. No order is
-promised, and callers compare ``d`` with their own threshold. The kernel
-does not filter ``d < cap`` itself: the band paths already drop almost
+promised, and callers compare ``d`` with their own threshold. The tower
+band paths do not filter ``d < cap`` themselves: they already drop almost
 every pair, and a filter would copy the survivors three more times per
 call.
 
@@ -43,15 +43,26 @@ integers form a new orbit of step 1/delta mod 1, rescaled by delta and at
 most half as long. A wrapped pair lies at least max(|delta|,
 1/2 - |delta|/2) >= 1/3 away, so no pair below a cap of 1/4 needs it.
 
-The tower kernel prunes by height when given a cap in (0, 1/4]. A pair at
-Bowen distance below cap has height gap |dh| < cap <= 1/4, so its per-step
-drift is dh itself, and consecutive iterates (dh apart) cannot jump between
-the cap-neighbourhoods of different integers; the first and last iterates
-lie within cap of one integer, so (n-1)|dh| < 2 cap. Sorting one batch by
+The tower kernel has three candidate generators and one evaluator, which
+keeps the candidates a - b whose step-0 term is below cap and gives each
+its exact distance; a pair that a generator leaves out or the evaluator
+drops lies at or above cap. A pair of equal heights has zero drift, so its
+window max is its step-0 term or ||theta - floor(theta)||, whichever is
+larger, bit for bit what the drift scan returns at delta = 0: a call whose
+survivors all share one height, as most greedy row queries do, reads that
+and makes no drift scan. The dense generator serves n = 1 and caps outside
+(0, 1/4], and lists only the pairs below cap.
+
+For a cap in (0, 1/4] the kernel prunes by height. A pair at Bowen distance
+below cap has height gap |dh| < cap <= 1/4, so its per-step drift is dh
+itself, and consecutive iterates (dh apart) cannot jump between the
+cap-neighbourhoods of different integers; the first and last iterates lie
+within cap of one integer, so (n-1)|dh| < 2 cap. Sorting one batch by
 height turns |dh| <= min(cap, 2 cap/(n-1)), widened by a float margin, into
-one contiguous run per row; only those pairs, and among them only those
-whose step-0 term is below cap, are evaluated exactly and listed. Every
-other pair has distance at least cap, so it need not be listed.
+one contiguous run per row. A single row, such as the greedy loop's 1 x k
+queries, scans b for its band by the same float test instead of sorting
+it. The margin's absolute term can admit a wrapped drift once n passes
+5 * 10^8; the evaluator reads such a pair exactly, at or above cap.
 
 Blocks of more than one row also prune by angle. The step-0 term is at
 least the arc distance between the two angles, so a pair whose angles lie
@@ -62,16 +73,7 @@ of its height band, one window per wrap image theta - 1, theta, theta + 1
 of its angle, widened by the same margin as the height band. A spacing of
 4 keeps each window inside its own run, and float rounding of keys and
 window ends is monotone, so it can only admit extra pairs, which the exact
-step-0 test then drops. A single row, such as the greedy loop's 1 x k
-queries, scans b for its height band instead of sorting it. A pair of
-equal heights has zero drift, so its window max is its step-0 term or
-||theta - floor(theta)||, whichever is larger, bit for bit what the drift
-scan returns at delta = 0; the row scan reads that directly and
-drift-scans only its candidates across heights, which most greedy rows do
-not have. The angle band keeps one drift scan for all candidates, because
-most pairs of its wide blocks lie across heights. Both paths list the same
-pairs with bitwise the same distances, because they test band membership
-alike and every pair they evaluate is the same a - b arithmetic.
+step-0 test then drops.
 
 Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
@@ -690,8 +692,8 @@ def circle_rotation(theta: float) -> SystemHandle:
     )
 
 
-# the height band needs cap <= 1/4: below it the drift is dh itself, and no
-# listed pair wraps (module docstring)
+# the height band needs cap <= 1/4: below it a pair below cap drifts by dh
+# itself and does not wrap (module docstring)
 _TOWER_BAND_CAP = 0.25
 
 
@@ -701,15 +703,16 @@ def _widen(x: float) -> float:
 
 
 def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
-    """Max over k in 0..n-1 of the distance from theta + k*delta to Z.
-
-    That sawtooth peaks once per unit of accumulated drift, so the max sits
-    at a window endpoint or adjacent to the first half-integer crossing:
-    exact while the total drift stays under one turn, and at least
-    1/2 - |delta| once it wraps. Mutates both argument arrays.
-    """
+    """Max over k in 0..n-1 of the distance from theta + k*delta to Z, exact
+    at every drift (module docstring): the sawtooth's one peak while the
+    total drift stays under a turn, the descent once it wraps. Mutates
+    theta."""
+    mag = np.abs(delta)
+    wrapped = (mag * (n - 1) >= 1.0).nonzero()[0]
+    if wrapped.size:
+        far = 0.5 - _nearest_approach(theta[wrapped] - 0.5, delta[wrapped], n)
     np.negative(theta, out=theta, where=delta < 0.0)
-    delta = np.abs(delta)
+    delta = mag
     theta -= np.floor(theta)
 
     t0 = 0.5 - theta
@@ -734,6 +737,8 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
         u -= np.rint(u)
         np.abs(u, out=u)
         np.maximum(best, u, out=best)
+    if wrapped.size:
+        best[wrapped] = far
     return best
 
 
@@ -788,59 +793,43 @@ def _nearest_approach(phi: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tower_exact(theta: np.ndarray, dh: np.ndarray, n: int) -> np.ndarray:
-    """Tower Bowen distances from the angle and height differences of
-    (broadcast) pairs, exact at every threshold; mutates ``theta``."""
-    base = _step0(theta, dh)
+def _tower_pairs(theta: np.ndarray, dh: np.ndarray, n: int,
+                 cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tower kernel's one evaluator: the positions of the candidate
+    pairs (angle gaps theta, height gaps dh) whose step-0 term is below cap,
+    and their exact distances over n steps. A call whose survivors all
+    share one height makes no drift scan (module docstring)."""
+    dist = _step0(theta, dh)
+    live = (dist < cap).nonzero()[0]
+    dist = dist[live]
     if n == 1:
-        return base
-    delta = dh - np.rint(dh)
-    # the drift scan is exact until the drift wraps; past that the peak is
-    # 1/2 less the nearest approach of theta - 1/2 + k delta to Z
-    wrapped = np.abs(delta) * (n - 1) >= 1.0
-    phi, step = theta[wrapped] - 0.5, delta[wrapped]
-    best = _drift_peak(theta, delta, n)
-    best[wrapped] = 0.5 - _nearest_approach(phi, step, n)
-    return np.maximum(best, base, out=best)
+        return live, dist
+    theta, dh = theta[live], dh[live]
+    if dh.any():
+        peak = _drift_peak(theta, dh - np.rint(dh), n)
+    else:
+        peak = theta - np.floor(theta)
+        np.abs(peak - np.rint(peak), out=peak)
+    return live, np.maximum(peak, dist, out=peak)
 
 
-def _below_cap(theta: np.ndarray, dh: np.ndarray, n: int,
-               cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the candidate pairs whose step-0 term is below cap, and
-    their exact distances over n >= 2 steps; only these need the drift
-    scan, which reuses their step-0 terms."""
-    step0 = _step0(theta, dh)
-    live = np.flatnonzero(step0 < cap)
-    dh = dh[live]
-    best = _drift_peak(theta[live], dh - np.rint(dh), n)
-    return live, np.maximum(best, step0[live], out=best)
+def _band_width(n: int, cap: float) -> float:
+    """Half-width of the height band of a cap in (0, 1/4] over n >= 2 steps,
+    with the float margin (module docstring)."""
+    return _widen(min(cap, 2.0 * cap / (n - 1)))
 
 
 def _tower_row_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
                     w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a single row (the greedy loop's queries) finds its band in one scan
-    # of b, by the height band's own float test, without sorting b. A
-    # step-0 survivor of the row's own height has zero drift: it reads what
-    # _drift_peak returns at delta = 0, the larger of its step-0 term and
-    # ||theta - floor(theta)||, and only survivors across heights get the
-    # drift scan. The angle band keeps _below_cap whole (module
-    # docstring). Rows are short, so contiguous copies, scalar operands and
-    # ndarray.nonzero save most of the per-call overhead.
+    # of b, by the height band's own float test, without sorting b. Rows
+    # are short, so contiguous copies, scalar operands and ndarray.nonzero
+    # save most of the per-call overhead.
     h = a["height"].item()
     hb = b["height"].copy()
     col = ((hb >= h - w) & (hb <= h + w)).nonzero()[0]
-    theta = a["angle"].item() - b["angle"][col]
-    dh = h - hb[col]
-    dist = _step0(theta, dh)
-    live = (dist < cap).nonzero()[0]
-    theta, dh = theta[live], dh[live]
-    peak = theta - np.floor(theta)
-    np.abs(peak - np.rint(peak), out=peak)
-    cross = dh.nonzero()[0]
-    if cross.size:
-        dh = dh[cross]
-        peak[cross] = _drift_peak(theta[cross], dh - np.rint(dh), n)
-    return np.zeros(live.size, np.intp), col[live], np.maximum(peak, dist[live], out=peak)
+    live, dist = _tower_pairs(a["angle"].item() - b["angle"][col], h - hb[col], n, cap)
+    return np.zeros(live.size, np.intp), col[live], dist
 
 
 def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
@@ -885,41 +874,32 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     si, qi = order[pos], np.repeat(np.repeat(qi, 3), counts)
     ia, ib = (si, qi) if s_is_a else (qi, si)
-    # the caller's orientation a - b keeps every distance bitwise equal to
-    # the row scan's
-    live, dist = _below_cap(a["angle"][ia] - b["angle"][ib],
-                            a["height"][ia] - b["height"][ib], n, cap)
+    # the caller's orientation a - b, as in the row scan and the dense path
+    live, dist = _tower_pairs(a["angle"][ia] - b["angle"][ib],
+                              a["height"][ia] - b["height"][ib], n, cap)
     return ia[live], ib[live], dist
-
-
-def _tower_dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    # serves n = 1 and caps outside (0, 1/4] of _tower_orbit_pairs
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    return _tower_exact(a["angle"][:, None] - b["angle"][None, :],
-                        a["height"][:, None] - b["height"][None, :], n)
 
 
 def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
                        cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n <= 1 or not 0.0 < cap <= _TOWER_BAND_CAP:
-        return _pairs_below(_tower_dense(a, b, n), cap)
-    # Height band (module docstring): a pair below cap <= 1/4 has |dh| < cap,
-    # so delta = dh and its iterates, dh apart, stay within cap of one
-    # integer from first to last, hence (n-1)|dh| < 2 cap. Only pairs with
-    # |h_a - h_b| <= w can lie below cap. The margin on w absorbs the
-    # kernel's own rounding (an angle gap rounded inward can put a pair one
-    # ulp past the edge just below cap), so every pair the exact kernel puts
-    # below cap is listed. Blocks of more than one row also skip the band
-    # pairs whose angles lie more than c (cap with the same margin) apart
-    # mod 1: their step-0 arc term is at least cap. Only pairs whose step-0
-    # term is below cap get the drift scan, and those are all listed,
-    # whatever it reads. The path is chosen from the block's shape alone,
-    # and both list the same pairs with bitwise the same distances.
-    w = _widen(min(cap, 2.0 * cap / (n - 1)))
-    if len(a) == 1:
-        return _tower_row_band(a, b, n, cap, w)
-    return _tower_angle_band(a, b, n, cap, w)
+    if n < 1:
+        raise ValueError(f"window must be >= 1, got {n}")
+    if n > 1 and 0.0 < cap <= _TOWER_BAND_CAP:
+        # Height band and angle windows (module docstring). Their margin
+        # absorbs the kernel's own rounding (an angle gap rounded inward can
+        # put a pair one ulp past the edge just below cap), so every pair
+        # the evaluator puts below cap is listed. The path is chosen from
+        # the block's shape alone.
+        w = _band_width(n, cap)
+        if len(a) == 1:
+            return _tower_row_band(a, b, n, cap, w)
+        return _tower_angle_band(a, b, n, cap, w)
+    # every pair of the block is a candidate; the list keeps those below cap
+    live, dist = _tower_pairs((a["angle"][:, None] - b["angle"][None, :]).ravel(),
+                              (a["height"][:, None] - b["height"][None, :]).ravel(), n, cap)
+    keep = (dist < cap).nonzero()[0]
+    i, j = np.divmod(live[keep], len(b))
+    return i, j, dist[keep]
 
 
 # levels above the base circle that a tower's canonical sampler covers

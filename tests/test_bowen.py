@@ -177,8 +177,10 @@ def test_greedy_separated_matches_a_stepped_sequential_loop(fam, sample):
 
 
 def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch):
-    # a block query drift-scans its step-0 survivors once; a row query does
-    # so only when one of its survivors lies at another height
+    # one rule for rows and blocks: a query drift-scans once if one of its
+    # step-0 survivors lies at another height, and not at all otherwise.
+    # The band paths list exactly their step-0 survivors, so the listed
+    # pairs tell which queries must scan
     scans = []
     real_peak = systems._drift_peak
 
@@ -186,23 +188,38 @@ def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch
         scans.append(1)
         return real_peak(*args)
 
-    queries = {"block": 0, "row": 0, "cross": 0}
+    # per kind: queries, and queries with a survivor across heights
+    queries = {"row": [0, 0], "block": [0, 0]}
 
     def pairs(a, b, n, cap):
+        before = len(scans)
         i, j, d = systems._tower_orbit_pairs(a, b, n, cap)
-        if len(a) > 1:
-            queries["block"] += 1
-        else:
-            queries["row"] += 1
-            queries["cross"] += bool((b["height"][j] != a["height"][0]).any())
+        cross = bool((a["height"][i] != b["height"][j]).any())
+        assert len(scans) - before == cross
+        kind = queries["row" if len(a) == 1 else "block"]
+        kind[0] += 1
+        kind[1] += cross
         return i, j, d
 
     monkeypatch.setattr(systems, "_drift_peak", peak)
     system = dataclasses.replace(tower_system(PowerHeights(1)), orbit_pairs=pairs)
-    record, = count_table(system, [32], [0.1], METHOD_GREEDY_SEPARATED, grid=60)
+    # grid 300 makes the sample span more than one chunk, so the greedy
+    # loop asks block queries as well as row queries
+    record, = count_table(system, [32], [0.1], METHOD_GREEDY_SEPARATED, grid=300)
     assert record.count > 0
-    assert len(scans) == queries["block"] + queries["cross"]
-    assert 0 < queries["cross"] < queries["row"]
+    for total, cross in queries.values():
+        assert 0 < cross < total
+    # a block whose band holds a second level, 1.1e-5 higher, but whose
+    # step-0 survivors all share the rows' level: no drift scan
+    n, cap = 32, 0.1
+    a = system.pack([TowerPoint(x / 10, 300) for x in range(5)], n)
+    b = system.pack([TowerPoint(x / 10, 300) for x in range(10)]
+                    + [TowerPoint(x, 301) for x in (0.65, 0.75, 0.85)], n)
+    assert (np.abs(b["height"] - a["height"][0]) <= systems._band_width(n, cap)).all()
+    before = len(scans)
+    i, j, d = pairs(a, b, n, cap)
+    assert len(scans) == before and i.size
+    assert (b["height"][j] == a["height"][0]).all()
 
 
 def _spanning_by_hand(system, centers, sample, n, eps):
@@ -242,7 +259,8 @@ def test_verify_spanning_matches_a_full_scan(chunk):
 
 def _rung_kinds(system, centers, sample, n, eps):
     # how many sample points have their nearest center below eps/4, in
-    # [eps/4, eps/2), in [eps/2, eps), exactly at eps and beyond eps
+    # [eps/4, eps/2) (both settled by the first rung, eps/2), in [eps/2,
+    # eps), exactly at eps and beyond eps
     near = bowen_block(system, sample, centers, n).min(axis=1)
     return [int(k.sum()) for k in (near < eps / 4, (near >= eps / 4) & (near < eps / 2),
                                    (near >= eps / 2) & (near < eps),
@@ -252,8 +270,8 @@ def _rung_kinds(system, centers, sample, n, eps):
 # base-circle centers a quarter turn apart put base grid points at every
 # multiple of 1/32 up to eps = 1/8 from their nearest center, exactly at
 # eps/4, eps/2 and eps included; level 3 sits 1/9 above the base, between
-# the rungs at n = 1 and drifting away past eps at n = 3, and level 2 is
-# missed
+# the rungs' thresholds eps/2 and eps at n = 1 and drifting away past eps
+# at n = 3, and level 2 is missed
 _RUNG_CENTERS = tower_sample(PowerHeights(2), 4, [0])
 _RUNG_SAMPLE = tower_sample(PowerHeights(2), 32, [0, 2, 3])
 
@@ -296,9 +314,9 @@ def test_verify_spanning_rungs_match_a_full_scan_on_wide_blocks(monkeypatch):
 def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
     # the pair contract lets a kernel list any pair at or above the cap
     # with a lower bound of at least the cap; this one lists every pair
-    # and reads each such pair as exactly the cap, which the first two
-    # rungs (capped just past eps/4 and eps/2) must not take for a cover
-    # below eps
+    # and reads each such pair as exactly the cap, which the prefix's calls
+    # (capped just past eps/32 and eps/2) and the first rung (just past
+    # eps/2) must not take for a cover below eps
     tower = tower_system(PowerHeights(2))
 
     def lower_bounds(a, b, n, cap):

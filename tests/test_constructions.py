@@ -349,6 +349,22 @@ def test_certified_separated_witness_keeps_every_level_at_a_tight_scale(
     assert rep.levels == levels and rep.size == rep.predicted_size == angles * levels
 
 
+@pytest.mark.parametrize("eps,angles,levels", [pytest.param(1 / 6, 6, 77, id="1/6"),
+                                                pytest.param(1 / 7, 7, 83, id="1/7")])
+def test_certified_separated_witness_stops_at_a_same_level_failure(
+        monkeypatch, eps, angles, levels):
+    # one level's gap 1 - (angles - 1)/angles rounds just below eps, so the
+    # first audit fails on a pair within one level; every level carries the
+    # same angles, so dropping levels cannot mend it and none is dropped
+    checks = _recorded_audits(monkeypatch)
+    rep, check = certified_separated_witness(1000, eps, 1)
+    assert checks == [check]
+    assert not rep.verified and not check.ok and rep.notes == ()
+    i, j = check.min_pair
+    assert i // angles == j // angles
+    assert rep.levels == levels and rep.size == rep.predicted_size == angles * levels
+
+
 def test_certified_separated_witness_drops_a_level_that_fails_the_audit(monkeypatch):
     # at n 2, eps 0.2 the third level lies within eps of the second: the
     # first audit fails on a pair across levels, and the second, on two

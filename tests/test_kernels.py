@@ -332,7 +332,7 @@ def test_tower_angle_band_keeps_band_edge_pairs(fam, rows, cols):
 
     for n, cap in ((2, 0.25), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
         a, b = batch(rows, n), batch(cols, n)
-        w = systems._widen(min(cap, 2.0 * cap / (n - 1)))
+        w = systems._band_width(n, cap)
         edge = [(x, h) for x, ha in a[:40].tolist() for e in (ha - w, ha + w)
                 for h in (e, np.nextafter(e, -1.0), np.nextafter(e, 1.0))]
         b = np.concatenate((b, np.array(edge, b.dtype)))
@@ -342,13 +342,14 @@ def test_tower_angle_band_keeps_band_edge_pairs(fam, rows, cols):
 @pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
 def test_tower_row_scan_matches_height_band_bitwise(fam):
     # a single row scans b for its height band where the angle band sorts
-    # it by the same float test, and drift-scans only the survivors across
-    # heights: a survivor at the row's own height takes the zero-drift rule.
-    # Blocks hold only the row's own level, only other levels, or both. The
-    # other levels end with points on the row's widened band edge and one
-    # ulp to either side, where a test rounded differently would disagree;
-    # deep exp levels lie within the band of each other and of the base
-    # circle
+    # it by the same float test; both hand their candidates to the one
+    # evaluator, so they must list the same pairs with the same bits.
+    # Blocks hold only the row's own level (every survivor takes the
+    # zero-drift rule), only other levels (every survivor is drift-scanned),
+    # or both. The other levels end with points on the row's widened band
+    # edge and one ulp to either side, where a band test rounded
+    # differently would disagree; deep exp levels lie within the band of
+    # each other and of the base circle
     rng = np.random.default_rng(5)
     system = tower_system(fam)
     levels = [0, 1, 2, 30, 31, 700, 701]
@@ -361,7 +362,7 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
     mixed = 0
     for n in (2, 3, 500, 20000):
         for cap in (0.25, 0.1, 1e-4):
-            w = systems._widen(min(cap, 2.0 * cap / (n - 1)))
+            w = systems._band_width(n, cap)
             for p in rows:
                 row = system.pack([p], n)
                 x, ha = row.tolist()[0]
