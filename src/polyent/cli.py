@@ -6,7 +6,8 @@ Three subcommands over one shared configuration surface:
   and plot-ready log-log series;
 * ``verify-construction``: build a closed-form witness family and run the
   generic verifier over it, exit status reporting the verdict;
-* ``diagnose``: recurrence, word-complexity, or distality probes.
+* ``diagnose``: recurrence or word-complexity probes, or the distality gap
+  of two tower levels.
 
 Configuration comes from a flat ``key = value`` text file plus command-line
 overrides (later wins). All file output is written after computation
@@ -34,7 +35,7 @@ from .constructions import (
     certified_separated_witness,
     certified_spanning_witness,
 )
-from .diagnostics import distality_gap, uniform_recurrence_check, word_complexities
+from .diagnostics import uniform_recurrence_check, word_complexities
 from .estimation import (
     METHOD_GREEDY_SEPARATED,
     METHOD_SYMBOLIC_EXACT,
@@ -92,6 +93,9 @@ def _parse_level_pair(text: str) -> tuple[int, int]:
         raise UsageError(f"bad level pair {text!r}") from None
     if a < 0 or b < 0:
         raise UsageError("levels must be >= 0")
+    # heights are read off int64 level arrays
+    if max(a, b) > (1 << 63) - 1:
+        raise UsageError(f"levels must be below 2^63, got {text!r}")
     if a == b:
         raise UsageError("distality needs two different levels")
     return a, b
@@ -491,13 +495,17 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
         raise UsageError(f"distality probe expects a tower system, got {system.name}")
     la, lb = cfg["levels"]
     fam = system.heights
-    x, y = TowerPoint(0.0, la), TowerPoint(0.0, lb)
     window = max(cfg["ns"])
-    gap = distality_gap(system, x, y, window)
     ha = fam.height(la) if la > 0 else 0.0
     hb = fam.height(lb) if lb > 0 else 0.0
+    # both points start at angle 0 on invariant levels: the k = 0 term, the
+    # height gap, is the least orbit distance over every window
+    gap = abs(ha - hb)
+    if gap == 0.0:
+        raise UsageError(f"levels {la} and {lb} share the height {_fmt(ha)}; "
+                         f"their distality gap is trivially 0")
     print(f"levels {la},{lb}: min orbit distance {_fmt(gap)} over |n| <= {window} "
-          f"(height gap {_fmt(abs(ha - hb))})")
+          f"(height gap {_fmt(gap)})")
     _write_json(os.path.join(out, "distality.json"), {
         "tool": "polyent",
         "version": __version__,
@@ -505,7 +513,7 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
         "levels": [la, lb],
         "window": window,
         "gap": gap,
-        "height_gap": abs(ha - hb),
+        "height_gap": gap,
     })
     return EXIT_OK
 

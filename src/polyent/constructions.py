@@ -34,7 +34,6 @@ from .bowen import SeparationCheck, SpanningCheck, verify_separated, verify_span
 from .diagnostics import block_codes
 from .systems import (
     AngleLevelGrid,
-    CustomHeights,
     ExpHeights,
     HeightFamily,
     PowerHeights,
@@ -75,21 +74,11 @@ def drift_cutoff(window: int, eps: float, fam: HeightFamily) -> int:
     Returns min {n >= 1 : window * height(n) < eps}. Closed-form candidate
     plus a boundary walk; for integer-exponent power families the comparison
     is done in exact integers so boundary cases cannot flip on rounding.
-    Custom families are scanned directly.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if not eps > 0.0:
         raise ValueError(f"scale must be positive, got {eps}")
-
-    if isinstance(fam, CustomHeights):
-        for n in range(1, fam.max_level + 1):
-            if window * fam.height(n) < eps:
-                return n
-        raise ValueError(
-            f"sequence too short: drift stays >= {eps} through all "
-            f"{fam.max_level} listed heights"
-        )
 
     if isinstance(fam, PowerHeights) and fam.integer_c is not None:
         c = fam.integer_c

@@ -1,10 +1,11 @@
-"""Dynamical side-checks: recurrence, distality, and word complexity.
+"""Dynamical side-checks: recurrence and word complexity.
 
 These are cheap probes used to cross-examine the counting results: systems
 with slow orbit growth should show short return times (every point comes
-back near itself quickly), tower levels should keep their height gaps
-forever (distality), and symbolic systems expose their complexity directly
-through distinct-block counts.
+back near itself quickly), and symbolic systems expose their complexity
+directly through distinct-block counts. Tower distality needs no probe:
+each level is invariant, so two levels stay exactly their height gap apart
+for all time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "return_time",
     "RecurrenceReport",
     "uniform_recurrence_check",
-    "distality_gap",
     "block_codes",
     "word_complexities",
 ]
@@ -71,30 +71,6 @@ def uniform_recurrence_check(system: SystemHandle, sample, eps: float,
         times=times,
         all_within=all(t is not None for _, t in times),
     )
-
-
-def distality_gap(system: SystemHandle, x: Any, y: Any, window: int) -> float:
-    """Min orbit distance over iterates |n| <= window; upper-bounds the
-    infimum over all time, and is reported only as such.
-
-    Needs the inverse map for the backward half. Coincident points are
-    rejected: their gap is identically zero and says nothing about
-    distality.
-    """
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    gap = system.metric(x, y)
-    if gap == 0.0:
-        raise ValueError("points coincide; the distality gap is trivially 0")
-    if window >= 1 and system.inverse is None:
-        raise ValueError(f"system {system.name} has no inverse map")
-    fx, fy = x, y
-    bx, by = x, y
-    for _ in range(window):
-        fx, fy = system.step(fx), system.step(fy)
-        bx, by = system.inverse(bx), system.inverse(by)
-        gap = min(gap, system.metric(fx, fy), system.metric(bx, by))
-    return gap
 
 
 def _ranks(code: np.ndarray) -> int:

@@ -144,8 +144,6 @@ def _tower_sample_for(system: SystemHandle, n: int, eps: float,
     else:
         top = drift_cutoff(n, eps, fam)
     top += systems.TOWER_SAMPLE_SLACK
-    if fam.max_level is not None:
-        top = min(top, fam.max_level)
     return tower_sample(fam, grid, range(0, top + 1))
 
 

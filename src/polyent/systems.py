@@ -105,7 +105,6 @@ __all__ = [
     "ExpHeights",
     "PowerHeights",
     "POWER_EXPONENT_LIMIT",
-    "CustomHeights",
     "HeightFamily",
     "TowerPoint",
     "AngleLevelGrid",
@@ -157,7 +156,6 @@ class ExpHeights:
     """
 
     label: str = field(default="exp", init=False)
-    max_level: None = field(default=None, init=False)
 
     def height(self, n: int) -> float:
         return _level_height(self, n)
@@ -201,10 +199,6 @@ class PowerHeights:
         return f"power:{int(c) if float(c).is_integer() else c}"
 
     @property
-    def max_level(self) -> None:
-        return None
-
-    @property
     def integer_c(self) -> int | None:
         return int(self.c) if float(self.c).is_integer() else None
 
@@ -212,41 +206,7 @@ class PowerHeights:
         return _level_height(self, n)
 
 
-@dataclass(frozen=True, slots=True)
-class CustomHeights:
-    """A finite, strictly decreasing, positive height list (1-indexed)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("height list must be nonempty")
-        if any(v <= 0.0 for v in vals):
-            raise ValueError("heights must be positive")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("heights must be strictly decreasing")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def label(self) -> str:
-        return f"custom[{len(self.values)}]"
-
-    @property
-    def max_level(self) -> int:
-        return len(self.values)
-
-    def height(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"level index must be >= 1, got {n}")
-        if n > len(self.values):
-            raise ValueError(
-                f"sequence too short: level {n} requested, only {len(self.values)} heights"
-            )
-        return self.values[n - 1]
-
-
-HeightFamily = ExpHeights | PowerHeights | CustomHeights
+HeightFamily = ExpHeights | PowerHeights
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,13 +241,8 @@ def _heights_array(fam: HeightFamily, levels: np.ndarray) -> np.ndarray:
     """Vectorized heights with level 0 mapped to the base height 0."""
     if isinstance(fam, ExpHeights):
         out = np.exp(-levels.astype(np.float64))
-    elif isinstance(fam, PowerHeights):
-        out = _power_heights(fam, np.maximum(levels, 1))
     else:
-        table = np.concatenate(([0.0], np.asarray(fam.values, dtype=np.float64)))
-        if levels.size and int(levels.max()) > fam.max_level:
-            raise ValueError("sequence too short for requested levels")
-        out = table[levels]
+        out = _power_heights(fam, np.maximum(levels, 1))
     return np.where(levels > 0, out, 0.0)
 
 
@@ -430,7 +385,7 @@ class SymbolicWord:
         """View the word as a shift-orbit point through its rule."""
         if self.rule is None:
             raise ValueError("a word without a rule is no shift-orbit point")
-        return SymbolicPoint(rule=self.rule, offset=offset, alphabet_size=self.alphabet_size)
+        return SymbolicPoint(rule=self.rule, offset=offset)
 
 
 @dataclass(frozen=True)
@@ -445,10 +400,9 @@ class SymbolicPoint:
 
     rule: Callable[[np.ndarray], np.ndarray]
     offset: int = 0
-    alphabet_size: int = 2
 
     def shifted(self, j: int) -> "SymbolicPoint":
-        return SymbolicPoint(self.rule, self.offset + j, self.alphabet_size)
+        return SymbolicPoint(self.rule, self.offset + j)
 
 
 def _sturmian_rule(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -522,13 +476,18 @@ def _sturmian_recurrence(alpha: float) -> Callable[[int], int]:
     return recurrence
 
 
-def _reject_rational(alpha: float, max_den: int = 1000, tol: float = 1e-12) -> None:
+# a slope this close to a fraction with a denominator this small is refused
+_RATIONAL_MAX_DEN = 1000
+_RATIONAL_TOL = 1e-12
+
+
+def _reject_rational(alpha: float) -> None:
     # guards the coding against eventually periodic degenerate slopes
-    approx = Fraction(alpha).limit_denominator(max_den)
-    if abs(alpha - float(approx)) < tol:
+    approx = Fraction(alpha).limit_denominator(_RATIONAL_MAX_DEN)
+    if abs(alpha - float(approx)) < _RATIONAL_TOL:
         raise ValueError(
-            f"slope {alpha!r} is within {tol} of {approx}; "
-            f"rational slopes (denominator <= {max_den}) produce periodic words"
+            f"slope {alpha!r} is within {_RATIONAL_TOL} of {approx}; "
+            f"rational slopes (denominator <= {_RATIONAL_MAX_DEN}) produce periodic words"
         )
 
 
@@ -552,10 +511,10 @@ def sturmian_generate(alpha: float, k_lo: int, k_hi: int) -> SymbolicWord:
 
 
 def sturmian_point(alpha: float, offset: int = 0) -> SymbolicPoint:
-    return SymbolicPoint(_sturmian_rule(alpha), offset, 2)
+    return SymbolicPoint(_sturmian_rule(alpha), offset)
 
 
-def periodic_point(pattern: Sequence[int], alphabet_size: int = 2) -> SymbolicPoint:
+def periodic_point(pattern: Sequence[int]) -> SymbolicPoint:
     pat = np.array([int(s) for s in pattern], np.int64)
     if not pat.size:
         raise ValueError("pattern must be nonempty")
@@ -564,10 +523,10 @@ def periodic_point(pattern: Sequence[int], alphabet_size: int = 2) -> SymbolicPo
     def rule(k: np.ndarray) -> np.ndarray:
         return pat[k % period]
 
-    return SymbolicPoint(rule, 0, alphabet_size)
+    return SymbolicPoint(rule)
 
 
-def one_defect_point(alphabet_size: int = 2) -> SymbolicPoint:
+def one_defect_point() -> SymbolicPoint:
     """All symbols 1 except a single 0 at the origin.
 
     Aperiodic, and its forward orbit never comes within coding distance 1 of
@@ -577,10 +536,14 @@ def one_defect_point(alphabet_size: int = 2) -> SymbolicPoint:
     def rule(k: np.ndarray) -> np.ndarray:
         return (k != 0).astype(np.int64)
 
-    return SymbolicPoint(rule, 0, alphabet_size)
+    return SymbolicPoint(rule)
 
 
-def shift_metric(x: SymbolicPoint, y: SymbolicPoint, window: int = 64) -> float:
+# coordinates on each side of a block that the subshifts' coding metric reads
+_CODING_WINDOW = 64
+
+
+def shift_metric(x: SymbolicPoint, y: SymbolicPoint, window: int = _CODING_WINDOW) -> float:
     """Coding metric 2^-m, m = min{|k| <= window : x_k != y_k}; 0 if none.
 
     A zero return is window-limited, not a proof of equality: a wider
@@ -910,13 +873,11 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
     """The rotation tower over a height family.
 
     The canonical sampler places ``res`` angles on the base circle and on
-    levels 1..8 (fewer if the family ends sooner); counting experiments
-    pass their own level policy instead.
+    levels 1..8; counting experiments pass their own level policy instead.
     """
-    top = _SAMPLER_LEVELS if fam.max_level is None else min(_SAMPLER_LEVELS, fam.max_level)
 
     def sampler(res: int) -> AngleLevelGrid:
-        return tower_sample(fam, res, range(0, top + 1))
+        return tower_sample(fam, res, range(0, _SAMPLER_LEVELS + 1))
 
     def pack(points: Sequence[TowerPoint], n: int) -> np.ndarray:
         batch = np.empty(len(points), [("angle", np.float64), ("height", np.float64)])
@@ -946,7 +907,7 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
     )
 
 
-def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
+def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
     """Shift map, coding metric and block kernel shared by the subshifts."""
     symbol = np.min_scalar_type(alphabet_size - 1)
 
@@ -955,7 +916,8 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         # the coding window, so the first mismatch in column n + m lies at
         # distance m // 2 + 1 from the block; the central n symbols are also
         # kept as one opaque byte string so blocks compare in a single test
-        outward = np.stack((-np.arange(1, window + 1), np.arange(n, n + window)), axis=1)
+        outward = np.stack((-np.arange(1, _CODING_WINDOW + 1),
+                            np.arange(n, n + _CODING_WINDOW)), axis=1)
         order = np.concatenate((np.arange(n), outward.ravel()))
         key = np.dtype((np.void, n * symbol.itemsize))
         batch = np.empty(len(points), [("rows", symbol, (order.size,)), ("key", key)])
@@ -996,7 +958,7 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
         return same_block_pairs(a, b, n)
 
     return {
-        "metric": lambda x, y: shift_metric(x, y, window),
+        "metric": shift_metric,
         "step": lambda x: x.shifted(1),
         "inverse": lambda x: x.shifted(-1),
         "pack": pack,
@@ -1004,7 +966,7 @@ def _shift_dynamics(window: int, alphabet_size: int) -> dict[str, Callable]:
     }
 
 
-def full_shift(alphabet_size: int = 2, window: int = 64) -> SystemHandle:
+def full_shift(alphabet_size: int = 2) -> SystemHandle:
     """Two-sided full shift on ``alphabet_size`` symbols."""
     if alphabet_size < 2:
         raise ValueError("alphabet must have at least 2 symbols")
@@ -1021,24 +983,24 @@ def full_shift(alphabet_size: int = 2, window: int = 64) -> SystemHandle:
             for _ in range(period):
                 digits.append(c % alphabet_size)
                 c //= alphabet_size
-            pts.append(periodic_point(tuple(digits), alphabet_size))
+            pts.append(periodic_point(tuple(digits)))
         return pts
 
     return SystemHandle(
         name=f"full-shift:{alphabet_size}",
         sampler=sampler,
-        **_shift_dynamics(window, alphabet_size),
+        **_shift_dynamics(alphabet_size),
     )
 
 
-def sturmian_system(alpha: float, window: int = 64) -> SystemHandle:
+def sturmian_system(alpha: float) -> SystemHandle:
     """Shift orbit of the mechanical word with slope alpha."""
     base = sturmian_point(alpha)
 
     return SystemHandle(
         name=f"sturmian:{alpha!r}",
         sampler=lambda res: [base.shifted(i) for i in range(res)],
-        **_shift_dynamics(window, 2),
+        **_shift_dynamics(2),
         word_fn=lambda lo, hi: sturmian_generate(alpha, lo, hi),
         recurrence=_sturmian_recurrence(alpha),
     )

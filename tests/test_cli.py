@@ -432,15 +432,63 @@ def test_diagnose_complexity(tmp_path, capsys):
     assert "p(12) = 13" in capsys.readouterr().out
 
 
-def test_diagnose_distality(tmp_path, capsys):
-    rc = _run("diagnose", "--system", "tower-exp", "--check", "distality",
-              "--levels", "1,2", "--n0", "64", "--steps", "1",
+def _stepped_distality(system, x, y, window):
+    """Least orbit distance of x and y over the iterates |k| <= window, by
+    stepping both points both ways: the oracle for the closed-form gap."""
+    gap = system.metric(x, y)
+    fx, fy, bx, by = x, y, x, y
+    for _ in range(window):
+        fx, fy = system.step(fx), system.step(fy)
+        bx, by = system.inverse(bx), system.inverse(by)
+        gap = min(gap, system.metric(fx, fy), system.metric(bx, by))
+    return gap
+
+
+def _no_step(p, fam):
+    raise AssertionError("the distality check stepped a point")
+
+
+# the base circle, a height that underflows to 0 (power:400 at level 10,
+# exp at the last int64 level) and a half-turn gap (power:1, level 2)
+DISTALITY_CASES = [
+    ("tower-exp", (1, 2)),
+    ("tower-exp", (0, 3)),
+    ("tower-exp", (1, (1 << 63) - 1)),
+    ("tower-power:1", (2, 0)),
+    ("tower-power:2", (2, 7)),
+    ("tower-power:400", (1, 10)),
+    ("tower-power:400", (0, 3)),
+]
+
+
+@pytest.mark.parametrize("n0", [64, 10 ** 6])
+@pytest.mark.parametrize("spec,levels", DISTALITY_CASES,
+                         ids=[f"{s}-{a},{b}" for s, (a, b) in DISTALITY_CASES])
+def test_diagnose_distality(tmp_path, capsys, monkeypatch, spec, levels, n0):
+    system = systems.make_system(spec)
+    a, b = levels
+    fam = system.heights
+    height_gap = abs((fam.height(a) if a else 0.0) - (fam.height(b) if b else 0.0))
+    if n0 <= 10 ** 3:
+        oracle = _stepped_distality(system, systems.TowerPoint(0.0, a),
+                                    systems.TowerPoint(0.0, b), n0)
+        assert oracle == height_gap
+    else:
+        # 2 * 10^6 steps would take seconds: the closed form takes none
+        monkeypatch.setattr(systems, "tower_map", _no_step)
+        monkeypatch.setattr(systems, "tower_inverse", _no_step)
+    rc = _run("diagnose", "--system", spec, "--check", "distality",
+              "--levels", f"{a},{b}", "--n0", str(n0), "--steps", "1",
               "--out", str(tmp_path))
     assert rc == 0
     doc = _read_json(tmp_path / "distality.json")
-    assert doc["levels"] == [1, 2]
-    assert doc["gap"] == doc["height_gap"] == math.exp(-1) - math.exp(-2)
-    assert "levels 1,2" in capsys.readouterr().out
+    assert doc["levels"] == [a, b] and doc["window"] == n0
+    assert doc["gap"] == doc["height_gap"] == height_gap
+    assert capsys.readouterr().out == (
+        f"levels {a},{b}: min orbit distance {height_gap!r} over |n| <= {n0} "
+        f"(height gap {height_gap!r})\n")
+    if spec == "tower-exp" and levels == (1, 2):
+        assert doc["gap"] == math.exp(-1) - math.exp(-2)
 
 
 def test_diagnose_distality_on_a_steep_power_tower(tmp_path):
@@ -616,6 +664,10 @@ def test_product_greedy_past_a_quarter_writes_counts(tmp_path, monkeypatch):
     ("--system", f"sturmian:{GOLDEN!r}", "--check", "distality"),
     ("--system", "tower-exp"),
     ("--system", "tower-exp", "--check", "distality", "--levels", "2,2"),
+    ("--system", "tower-exp", "--check", "distality", "--levels", "1,99999999999999999999"),
+    ("--system", "tower-exp", "--check", "distality", "--levels", f"{1 << 63},1"),
+    # both heights underflow to 0.0, so the two levels share one height
+    ("--system", "tower-exp", "--check", "distality", "--levels", "800,900"),
 ])
 def test_diagnose_usage_errors(tmp_path, capsys, args):
     rc = _run("diagnose", *args, "--out", str(tmp_path))

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyent import (
-    CustomHeights,
     ExpHeights,
     PowerHeights,
     TowerPoint,
@@ -88,13 +87,6 @@ def test_drift_cutoff_is_minimal_power_in_exact_arithmetic(c):
             assert Fraction(window, h ** c) < f
             if h > 1:
                 assert Fraction(window, (h - 1) ** c) >= f
-
-
-def test_drift_cutoff_custom_scan_and_exhaustion():
-    fam = CustomHeights((0.5, 0.2, 0.05))
-    assert drift_cutoff(1, 0.1, fam) == 3
-    with pytest.raises(ValueError, match="sequence too short"):
-        drift_cutoff(1, 0.01, fam)
 
 
 def test_drift_cutoff_monotonicity():

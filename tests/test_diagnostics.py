@@ -1,6 +1,5 @@
-"""Recurrence, distality, and word-complexity probes."""
+"""Recurrence and word-complexity probes, and tower level invariance."""
 
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,9 +12,7 @@ from hypothesis import strategies as st
 from polyent import (
     ExpHeights,
     TowerPoint,
-    circle_dist,
     circle_rotation,
-    distality_gap,
     full_shift,
     one_defect_point,
     return_time,
@@ -95,35 +92,6 @@ def test_uniform_recurrence_flags_non_returning_points():
 
 # ---------------------------------------------------------------------------
 # distality
-
-def test_distality_gap_is_exactly_the_height_gap():
-    fam = ExpHeights()
-    system = tower_system(fam)
-    x, y = TowerPoint(0.0, 1), TowerPoint(0.0, 2)
-    dh = fam.height(1) - fam.height(2)
-    assert distality_gap(system, x, y, 50) == dh
-    # the gap survives long windows unchanged: heights are invariant
-    assert distality_gap(system, x, y, 10 ** 4) == dh
-
-
-def test_distality_gap_same_circle_is_constant():
-    system = tower_system(ExpHeights())
-    x, y = TowerPoint(0.1, 3), TowerPoint(0.4, 3)
-    gap = distality_gap(system, x, y, 200)
-    assert gap == pytest.approx(circle_dist(0.1, 0.4), rel=1e-12)
-
-
-def test_distality_gap_validations():
-    system = tower_system(ExpHeights())
-    p = TowerPoint(0.2, 1)
-    with pytest.raises(ValueError, match="coincide"):
-        distality_gap(system, p, p, 10)
-    one_way = dataclasses.replace(circle_rotation(0.0), name="one-way", inverse=None)
-    with pytest.raises(ValueError, match="no inverse"):
-        distality_gap(one_way, 0.1, 0.3, 5)
-    # window 0 needs no inverse at all
-    assert distality_gap(one_way, 0.1, 0.3, 0) == pytest.approx(0.2, abs=1e-15)
-
 
 def test_tower_iterates_preserve_level_over_long_windows():
     fam = ExpHeights()

@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyent import (
-    CustomHeights,
     ExpHeights,
     PowerHeights,
     SymbolicPoint,
@@ -55,8 +54,7 @@ CAPS = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 3.0),
 
 
 def _tower_points(fam):
-    top = 6 if fam.max_level is None else fam.max_level
-    return st.builds(TowerPoint, ANGLES, st.integers(0, top))
+    return st.builds(TowerPoint, ANGLES, st.integers(0, 6))
 
 
 def _sturmian_points():
@@ -78,7 +76,7 @@ def _shift_batches(draw, alphabet):
         return SymbolicPoint(
             np.vectorize(lambda k: (pattern[k % len(pattern)] + changes.get(k, 0)) % alphabet,
                          otypes=[np.int64]),
-            0, alphabet)
+            0)
 
     batch = st.lists(defects.map(point), min_size=1, max_size=4)
     return draw(batch), draw(batch)
@@ -104,7 +102,6 @@ KERNELS = {
     "tower-power:1": _towers(PowerHeights(1)),
     "tower-power:2": _towers(PowerHeights(2)),
     "tower-power:1.5": _towers(PowerHeights(1.5)),
-    "tower-custom": _towers(CustomHeights((0.5, 0.25, 0.21, 0.125))),
     "full-shift:2": (full_shift(2), _shift_batches(2), 0.0),
     "full-shift:3": (full_shift(3), _shift_batches(3), 0.0),
     "sturmian": (sturmian_system(GOLDEN), _pair_batches(_sturmian_points()), 0.0),

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from polyent import (
-    CustomHeights,
     ExpHeights,
     PowerHeights,
     SymbolicWord,
@@ -57,7 +56,6 @@ FAMILIES = [
     PowerHeights(1),
     PowerHeights(2),
     PowerHeights(3),
-    CustomHeights((0.5, 0.25, 0.21, 0.125)),
 ]
 
 
@@ -73,8 +71,7 @@ def _capped(system, pa, pb, n, cap):
 
 
 def _random_tower_points(rng, fam, count):
-    top = 6 if fam.max_level is None else fam.max_level
-    return [TowerPoint(float(rng.random()), int(rng.integers(0, top + 1)))
+    return [TowerPoint(float(rng.random()), int(rng.integers(0, 7)))
             for _ in range(count)]
 
 
@@ -109,7 +106,6 @@ def test_exp_heights():
     assert fam.height(1) == math.exp(-1)
     assert fam.height(5) == math.exp(-5)
     assert fam.label == "exp"
-    assert fam.max_level is None
     with pytest.raises(ValueError):
         fam.height(0)
 
@@ -186,20 +182,6 @@ def test_power_heights_level_does_not_depend_on_its_batch():
     assert fam.height(5) == 1.0 / 3125
     # past the float range a height underflows instead of overflowing
     assert PowerHeights(400).height(10) == 0.0
-
-
-def test_custom_heights_validation():
-    fam = CustomHeights((0.5, 0.2, 0.05))
-    assert fam.height(2) == 0.2
-    assert fam.max_level == 3
-    with pytest.raises(ValueError):
-        CustomHeights(())
-    with pytest.raises(ValueError):
-        CustomHeights((0.5, 0.5))
-    with pytest.raises(ValueError):
-        CustomHeights((0.5, -0.1))
-    with pytest.raises(ValueError, match="sequence too short"):
-        fam.height(4)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +279,7 @@ def test_angle_level_grid_lives_in_systems_and_checks_levels():
         AngleLevelGrid(2, [1.5])
 
 
-GRID_FAMILIES = [PowerHeights(1), PowerHeights(2), PowerHeights(1.5), ExpHeights(),
-                 CustomHeights((0.5, 0.25, 0.21, 0.125))]
+GRID_FAMILIES = [PowerHeights(1), PowerHeights(2), PowerHeights(1.5), ExpHeights()]
 
 
 @pytest.mark.parametrize("fam", GRID_FAMILIES, ids=lambda f: f.label)
@@ -306,7 +287,7 @@ def test_tower_pack_of_a_grid_matches_its_points_bitwise(fam):
     # the grid path builds angles as np.arange(r) / r and heights per level,
     # the point path reads TowerPoint(j / r, level) back: same bits
     system = tower_system(fam)
-    top = fam.max_level or 3000
+    top = 3000
     for levels in ([0, 2, 1, top, 0], [top], range(0, min(top, 8) + 1),
                    range(1, top + 1, 97), range(top, -1, -113), range(0)):
         for r in (1, 7, 600):
@@ -561,11 +542,6 @@ def test_tower_system_handle():
     assert {q.level for q in sample} == set(range(9))
 
 
-def test_tower_system_sampler_respects_finite_families():
-    system = tower_system(CustomHeights((0.5, 0.25)))
-    assert {q.level for q in system.sampler(1)} == {0, 1, 2}
-
-
 def test_full_shift_sampler_enumerates_periodic_points():
     system = full_shift(2)
     pts = system.sampler(4)
@@ -700,12 +676,6 @@ def test_drift_peak_is_quiet_on_vanishing_exp_drifts():
         got = _drift_peak(theta.copy(), delta.copy(), n)
     u = theta[:, None] + np.arange(n)[None, :] * delta[:, None]
     assert np.array_equal(got, np.abs(u - np.rint(u)).max(axis=1))
-
-
-def test_tower_kernel_rejects_levels_beyond_custom_family():
-    system = tower_system(CustomHeights((0.5, 0.25)))
-    with pytest.raises(ValueError, match="sequence too short"):
-        bowen_block(system, [TowerPoint(0.0, 5)], [TowerPoint(0.0, 1)], 4)
 
 
 def test_product_kernel_is_max_of_factors_and_forwards_cap():
