@@ -461,10 +461,22 @@ DISTALITY_CASES = [
 ]
 
 
+def test_diagnose_distality(tmp_path, capsys):
+    rc = _run("diagnose", "--system", "tower-exp", "--check", "distality",
+              "--levels", "1,2", "--n0", "64", "--steps", "1",
+              "--out", str(tmp_path))
+    assert rc == 0
+    doc = _read_json(tmp_path / "distality.json")
+    assert doc["levels"] == [1, 2]
+    assert doc["gap"] == doc["height_gap"] == math.exp(-1) - math.exp(-2)
+    assert "levels 1,2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n0", [64, 10 ** 6])
 @pytest.mark.parametrize("spec,levels", DISTALITY_CASES,
                          ids=[f"{s}-{a},{b}" for s, (a, b) in DISTALITY_CASES])
-def test_diagnose_distality(tmp_path, capsys, monkeypatch, spec, levels, n0):
+def test_diagnose_distality_is_the_height_gap(tmp_path, capsys, monkeypatch,
+                                              spec, levels, n0):
     system = systems.make_system(spec)
     a, b = levels
     fam = system.heights

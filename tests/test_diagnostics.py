@@ -93,6 +93,28 @@ def test_uniform_recurrence_flags_non_returning_points():
 # ---------------------------------------------------------------------------
 # distality
 
+def _stepped_distality(system, x, y, window):
+    """Least orbit distance of x and y over the iterates |k| <= window, by
+    stepping both points both ways."""
+    gap = system.metric(x, y)
+    fx, fy, bx, by = x, y, x, y
+    for _ in range(window):
+        fx, fy = system.step(fx), system.step(fy)
+        bx, by = system.inverse(bx), system.inverse(by)
+        gap = min(gap, system.metric(fx, fy), system.metric(bx, by))
+    return gap
+
+
+def test_distality_gap_is_exactly_the_height_gap():
+    fam = ExpHeights()
+    system = tower_system(fam)
+    x, y = TowerPoint(0.0, 1), TowerPoint(0.0, 2)
+    dh = fam.height(1) - fam.height(2)
+    assert _stepped_distality(system, x, y, 50) == dh
+    # the gap survives long windows unchanged: heights are invariant
+    assert _stepped_distality(system, x, y, 10 ** 4) == dh
+
+
 def test_tower_iterates_preserve_level_over_long_windows():
     fam = ExpHeights()
     system = tower_system(fam)
