@@ -9,12 +9,18 @@ Three subcommands over one shared configuration surface:
 * ``diagnose``: recurrence or word-complexity probes, or the distality gap
   of two tower levels.
 
-Configuration comes from a flat ``key = value`` text file plus command-line
-overrides (later wins). All file output is written after computation
-finishes, with fixed key order and shortest round-trip float formatting, so
-identical configs reproduce byte-identical files.
+One table, ``OPTIONS``, gives each configuration key its parser, default,
+metavar, help text and the subcommands that take it; the argparse flags
+(``--m-bound`` for ``m_bound``), the config-file keys and the defaults are
+all built from it. Configuration comes from a flat ``key = value`` text file
+plus command-line overrides (later wins). The count methods behind
+``--method`` and the slope fits' tail are the ``estimation`` module's. All
+file output is written after computation finishes, with fixed key order and
+shortest round-trip float formatting, so identical configs reproduce
+byte-identical files.
 
-Exit codes: 0 success, 2 verification failure, 64 usage or config error.
+Exit codes: 0 success, 2 verification failure, 64 usage or config error:
+every refusal is a ``ValueError``, printed as one ``polyent: error:`` line.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,13 +41,8 @@ from .constructions import (
     certified_separated_witness,
     certified_spanning_witness,
 )
-from .diagnostics import uniform_recurrence_check, word_complexities
-from .estimation import (
-    METHOD_GREEDY_SEPARATED,
-    METHOD_SYMBOLIC_EXACT,
-    analytic_methods,
-    eps_sweep,
-)
+from .diagnostics import return_time, word_complexities
+from .estimation import METHOD_CHOICES, TAIL_FRACTION, count_methods, eps_sweep
 from .systems import (
     AngleLevelGrid,
     PowerHeights,
@@ -58,12 +59,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 
-TAIL_FRACTION = 0.5
 POINT_DUMP_LIMIT = 20000
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -73,31 +69,31 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise UsageError(f"bad eps list {text!r}") from None
+        raise ValueError(f"bad eps list {text!r}") from None
     if not values:
-        raise UsageError("eps list is empty")
+        raise ValueError("eps list is empty")
     if not all(0.0 < v < math.inf for v in values):
-        raise UsageError("eps values must be positive and finite")
+        raise ValueError("eps values must be positive and finite")
     if any(b >= a for a, b in zip(values, values[1:])):
-        raise UsageError("eps list must be strictly decreasing")
+        raise ValueError("eps list must be strictly decreasing")
     return values
 
 
 def _parse_level_pair(text: str) -> tuple[int, int]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
-        raise UsageError(f"levels must be two comma-separated integers, got {text!r}")
+        raise ValueError(f"levels must be two comma-separated integers, got {text!r}")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"bad level pair {text!r}") from None
+        raise ValueError(f"bad level pair {text!r}") from None
     if a < 0 or b < 0:
-        raise UsageError("levels must be >= 0")
+        raise ValueError("levels must be >= 0")
     # heights are read off int64 level arrays
     if max(a, b) > (1 << 63) - 1:
-        raise UsageError(f"levels must be below 2^63, got {text!r}")
+        raise ValueError(f"levels must be below 2^63, got {text!r}")
     if a == b:
-        raise UsageError("distality needs two different levels")
+        raise ValueError("distality needs two different levels")
     return a, b
 
 
@@ -106,9 +102,9 @@ def _parse_int(name: str, low: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise UsageError(f"bad integer for {name}: {text!r}") from None
+            raise ValueError(f"bad integer for {name}: {text!r}") from None
         if low is not None and value < low:
-            raise UsageError(f"{name} must be >= {low}, got {value}")
+            raise ValueError(f"{name} must be >= {low}, got {value}")
         return value
 
     return parse
@@ -118,43 +114,44 @@ def _parse_ratio(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise UsageError(f"bad ratio {text!r}") from None
+        raise ValueError(f"bad ratio {text!r}") from None
     if not 1.0 < value < math.inf:
-        raise UsageError(f"ratio must be > 1 and finite, got {value}")
+        raise ValueError(f"ratio must be > 1 and finite, got {value}")
     return value
 
 
-_CONFIG_PARSERS: dict[str, Any] = {
-    "system": str,
-    "n0": _parse_int("n0", 1),
-    "ratio": _parse_ratio,
-    "steps": _parse_int("steps", 1),
-    "eps": _parse_eps_list,
-    "grid": _parse_int("grid", 1),
-    "out": str,
-    "method": str,
-    "seed": _parse_int("seed"),
-    "which": str,
-    "check": str,
-    "m_bound": _parse_int("m_bound", 1),
-    "n_max": _parse_int("n_max", 1),
-    "levels": _parse_level_pair,
-}
+class _Option(NamedTuple):
+    parse: Callable[[str], Any]
+    default: Any
+    metavar: str
+    help: str
+    commands: tuple[str, ...] | None = None  # None: every subcommand
 
-_CONFIG_DEFAULTS: dict[str, Any] = {
-    "n0": 16,
-    "ratio": 2.0,
-    "steps": 8,
-    "eps": (0.2, 0.1, 0.05, 0.02),
-    "grid": None,
-    "out": ".",
-    "method": "greedy",
-    "seed": 0,
-    "which": None,
-    "check": None,
-    "m_bound": None,
-    "n_max": 20,
-    "levels": (1, 2),
+
+# every configuration key, in the order the flags are listed and parsed
+OPTIONS: dict[str, _Option] = {
+    "system": _Option(str, None, "SPEC", "tower-exp | tower-power:C | sturmian:ALPHA | "
+                                         "full-shift:L | product:SPEC,SPEC"),
+    "n0": _Option(_parse_int("n0", 1), 16, "INT", "first window length"),
+    "ratio": _Option(_parse_ratio, 2.0, "R", "geometric window ratio"),
+    "steps": _Option(_parse_int("steps", 1), 8, "INT", "number of window lengths"),
+    "eps": _Option(_parse_eps_list, (0.2, 0.1, 0.05, 0.02), "LIST",
+                   "decreasing scales, comma-separated"),
+    "grid": _Option(_parse_int("grid", 1), None, "INT",
+                    "angles per circle / sample resolution"),
+    "out": _Option(str, ".", "DIR", "output directory"),
+    "method": _Option(str, "greedy", "NAME", "greedy | analytic | symbolic"),
+    "seed": _Option(_parse_int("seed"), 0, "INT",
+                    "echoed into the outputs; no computation reads it"),
+    "which": _Option(str, None, "KIND", "spanning | separated | factor-shifts",
+                     ("verify-construction",)),
+    "check": _Option(str, None, "KIND", "recurrence | complexity | distality", ("diagnose",)),
+    "m_bound": _Option(_parse_int("m_bound", 1), None, "INT",
+                       "recurrence step bound (default: ceil(1/eps))", ("diagnose",)),
+    "n_max": _Option(_parse_int("n_max", 1), 20, "INT",
+                     "largest block length for complexity (default 20)", ("diagnose",)),
+    "levels": _Option(_parse_level_pair, (1, 2), "A,B",
+                      "tower levels for distality (default 1,2)", ("diagnose",)),
 }
 
 
@@ -167,31 +164,31 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if not body:
                     continue
                 if "=" not in body:
-                    raise UsageError(f"{path}:{lineno}: expected key = value")
+                    raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, value = body.split("=", 1)
                 raw[key.strip()] = value.strip()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     return raw
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     """Layer defaults, config file, then command-line flags; validate."""
-    cfg: dict[str, Any] = dict(_CONFIG_DEFAULTS)
+    cfg = {key: option.default for key, option in OPTIONS.items()}
     if args.config is not None:
         for key, text in _read_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise UsageError(f"unknown config key {key!r}")
-            cfg[key] = _CONFIG_PARSERS[key](text)
-    for key, parse in _CONFIG_PARSERS.items():
+            if key not in OPTIONS:
+                raise ValueError(f"unknown config key {key!r}")
+            cfg[key] = OPTIONS[key].parse(text)
+    for key, option in OPTIONS.items():
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = parse(value)
+            cfg[key] = option.parse(value)
 
-    if cfg.get("system") is None:
-        raise UsageError("a system spec is required (--system or config key 'system')")
-    if cfg["method"] not in ("greedy", "analytic", "symbolic"):
-        raise UsageError(f"method must be greedy, analytic, or symbolic, "
+    if cfg["system"] is None:
+        raise ValueError("a system spec is required (--system or config key 'system')")
+    if cfg["method"] not in METHOD_CHOICES:
+        raise ValueError(f"method must be greedy, analytic, or symbolic, "
                          f"got {cfg['method']!r}")
 
     ns: list[int] = []
@@ -199,7 +196,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         try:
             n = int(round(cfg["n0"] * cfg["ratio"] ** k))
         except OverflowError:
-            raise UsageError(f"window n0 * ratio^{k} overflows a float (n0 {cfg['n0']}, "
+            raise ValueError(f"window n0 * ratio^{k} overflows a float (n0 {cfg['n0']}, "
                              f"ratio {cfg['ratio']!r})") from None
         if not ns or n > ns[-1]:
             ns.append(n)
@@ -208,11 +205,11 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     min_eps = min(cfg["eps"])
     need = 10.0 / min_eps
     if need == math.inf:
-        raise UsageError(f"eps {min_eps!r} too small: 10 angles per scale overflow a float")
+        raise ValueError(f"eps {min_eps!r} too small: 10 angles per scale overflow a float")
     if cfg["grid"] is None:
         cfg["grid"] = math.ceil(need)
     if cfg["grid"] < need:
-        raise UsageError(
+        raise ValueError(
             f"grid {cfg['grid']} too coarse for eps {min_eps!r}: "
             f"need at least 10 angles per scale, i.e. grid >= {math.ceil(need)}")
     return cfg
@@ -232,11 +229,11 @@ def _config_json(cfg: dict[str, Any]) -> dict[str, Any]:
         "tail_fraction": TAIL_FRACTION,
     }
     for key in ("which", "check", "m_bound"):
-        if cfg.get(key) is not None:
+        if cfg[key] is not None:
             doc[key] = cfg[key]
-    if cfg.get("check") == "complexity":
+    if cfg["check"] == "complexity":
         doc["n_max"] = cfg["n_max"]
-    if cfg.get("check") == "distality":
+    if cfg["check"] == "distality":
         doc["levels"] = list(cfg["levels"])
     return doc
 
@@ -313,30 +310,12 @@ def _fit_json(fit) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# method plumbing
-
-def _method_variants(cfg: dict[str, Any], system: SystemHandle) -> list[str]:
-    method = cfg["method"]
-    if method == "greedy":
-        return [METHOD_GREEDY_SEPARATED]
-    if method == "analytic":
-        variants = list(analytic_methods(system))
-        if not variants:
-            raise UsageError(f"analytic counts need a tower system, got {system.name}")
-        return variants
-    if system.word_fn is None:
-        raise UsageError(f"symbolic counts need a canonical word, got {system.name}")
-    return [METHOD_SYMBOLIC_EXACT]
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
-    variants = _method_variants(cfg, system)
+    variants = count_methods(cfg["method"], system)
     ns, epss, grid = cfg["ns"], list(cfg["eps"]), cfg["grid"]
-    estimates = [eps_sweep(system, ns, epss, method, grid, TAIL_FRACTION)
-                 for method in variants]
+    estimates = [eps_sweep(system, ns, epss, method, grid) for method in variants]
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -374,26 +353,26 @@ def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
 
 
 def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
-    which = cfg.get("which")
+    which = cfg["which"]
     if which not in ("spanning", "separated", "factor-shifts"):
-        raise UsageError("verify-construction needs --which "
+        raise ValueError("verify-construction needs --which "
                          "spanning | separated | factor-shifts")
     window = max(cfg["ns"])
     eps = min(cfg["eps"])
 
     if which == "spanning":
         if system.heights is None:
-            raise UsageError(f"spanning witness needs a tower system, got {system.name}")
+            raise ValueError(f"spanning witness needs a tower system, got {system.name}")
         report, check = certified_spanning_witness(
             window, eps, system.heights, cfg["grid"])
     elif which == "separated":
         if not isinstance(system.heights, PowerHeights):
-            raise UsageError(
+            raise ValueError(
                 f"separated witness needs a power-law tower, got {system.name}")
         report, check = certified_separated_witness(window, eps, system.heights.c)
     else:
         if system.word_fn is None:
-            raise UsageError(f"factor shifts need a symbolic system, got {system.name}")
+            raise ValueError(f"factor shifts need a symbolic system, got {system.name}")
         word = system.word_fn(0, word_window(system, window) - 1)
         report, check = certified_factor_shifts(system, word, window)
 
@@ -441,9 +420,9 @@ def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
 
 
 def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
-    check = cfg.get("check")
+    check = cfg["check"]
     if check not in ("recurrence", "complexity", "distality"):
-        raise UsageError("diagnose needs --check recurrence | complexity | distality")
+        raise ValueError("diagnose needs --check recurrence | complexity | distality")
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
 
@@ -452,29 +431,23 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
         reports = []
         for eps in cfg["eps"]:
             m = cfg["m_bound"] if cfg["m_bound"] is not None else math.ceil(1.0 / eps)
-            rep = uniform_recurrence_check(system, sample, eps, m)
-            reports.append(rep)
+            times = [[_point_json(p), return_time(system, p, eps, m)] for p in sample]
+            all_within = all(t is not None for _, t in times)
+            reports.append({"eps": eps, "m_bound": m, "all_within": all_within,
+                            "times": times})
             print(f"eps {_fmt(eps)}: all {len(sample)} points return within "
-                  f"{m} steps: {rep.all_within}")
+                  f"{m} steps: {all_within}")
         _write_json(os.path.join(out, "recurrence.json"), {
             "tool": "polyent",
             "version": __version__,
             "config": _config_json(cfg),
-            "reports": [
-                {
-                    "eps": rep.eps,
-                    "m_bound": rep.m_bound,
-                    "all_within": rep.all_within,
-                    "times": [[_point_json(p), t] for p, t in rep.times],
-                }
-                for rep in reports
-            ],
+            "reports": reports,
         })
         return EXIT_OK
 
     if check == "complexity":
         if system.word_fn is None:
-            raise UsageError(f"complexity needs a symbolic system, got {system.name}")
+            raise ValueError(f"complexity needs a symbolic system, got {system.name}")
         n_max = cfg["n_max"]
         word = system.word_fn(0, word_window(system, n_max) - 1)
         ns = range(1, n_max + 1)
@@ -492,7 +465,7 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
         return EXIT_OK
 
     if system.heights is None:
-        raise UsageError(f"distality probe expects a tower system, got {system.name}")
+        raise ValueError(f"distality probe expects a tower system, got {system.name}")
     la, lb = cfg["levels"]
     fam = system.heights
     window = max(cfg["ns"])
@@ -502,7 +475,7 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
     # height gap, is the least orbit distance over every window
     gap = abs(ha - hb)
     if gap == 0.0:
-        raise UsageError(f"levels {la} and {lb} share the height {_fmt(ha)}; "
+        raise ValueError(f"levels {la} and {lb} share the height {_fmt(ha)}; "
                          f"their distality gap is trivially 0")
     print(f"levels {la},{lb}: min orbit distance {_fmt(gap)} over |n| <= {window} "
           f"(height gap {_fmt(gap)})")
@@ -528,20 +501,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    sp.add_argument("--system", metavar="SPEC",
-                    help="tower-exp | tower-power:C | sturmian:ALPHA | "
-                         "full-shift:L | product:SPEC,SPEC")
-    sp.add_argument("--n0", metavar="INT", help="first window length")
-    sp.add_argument("--ratio", metavar="R", help="geometric window ratio")
-    sp.add_argument("--steps", metavar="INT", help="number of window lengths")
-    sp.add_argument("--eps", metavar="LIST", help="decreasing scales, comma-separated")
-    sp.add_argument("--grid", metavar="INT", help="angles per circle / sample resolution")
-    sp.add_argument("--out", metavar="DIR", help="output directory")
-    sp.add_argument("--method", metavar="NAME", help="greedy | analytic | symbolic")
-    sp.add_argument("--seed", metavar="INT",
-                    help="echoed into the outputs; no computation reads it")
+# subcommand: (help line, runner)
+_COMMANDS = {
+    "estimate": ("count tables, slope fits, log-log series", cmd_estimate),
+    "verify-construction": ("build a witness family and verify it", cmd_verify_construction),
+    "diagnose": ("recurrence / complexity / distality probes", cmd_diagnose),
+}
 
 
 def _build_parser() -> _Parser:
@@ -549,27 +514,13 @@ def _build_parser() -> _Parser:
                      description="Orbit-count growth experiments on rotation "
                                  "towers and subshifts.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    est = sub.add_parser("estimate", help="count tables, slope fits, log-log series")
-    _add_common(est)
-
-    ver = sub.add_parser("verify-construction",
-                         help="build a witness family and verify it")
-    _add_common(ver)
-    ver.add_argument("--which", metavar="KIND",
-                     help="spanning | separated | factor-shifts")
-
-    dia = sub.add_parser("diagnose", help="recurrence / complexity / distality probes")
-    _add_common(dia)
-    dia.add_argument("--check", metavar="KIND",
-                     help="recurrence | complexity | distality")
-    dia.add_argument("--m-bound", metavar="INT", dest="m_bound",
-                     help="recurrence step bound (default: ceil(1/eps))")
-    dia.add_argument("--n-max", metavar="INT", dest="n_max",
-                     help="largest block length for complexity (default 20)")
-    dia.add_argument("--levels", metavar="A,B",
-                     help="tower levels for distality (default 1,2)")
-
+    for command, (help_line, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        for key, option in OPTIONS.items():
+            if option.commands is None or command in option.commands:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                                metavar=option.metavar, help=option.help)
     return parser
 
 
@@ -577,18 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        try:
-            system = make_system(cfg["system"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if args.command == "estimate":
-            return cmd_estimate(cfg, system)
-        if args.command == "verify-construction":
-            return cmd_verify_construction(cfg, system)
-        return cmd_diagnose(cfg, system)
-    except UsageError as exc:
-        print(f"polyent: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[args.command][1](cfg, make_system(cfg["system"]))
     except ValueError as exc:
         print(f"polyent: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

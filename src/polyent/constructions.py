@@ -39,7 +39,6 @@ from .systems import (
     PowerHeights,
     SymbolicWord,
     SystemHandle,
-    tower_sample,
     tower_system,
 )
 
@@ -288,20 +287,16 @@ def certified_spanning_witness(window: int, eps: float, fam: HeightFamily,
                                grid: int) -> tuple[ConstructionReport, SpanningCheck]:
     """Build the covering family and audit it against a canonical sample.
 
-    The sample puts ``grid`` angles on the base circle and on every level
-    up to the cutoff plus ``systems.TOWER_SAMPLE_SLACK``. A sample or
-    family of more than ``systems.TOWER_SAMPLE_LIMIT`` points is refused
-    before anything is packed.
+    The sample puts ``grid`` angles on the levels up to the cutoff
+    (``systems.sized_tower_sample``). A sample or family of more than
+    ``systems.TOWER_SAMPLE_LIMIT`` points is refused before anything is
+    packed.
     """
     report = spanning_witness(window, eps, fam)
     system = tower_system(fam)
-    sample = tower_sample(fam, grid,
-                          range(0, report.cutoff + systems.TOWER_SAMPLE_SLACK + 1))
-    for what, size in (("sample", len(sample)), ("center family", report.size)):
-        if size > systems.TOWER_SAMPLE_LIMIT:
-            raise ValueError(
-                f"the spanning audit at n={window}, eps={eps!r} needs a {what} of "
-                f"{size} points, beyond the limit of {systems.TOWER_SAMPLE_LIMIT}")
+    task = f"the spanning audit at n={window}, eps={eps!r}"
+    sample = systems.sized_tower_sample(grid, report.cutoff, task)
+    systems.check_sample_limit(task, "center family", report.size)
     check = verify_spanning(system, report.points, sample, window, eps)
     return replace(report, verified=check.ok, strict=check.all_strict), check
 

@@ -11,7 +11,6 @@ for all time.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -20,15 +19,19 @@ from .systems import SymbolicWord, SystemHandle
 
 __all__ = [
     "return_time",
-    "RecurrenceReport",
-    "uniform_recurrence_check",
     "block_codes",
     "word_complexities",
 ]
 
 
 def return_time(system: SystemHandle, x: Any, eps: float, m_max: int) -> int | None:
-    """Least n in [1, m_max] with f^n(x) strictly within eps of x, else None."""
+    """Least n in [1, m_max] with f^n(x) strictly within eps of x, else None.
+
+    A miss is not a contradiction by itself, but a point that misses feeds
+    the separated-family construction: its backward orbit to depth m_max
+    is an (m_max, eps)-separated family (see the constructions module),
+    which is how slow recurrence certifies fast orbit growth.
+    """
     if m_max < 1:
         raise ValueError(f"step bound must be >= 1, got {m_max}")
     if not eps > 0.0:
@@ -39,38 +42,6 @@ def return_time(system: SystemHandle, x: Any, eps: float, m_max: int) -> int | N
         if system.metric(cur, x) < eps:
             return n
     return None
-
-
-@dataclass(frozen=True, slots=True)
-class RecurrenceReport:
-    """Return times of a sample under one (eps, step-bound) probe.
-
-    ``times`` pairs each sample point with its first return step, or None
-    when no return happened within the bound; ``all_within`` summarizes.
-    """
-
-    eps: float
-    m_bound: int
-    times: tuple[tuple[Any, int | None], ...]
-    all_within: bool
-
-
-def uniform_recurrence_check(system: SystemHandle, sample, eps: float,
-                             m: int) -> RecurrenceReport:
-    """Probe every sample point for an eps-return within m steps.
-
-    A miss is not a contradiction by itself, but a missing point feeds the
-    separated-family construction: its backward orbit to depth m is an
-    (m, eps)-separated family (see the constructions module), which is how
-    slow recurrence certifies fast orbit growth.
-    """
-    times = tuple((x, return_time(system, x, eps, m)) for x in sample)
-    return RecurrenceReport(
-        eps=eps,
-        m_bound=m,
-        times=times,
-        all_within=all(t is not None for _, t in times),
-    )
 
 
 def _ranks(code: np.ndarray) -> int:

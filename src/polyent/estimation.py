@@ -5,9 +5,9 @@ of window lengths and scales, produced by one of four methods: the greedy
 separated counter on a sampled system, the two closed-form witness sizes for
 towers, or exact block counting for symbolic systems. Slope fits then
 regress log(count) on log(n) (polynomial regime; ``fit_exp_rate`` regresses
-on n instead) over a tail of the window grid, and a scale sweep assembles
-per-eps polynomial fits with a max-over-grid headline standing in for the
-vanishing-scale limit.
+on n instead) over the larger half of the window grid (``TAIL_FRACTION``),
+and a scale sweep assembles per-eps polynomial fits with a max-over-grid
+headline standing in for the vanishing-scale limit.
 
 Fits are computed with an explicit centered least-squares formula in fixed
 summation order; no BLAS-backed solver is involved, so results are
@@ -35,7 +35,7 @@ from .constructions import (
     separation_levels,
 )
 from .diagnostics import word_complexities
-from .systems import AngleLevelGrid, PowerHeights, SystemHandle, tower_sample, word_window
+from .systems import PowerHeights, SystemHandle, word_window
 
 __all__ = [
     "METHOD_GREEDY_SEPARATED",
@@ -43,7 +43,9 @@ __all__ = [
     "METHOD_ANALYTIC_SEPARATED",
     "METHOD_SYMBOLIC_EXACT",
     "COUNT_METHODS",
-    "analytic_methods",
+    "METHOD_CHOICES",
+    "count_methods",
+    "TAIL_FRACTION",
     "count_table",
     "SlopeFit",
     "fit_poly_slope",
@@ -64,6 +66,12 @@ COUNT_METHODS = (
     METHOD_SYMBOLIC_EXACT,
 )
 
+# what the CLI's --method picks: every count method of one kind that applies
+METHOD_CHOICES = ("greedy", "analytic", "symbolic")
+
+# share of a scale's windows, the largest, that its slope fit uses
+TAIL_FRACTION = 0.5
+
 _BOUND_OF = {
     METHOD_GREEDY_SEPARATED: BOUND_SEPARATED_LOWER,
     METHOD_ANALYTIC_SPANNING: BOUND_SPANNING_UPPER,
@@ -81,19 +89,32 @@ def _factor_heights(system: SystemHandle) -> list:
     return [h for part in system.parts for h in _factor_heights(part)]
 
 
-def analytic_methods(system: SystemHandle) -> tuple[str, ...]:
-    """Closed-form methods for the system; counts multiply over products, so
-    covering needs heights on every factor, separation power-law heights."""
+def count_methods(choice: str, system: SystemHandle) -> tuple[str, ...]:
+    """The count methods a choice in ``METHOD_CHOICES`` runs on the system.
+
+    Greedy counts any system. Analytic gives every closed form that
+    applies: counts multiply over products, so covering needs heights on
+    every factor, separation power-law heights. Symbolic needs a canonical
+    word.
+    """
+    if choice not in METHOD_CHOICES:
+        raise ValueError(f"unknown method choice {choice!r}; expected one of {METHOD_CHOICES}")
+    if choice == "greedy":
+        return (METHOD_GREEDY_SEPARATED,)
+    if choice == "symbolic":
+        if system.word_fn is None:
+            raise ValueError(f"symbolic counts need a canonical word, got {system.name}")
+        return (METHOD_SYMBOLIC_EXACT,)
     heights = _factor_heights(system)
     if any(h is None for h in heights):
-        return ()
+        raise ValueError(f"analytic counts need a tower system, got {system.name}")
     if all(isinstance(h, PowerHeights) for h in heights):
         return (METHOD_ANALYTIC_SPANNING, METHOD_ANALYTIC_SEPARATED)
     return (METHOD_ANALYTIC_SPANNING,)
 
 
 def _analytic_count(system: SystemHandle, method: str, n: int, eps: float) -> int:
-    if method not in analytic_methods(system):
+    if method not in count_methods("analytic", system):
         raise ValueError(f"closed-form {method} counts do not apply to {system.name}")
     if method == METHOD_ANALYTIC_SPANNING:
         return math.prod((floor_reciprocal(eps) + 1) * (drift_cutoff(n, eps, fam) + 1)
@@ -136,15 +157,12 @@ def _symbolic_counts(system: SystemHandle, ns: list[int],
     return counts
 
 
-def _tower_sample_for(system: SystemHandle, n: int, eps: float,
-                      grid: int) -> AngleLevelGrid:
+def _witness_depth(system: SystemHandle, n: int, eps: float) -> int:
+    """Deepest level the (n, eps) witness family of a tower resolves."""
     fam = system.heights
     if isinstance(fam, PowerHeights):
-        top = int(math.ceil(separation_depth(n, eps, fam.c)))
-    else:
-        top = drift_cutoff(n, eps, fam)
-    top += systems.TOWER_SAMPLE_SLACK
-    return tower_sample(fam, grid, range(0, top + 1))
+        return int(math.ceil(separation_depth(n, eps, fam.c)))
+    return drift_cutoff(n, eps, fam)
 
 
 def count_table(system: SystemHandle, ns: list[int], epss: list[float],
@@ -187,13 +205,9 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
         # before any counting starts
         for eps in epss:
             for n in ns:
-                sample = _tower_sample_for(system, n, eps, grid)
-                if len(sample) > systems.TOWER_SAMPLE_LIMIT:
-                    raise ValueError(
-                        f"greedy counting at n={n}, eps={eps!r} needs a sample of "
-                        f"{len(sample)} points, beyond the limit of "
-                        f"{systems.TOWER_SAMPLE_LIMIT}")
-                samples[eps, n] = sample
+                samples[eps, n] = systems.sized_tower_sample(
+                    grid, _witness_depth(system, n, eps),
+                    f"greedy counting at n={n}, eps={eps!r}")
 
     records: list[CountRecord] = []
     for eps in epss:
@@ -226,20 +240,17 @@ class SlopeFit:
     points_used: int
 
 
-def _tail_size(points: int, eps: float, tail_fraction: float) -> int:
+def _tail_size(points: int, eps: float) -> int:
     """How many of ``points`` windows at one eps the tail fit uses."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")
-    keep = math.ceil(tail_fraction * points)
+    keep = math.ceil(TAIL_FRACTION * points)
     if keep < 3:
         raise ValueError(f"need at least 3 tail points at eps {eps!r}, have {keep}")
     return keep
 
 
-def _tail_records(records: list[CountRecord], eps: float,
-                  tail_fraction: float) -> list[CountRecord]:
+def _tail_records(records: list[CountRecord], eps: float) -> list[CountRecord]:
     at_eps = sorted((r for r in records if r.eps == eps), key=lambda r: r.n)
-    return at_eps[len(at_eps) - _tail_size(len(at_eps), eps, tail_fraction):]
+    return at_eps[len(at_eps) - _tail_size(len(at_eps), eps):]
 
 
 def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
@@ -257,9 +268,8 @@ def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float, floa
     return slope, intercept, math.sqrt(rss / m)
 
 
-def _fit(records: list[CountRecord], eps: float, tail_fraction: float,
-         log_x: bool) -> SlopeFit:
-    tail = _tail_records(records, eps, tail_fraction)
+def _fit(records: list[CountRecord], eps: float, log_x: bool) -> SlopeFit:
+    tail = _tail_records(records, eps)
     if any(r.count < 1 for r in tail):
         raise ValueError("cannot fit log of a zero count")
     xs = [math.log(r.n) if log_x else float(r.n) for r in tail]
@@ -274,16 +284,14 @@ def _fit(records: list[CountRecord], eps: float, tail_fraction: float,
     )
 
 
-def fit_poly_slope(records: list[CountRecord], eps: float,
-                   tail_fraction: float = 0.5) -> SlopeFit:
+def fit_poly_slope(records: list[CountRecord], eps: float) -> SlopeFit:
     """Polynomial growth exponent: slope of log(count) against log(n)."""
-    return _fit(records, eps, tail_fraction, log_x=True)
+    return _fit(records, eps, log_x=True)
 
 
-def fit_exp_rate(records: list[CountRecord], eps: float,
-                 tail_fraction: float = 0.5) -> SlopeFit:
+def fit_exp_rate(records: list[CountRecord], eps: float) -> SlopeFit:
     """Exponential growth rate: slope of log(count) against n."""
-    return _fit(records, eps, tail_fraction, log_x=False)
+    return _fit(records, eps, log_x=False)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +313,14 @@ class EntropyEstimate:
 
 
 def eps_sweep(system: SystemHandle, ns: list[int], epss: list[float],
-              method: str, grid: int | None = None,
-              tail_fraction: float = 0.5) -> EntropyEstimate:
+              method: str, grid: int | None = None) -> EntropyEstimate:
     """Count, fit the polynomial exponent per scale, and take the max slope
     as the headline."""
     # each eps gets one record per window, so an unfittable grid is known
     # before any counting
     for eps in epss:
-        _tail_size(len(ns), eps, tail_fraction)
+        _tail_size(len(ns), eps)
     records = count_table(system, ns, epss, method, grid=grid)
-    per_eps = {eps: fit_poly_slope(records, eps, tail_fraction) for eps in epss}
+    per_eps = {eps: fit_poly_slope(records, eps) for eps in epss}
     headline = max(f.slope for f in per_eps.values())
     return EntropyEstimate(per_eps=per_eps, headline=headline, records=records)

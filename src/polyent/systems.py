@@ -41,7 +41,8 @@ into [0, 1/2], an integer j that the orbit crosses between steps k and
 k + 1 is approached within delta ||(j - phi)/delta||, so the crossed
 integers form a new orbit of step 1/delta mod 1, rescaled by delta and at
 most half as long. A wrapped pair lies at least max(|delta|,
-1/2 - |delta|/2) >= 1/3 away, so no pair below a cap of 1/4 needs it.
+1/2 - |delta|/2) >= 1/3 away, so no pair below a float cap of at most
+1/3 needs it.
 
 The tower kernel has three candidate generators and one evaluator, which
 keeps the candidates a - b whose step-0 term is below cap and gives each
@@ -51,18 +52,22 @@ window max is its step-0 term or ||theta - floor(theta)||, whichever is
 larger, bit for bit what the drift scan returns at delta = 0: a call whose
 survivors all share one height, as most greedy row queries do, reads that
 and makes no drift scan. The dense generator serves n = 1 and caps outside
-(0, 1/4], and lists only the pairs below cap.
+(0, 1/3], and lists only the pairs below cap.
 
-For a cap in (0, 1/4] the kernel prunes by height. A pair at Bowen distance
-below cap has height gap |dh| < cap <= 1/4, so its per-step drift is dh
-itself, and consecutive iterates (dh apart) cannot jump between the
-cap-neighbourhoods of different integers; the first and last iterates lie
-within cap of one integer, so (n-1)|dh| < 2 cap. Sorting one batch by
-height turns |dh| <= min(cap, 2 cap/(n-1)), widened by a float margin, into
-one contiguous run per row. A single row, such as the greedy loop's 1 x k
-queries, scans b for its band by the same float test instead of sorting
-it. The margin's absolute term can admit a wrapped drift once n passes
-5 * 10^8; the evaluator reads such a pair exactly, at or above cap.
+For a cap in (0, 1/3] the kernel prunes by height. A pair at Bowen distance
+below cap has height gap |dh| < cap <= 1/3, so its per-step drift is dh
+itself, and every iterate lies strictly within cap of an integer. Moving
+into the next integer's neighbourhood takes a step longer than 1 - 2 cap,
+and 1 - 2 cap >= cap > |dh|, so all iterates stay near one integer; the
+first and last lie within cap of it, so (n-1)|dh| < 2 cap. Above 1/3 the
+bound fails: at cap 0.45 and n = 40, the points of angle 0 on heights 0 and
+1/5 lie 0.4 apart, their iterates hopping from one integer's neighbourhood
+to the next. Sorting one batch by height turns |dh| <= min(cap, 2
+cap/(n-1)), widened by a float margin, into one contiguous run per row. A
+single row, such as the greedy loop's 1 x k queries, scans b for its band
+by the same float test instead of sorting it. The margin's absolute term
+can admit a wrapped drift once n passes 5 * 10^8; the evaluator reads such
+a pair exactly, at or above cap.
 
 Blocks of more than one row also prune by angle. The step-0 term is at
 least the arc distance between the two angles, so a pair whose angles lie
@@ -329,7 +334,7 @@ class AngleLevelGrid(Sequence):
         return f"AngleLevelGrid(angle_count={self.angle_count}, levels={self.levels!r})"
 
 
-def tower_sample(fam: HeightFamily, grid: int, levels: Sequence[int]) -> AngleLevelGrid:
+def tower_sample(grid: int, levels: Sequence[int]) -> AngleLevelGrid:
     """Canonical sample: ``grid`` equally spaced angles on each listed circle.
 
     Levels are taken in the given order; angle index runs fastest.
@@ -614,6 +619,24 @@ TOWER_SAMPLE_SLACK = 5
 WORD_SYMBOL_LIMIT = 1 << 23
 
 
+def check_sample_limit(task: str, what: str, size: int) -> None:
+    """Refuse a ``task`` whose ``what`` would hold more than
+    ``TOWER_SAMPLE_LIMIT`` points."""
+    if size > TOWER_SAMPLE_LIMIT:
+        raise ValueError(f"{task} needs a {what} of {size} points, beyond the "
+                         f"limit of {TOWER_SAMPLE_LIMIT}")
+
+
+def sized_tower_sample(grid: int, top: int, task: str) -> AngleLevelGrid:
+    """The counting or audit sample of a ``task`` whose witness family
+    resolves levels up to ``top``: ``grid`` angles on levels 0 to top +
+    ``TOWER_SAMPLE_SLACK``, refused past ``TOWER_SAMPLE_LIMIT`` points
+    before anything is packed."""
+    sample = tower_sample(grid, range(0, top + TOWER_SAMPLE_SLACK + 1))
+    check_sample_limit(task, "sample", len(sample))
+    return sample
+
+
 def word_window(system: SystemHandle, span: int) -> int:
     """Length of a stretch of the system's canonical word that holds every
     block of length ``span`` (its recurrence function); lengths beyond
@@ -655,9 +678,9 @@ def circle_rotation(theta: float) -> SystemHandle:
     )
 
 
-# the height band needs cap <= 1/4: below it a pair below cap drifts by dh
-# itself and does not wrap (module docstring)
-_TOWER_BAND_CAP = 0.25
+# the height band needs cap <= 1/3: below it a pair below cap drifts by dh
+# itself and its iterates stay near one integer (module docstring)
+_TOWER_BAND_CAP = 1.0 / 3.0
 
 
 def _widen(x: float) -> float:
@@ -777,7 +800,7 @@ def _tower_pairs(theta: np.ndarray, dh: np.ndarray, n: int,
 
 
 def _band_width(n: int, cap: float) -> float:
-    """Half-width of the height band of a cap in (0, 1/4] over n >= 2 steps,
+    """Half-width of the height band of a cap in (0, 1/3] over n >= 2 steps,
     with the float margin (module docstring)."""
     return _widen(min(cap, 2.0 * cap / (n - 1)))
 
@@ -877,7 +900,7 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
     """
 
     def sampler(res: int) -> AngleLevelGrid:
-        return tower_sample(fam, res, range(0, _SAMPLER_LEVELS + 1))
+        return tower_sample(res, range(0, _SAMPLER_LEVELS + 1))
 
     def pack(points: Sequence[TowerPoint], n: int) -> np.ndarray:
         batch = np.empty(len(points), [("angle", np.float64), ("height", np.float64)])

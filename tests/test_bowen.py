@@ -75,8 +75,8 @@ def test_full_shift_kernel_matches_stepping():
 
 def test_bowen_block_matches_pointwise_and_kernel():
     system = tower_system(PowerHeights(2))
-    pa = tower_sample(system.heights, 3, [0, 1, 3])
-    pb = tower_sample(system.heights, 2, [2])
+    pa = tower_sample(3, [0, 1, 3])
+    pb = tower_sample(2, [2])
     n = 8
     by_hand = np.array([[bowen_dist(system, p, q, n) for q in pb] for p in pa])
     assert np.allclose(bowen_block(system, pa, pb, n), by_hand, atol=1e-12)
@@ -110,7 +110,7 @@ def test_greedy_separated_validations_and_duplicates():
 def test_greedy_separated_is_chunk_invariant():
     fam = PowerHeights(2)
     system = tower_system(fam)
-    sample = tower_sample(fam, 11, range(0, 7))
+    sample = tower_sample(11, range(0, 7))
     assert _kept(system, sample, 16, 0.1) == _kept(system, sample, 16, 0.1, chunk=3)
 
 
@@ -130,7 +130,7 @@ def _greedy_by_hand(system, sample, n, eps):
 # tower grids tie many pairs at dyadic distances and repeat points, deep
 # levels crowd the height band, and the product and the shift take their
 # own pair lists
-_GRID = tower_sample(PowerHeights(2), 8, [0, 1, 3])
+_GRID = tower_sample(8, [0, 1, 3])
 _DEEP = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
 _GOLDEN_SHIFTS = [sturmian_point(GOLDEN).shifted(i) for i in range(0, 40, 3)]
 GREEDY_CASES = [
@@ -155,7 +155,7 @@ def test_greedy_separated_matches_the_sequential_rule(chunk):
 # small tower samples that repeat points, so a row's band holds its own
 # duplicates and other points of its level next to points across heights
 _STEPPED_SAMPLES = [
-    (PowerHeights(1), list(tower_sample(PowerHeights(1), 7, [0, 2, 30, 31])) * 2),
+    (PowerHeights(1), list(tower_sample(7, [0, 2, 30, 31])) * 2),
     (ExpHeights(), [TowerPoint(x, lv) for x in (0.0, 0.31, 0.3, 0.98) for lv in (0, 1, 4, 40)]
      + [TowerPoint(0.31, 4), TowerPoint(0.0, 40), TowerPoint(0.0, 0)]),
 ]
@@ -237,9 +237,9 @@ def test_verify_spanning_matches_a_full_scan(chunk):
     # sparse centers leave points uncovered
     fam = PowerHeights(2)
     system = tower_system(fam)
-    base = list(tower_sample(fam, 16, [0])) + _DEEP
-    full = list(tower_sample(fam, 16, [0, 1, 2])) + _DEEP
-    families = [tower_sample(fam, 4, [0]), tower_sample(fam, 4, [0, 2]),
+    base = list(tower_sample(16, [0])) + _DEEP
+    full = list(tower_sample(16, [0, 1, 2])) + _DEEP
+    families = [tower_sample(4, [0]), tower_sample(4, [0, 2]),
                 [TowerPoint(0.0, 0), TowerPoint(0.5, 1)] + _DEEP[::2], []]
     for sample in (base, full):
         for centers in families:
@@ -272,8 +272,8 @@ def _rung_kinds(system, centers, sample, n, eps):
 # eps/4, eps/2 and eps included; level 3 sits 1/9 above the base, between
 # the rungs' thresholds eps/2 and eps at n = 1 and drifting away past eps
 # at n = 3, and level 2 is missed
-_RUNG_CENTERS = tower_sample(PowerHeights(2), 4, [0])
-_RUNG_SAMPLE = tower_sample(PowerHeights(2), 32, [0, 2, 3])
+_RUNG_CENTERS = tower_sample(4, [0])
+_RUNG_SAMPLE = tower_sample(32, [0, 2, 3])
 
 
 @pytest.mark.parametrize("chunk", range(1, 8))
@@ -293,8 +293,8 @@ def test_verify_spanning_rungs_match_a_full_scan_on_wide_blocks(monkeypatch):
     # 319,488 pairs, all through the angle band
     fam = PowerHeights(2)
     system = tower_system(fam)
-    centers = tower_sample(fam, 4, [0, 1] + list(range(3, 40)))
-    sample = tower_sample(fam, 1024, [0, 2, 3, 10, 39, 45])
+    centers = tower_sample(4, [0, 1] + list(range(3, 40)))
+    sample = tower_sample(1024, [0, 2, 3, 10, 39, 45])
     calls = []
 
     def angle_band(a, b, *args):
@@ -344,8 +344,8 @@ def test_verify_spanning_without_sample_locality(chunk):
     # Levels 2 and 45 carry no centers, so points are missed too
     fam = PowerHeights(2)
     system = tower_system(fam)
-    centers = tower_sample(fam, 4, [0, 1, 3, 10, 11, 38, 39, 40])
-    grid = tower_sample(fam, 32, [0, 2, 3, 10, 39, 45])
+    centers = tower_sample(4, [0, 1, 3, 10, 11, 38, 39, 40])
+    grid = tower_sample(32, [0, 2, 3, 10, 39, 45])
     m = len(grid)
     sample = [grid[k * 113 % m] for k in range(m)]
     for n in (1, 3, 40):
@@ -368,8 +368,8 @@ def test_verify_spanning_settles_most_rows_on_their_blocks_covering_centers(n):
     # over all centers
     fam = PowerHeights(2)
     tower = tower_system(fam)
-    centers = tower_sample(fam, 8, range(0, 40))
-    sample = tower_sample(fam, 1024, [0, 3, 10, 39])
+    centers = tower_sample(8, range(0, 40))
+    sample = tower_sample(1024, [0, 3, 10, 39])
     eps = 0.125
     narrow = float(np.nextafter(eps / 32, np.inf))
     ladder, cover = set(), []
@@ -393,8 +393,8 @@ def test_routines_agree_on_a_grid_and_its_points():
     # and the blocks here are wide enough for the angle band
     fam = PowerHeights(2)
     system = tower_system(fam)
-    sample = tower_sample(fam, 150, range(0, 9))
-    centers = tower_sample(fam, 11, range(0, 40))
+    sample = tower_sample(150, range(0, 9))
+    centers = tower_sample(11, range(0, 40))
     n, eps = 50, 0.1
     assert (verify_spanning(system, centers, sample, n, eps)
             == verify_spanning(system, list(centers), list(sample), n, eps))
@@ -406,7 +406,7 @@ def test_routines_agree_on_a_grid_and_its_points():
 def test_greedy_separated_passes_both_verifiers():
     fam = PowerHeights(2)
     system = tower_system(fam)
-    sample = tower_sample(fam, 17, range(0, 8))
+    sample = tower_sample(17, range(0, 8))
     n, eps = 24, 0.1
     kept = [sample[i] for i in _kept(system, sample, n, eps)]
     assert verify_separated(system, kept, n, eps).ok
@@ -477,15 +477,16 @@ def _separation_by_blocks(system, pts, n, eps, chunk):
 @pytest.mark.parametrize("chunk", range(1, 8))
 def test_verify_separated_capped_scan_matches_uncapped(chunk):
     # grid angles tie many pairs at one minimum, repeated points tie at 0,
-    # and eps = 0.3 lies past the height band, on the dense path
-    grid = tower_sample(PowerHeights(2), 4, [0, 1, 3])
+    # eps = 0.3 lies in the height band and eps = 0.4 past it, on the
+    # dense path
+    grid = tower_sample(4, [0, 1, 3])
     deep = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
     families = [grid, grid[:5] + grid[2:4] + deep, deep + grid[::3]]
     for system, pts in ((tower_system(PowerHeights(2)), families[0]),
                         (tower_system(PowerHeights(2)), families[1]),
                         (tower_system(PowerHeights(1)), families[2])):
         for n in (1, 3, 40):
-            for eps in (0.05, 0.25, 0.3):
+            for eps in (0.05, 0.25, 0.3, 0.4):
                 check = verify_separated(system, pts, n, eps, chunk=chunk)
                 assert check == _separation_by_blocks(system, pts, n, eps, chunk)
 
@@ -517,8 +518,8 @@ def test_verify_spanning_empty_centers_cover_nothing():
 def test_verify_spanning_is_chunk_invariant():
     fam = ExpHeights()
     system = tower_system(fam)
-    sample = tower_sample(fam, 13, range(0, 6))
-    centers = tower_sample(fam, 4, range(0, 6))
+    sample = tower_sample(13, range(0, 6))
+    centers = tower_sample(4, range(0, 6))
     a = verify_spanning(system, centers, sample, 9, 0.2)
     b = verify_spanning(system, centers, sample, 9, 0.2, chunk=5)
     assert a == b
@@ -539,7 +540,7 @@ def test_separated_at_double_scale_never_beats_spanning(n, eps):
     # within eps of them, when each point lies strictly within eps
     fam = PowerHeights(2)
     system = tower_system(fam)
-    sample = tower_sample(fam, 20, range(0, 7))
+    sample = tower_sample(20, range(0, 7))
     sep = _kept(system, sample, n, 2 * eps)
     assert len(sep) <= len(_proven_cover(system, sample, n, eps))
 

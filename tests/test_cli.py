@@ -208,6 +208,193 @@ def test_unknown_command_exits_with_usage_code():
     assert exc.value.code == 64
 
 
+def _refusal(capsys, args):
+    # exit code, stdout and stderr of one run, argparse's own exits included
+    try:
+        rc = cli.main(list(args))
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+_DIAG = ("diagnose", "--system", "tower-exp", "--check", "distality", "--levels")
+
+# (arguments, config file text or None, the message after "polyent: error: ");
+# "{cfg}" stands for the config file's path
+REFUSED = [
+    (("estimate", "--system", "tower-exp", "--eps", "0.2,zero"), None,
+     "bad eps list '0.2,zero'"),
+    (("estimate", "--system", "tower-exp", "--eps", ","), None, "eps list is empty"),
+    (("estimate", "--system", "tower-exp", "--eps", "0.2,-1"), None,
+     "eps values must be positive and finite"),
+    (("estimate", "--system", "tower-exp", "--eps", "0.1,0.2"), None,
+     "eps list must be strictly decreasing"),
+    (("estimate", "--system", "tower-exp", "--ratio", "x"), None, "bad ratio 'x'"),
+    (("estimate", "--system", "tower-exp", "--ratio", "1"), None,
+     "ratio must be > 1 and finite, got 1.0"),
+    (("estimate", "--system", "tower-exp", "--n0", "x"), None, "bad integer for n0: 'x'"),
+    (("estimate", "--system", "tower-exp", "--n0", "0"), None, "n0 must be >= 1, got 0"),
+    (("diagnose", "--system", "tower-exp", "--check", "recurrence", "--m-bound", "0"),
+     None, "m_bound must be >= 1, got 0"),
+    # flags parse in option order: n0 before eps
+    (("estimate", "--eps", "zero", "--n0", "0"), None, "n0 must be >= 1, got 0"),
+    (("estimate", "--config", "{cfg}"), "system = tower-exp\nwibble = 3\n",
+     "unknown config key 'wibble'"),
+    (("estimate", "--config", "{cfg}"), "system = tower-exp\nn0 16\n",
+     "{cfg}:2: expected key = value"),
+    (("estimate", "--config", "{cfg}"), "system = tower-exp\nn0 = x\n",
+     "bad integer for n0: 'x'"),
+    # the file's keys parse before the flags
+    (("estimate", "--config", "{cfg}", "--ratio", "x"), "n0 = 0\n", "n0 must be >= 1, got 0"),
+    (("estimate", "--config", "{cfg}.absent", "--system", "tower-exp"), None,
+     "cannot read config {cfg}.absent: [Errno 2] No such file or directory: "
+     "'{cfg}.absent'"),
+    (("estimate", "--method", "greedy"), None,
+     "a system spec is required (--system or config key 'system')"),
+    # the system is checked before the method
+    (("estimate", "--method", "sideways"), None,
+     "a system spec is required (--system or config key 'system')"),
+    (("estimate", "--system", "tower-exp", "--method", "sideways", "--grid", "1"), None,
+     "method must be greedy, analytic, or symbolic, got 'sideways'"),
+    # the windows are checked before the grid
+    (("estimate", "--system", "tower-power:2", "--ratio", "1e308", "--eps", "0.1",
+      "--grid", "1"), None, "window n0 * ratio^1 overflows a float (n0 16, ratio 1e+308)"),
+    (("estimate", "--system", "tower-power:2", "--eps", "1e-320"), None,
+     "eps 1e-320 too small: 10 angles per scale overflow a float"),
+    (("estimate", "--system", "tower-exp", "--eps", "0.2", "--grid", "5"), None,
+     "grid 5 too coarse for eps 0.2: need at least 10 angles per scale, i.e. grid >= 50"),
+    (("estimate", "--system", "no-such-system", "--grid", "5"), None,
+     "grid 5 too coarse for eps 0.02: need at least 10 angles per scale, i.e. grid >= 500"),
+    (("estimate", "--system", "no-such-system"), None,
+     "unrecognized system spec 'no-such-system'"),
+    (("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "analytic"), None,
+     f"analytic counts need a tower system, got sturmian:{GOLDEN!r}"),
+    (("estimate", "--system", f"product:tower-exp,sturmian:{GOLDEN!r}",
+      "--method", "analytic"), None,
+     f"analytic counts need a tower system, got product(tower-exp,sturmian:{GOLDEN!r})"),
+    (("estimate", "--system", "tower-exp", "--method", "symbolic"), None,
+     "symbolic counts need a canonical word, got tower-exp"),
+    (("estimate", "--system", "tower-exp", "--n0", "2", "--steps", "4", "--eps", "0.2",
+      "--grid", "50"), None, "need at least 3 tail points at eps 0.2, have 2"),
+    (("verify-construction", "--system", "tower-exp"), None,
+     "verify-construction needs --which spanning | separated | factor-shifts"),
+    (("verify-construction", "--system", f"sturmian:{GOLDEN!r}", "--which", "spanning"),
+     None, f"spanning witness needs a tower system, got sturmian:{GOLDEN!r}"),
+    (("verify-construction", "--system", "tower-exp", "--which", "separated"), None,
+     "separated witness needs a power-law tower, got tower-exp"),
+    (("verify-construction", "--system", "tower-exp", "--which", "factor-shifts"), None,
+     "factor shifts need a symbolic system, got tower-exp"),
+    (("diagnose", "--system", "tower-exp"), None,
+     "diagnose needs --check recurrence | complexity | distality"),
+    (("diagnose", "--system", "tower-exp", "--check", "complexity"), None,
+     "complexity needs a symbolic system, got tower-exp"),
+    (("diagnose", "--system", f"sturmian:{GOLDEN!r}", "--check", "distality"), None,
+     f"distality probe expects a tower system, got sturmian:{GOLDEN!r}"),
+    ((*_DIAG, "1"), None, "levels must be two comma-separated integers, got '1'"),
+    ((*_DIAG, "a,b"), None, "bad level pair 'a,b'"),
+    ((*_DIAG[:-1], "--levels=-1,2"), None, "levels must be >= 0"),
+    ((*_DIAG, f"{1 << 63},1"), None, f"levels must be below 2^63, got '{1 << 63},1'"),
+    ((*_DIAG, "2,2"), None, "distality needs two different levels"),
+    ((*_DIAG, "800,900"), None,
+     "levels 800 and 900 share the height 0.0; their distality gap is trivially 0"),
+]
+
+
+@pytest.mark.parametrize("args,config,message", REFUSED)
+def test_refused_configs_print_one_error_line(tmp_path, capsys, args, config, message):
+    cfg = str(tmp_path / "run.cfg")
+    if config is not None:
+        Path(cfg).write_text(config)
+    out = tmp_path / "out"
+    rc, stdout, stderr = _refusal(capsys, [a.format(cfg=cfg) for a in args]
+                                  + ["--out", str(out)])
+    assert (rc, stdout) == (64, "")
+    assert stderr == f"polyent: error: {message.format(cfg=cfg)}\n"
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("args,message", [
+    (("estimate", "--system", "tower-exp", "--m-bound", "3"),
+     "polyent: error: unrecognized arguments: --m-bound 3"),
+    (("estimate", "--sytem", "tower-exp"),
+     "polyent: error: unrecognized arguments: --sytem tower-exp"),
+    (("diagnose", "--levels"),
+     "polyent diagnose: error: argument --levels: expected one argument"),
+])
+def test_argparse_refusals_exit_with_usage_code(capsys, args, message):
+    assert _refusal(capsys, args) == (64, "", f"{message}\n")
+
+
+_COMMON_HELP = """\
+options:
+  -h, --help     show this help message and exit
+  --config PATH  flat key = value config file
+  --system SPEC  tower-exp | tower-power:C | sturmian:ALPHA | full-shift:L |
+                 product:SPEC,SPEC
+  --n0 INT       first window length
+  --ratio R      geometric window ratio
+  --steps INT    number of window lengths
+  --eps LIST     decreasing scales, comma-separated
+  --grid INT     angles per circle / sample resolution
+  --out DIR      output directory
+  --method NAME  greedy | analytic | symbolic
+  --seed INT     echoed into the outputs; no computation reads it
+"""
+
+HELP = {
+    (): """\
+usage: polyent [-h] command ...
+
+Orbit-count growth experiments on rotation towers and subshifts.
+
+positional arguments:
+  command
+    estimate           count tables, slope fits, log-log series
+    verify-construction
+                       build a witness family and verify it
+    diagnose           recurrence / complexity / distality probes
+
+options:
+  -h, --help           show this help message and exit
+""",
+    ("estimate",): """\
+usage: polyent estimate [-h] [--config PATH] [--system SPEC] [--n0 INT]
+                        [--ratio R] [--steps INT] [--eps LIST] [--grid INT]
+                        [--out DIR] [--method NAME] [--seed INT]
+
+""" + _COMMON_HELP,
+    ("verify-construction",): """\
+usage: polyent verify-construction [-h] [--config PATH] [--system SPEC]
+                                   [--n0 INT] [--ratio R] [--steps INT]
+                                   [--eps LIST] [--grid INT] [--out DIR]
+                                   [--method NAME] [--seed INT] [--which KIND]
+
+""" + _COMMON_HELP + """\
+  --which KIND   spanning | separated | factor-shifts
+""",
+    ("diagnose",): """\
+usage: polyent diagnose [-h] [--config PATH] [--system SPEC] [--n0 INT]
+                        [--ratio R] [--steps INT] [--eps LIST] [--grid INT]
+                        [--out DIR] [--method NAME] [--seed INT]
+                        [--check KIND] [--m-bound INT] [--n-max INT]
+                        [--levels A,B]
+
+""" + _COMMON_HELP + """\
+  --check KIND   recurrence | complexity | distality
+  --m-bound INT  recurrence step bound (default: ceil(1/eps))
+  --n-max INT    largest block length for complexity (default 20)
+  --levels A,B   tower levels for distality (default 1,2)
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c[0] if c else "polyent")
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _refusal(capsys, [*command, "--help"]) == (0, HELP[command], "")
+
+
 # numbers no count can be made from: non-finite scales and ratios, windows
 # and grids past the float range, and decay exponents past the limit
 OUT_OF_RANGE = [
@@ -409,6 +596,22 @@ def test_diagnose_recurrence(tmp_path, capsys):
     assert rep["eps"] == 0.25 and rep["m_bound"] == 4
     assert all(t is not None for _, t in rep["times"])
     assert "True" in capsys.readouterr().out
+
+
+def test_diagnose_recurrence_flags_points_that_do_not_return(tmp_path, capsys):
+    # level 1 (height e^-1) takes more than one step to come back within
+    # 0.25; every other level of the sampler's nine returns in one
+    rc = _run("diagnose", "--system", "tower-exp", "--check", "recurrence",
+              "--eps", "0.25", "--m-bound", "1", "--grid", "40", "--out", str(tmp_path))
+    assert rc == 0
+    rep = _read_json(tmp_path / "recurrence.json")["reports"][0]
+    assert rep["all_within"] is False and rep["m_bound"] == 1
+    missed = [p for p, t in rep["times"] if t is None]
+    assert len(rep["times"]) == 360 and len(missed) == 40
+    assert {p["level"] for p in missed} == {1}
+    assert all(t == 1 for _, t in rep["times"] if t is not None)
+    assert capsys.readouterr().out == (
+        "eps 0.25: all 360 points return within 1 steps: False\n")
 
 
 def test_diagnose_recurrence_default_bound(tmp_path, capsys):

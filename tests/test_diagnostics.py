@@ -19,7 +19,6 @@ from polyent import (
     sturmian_generate,
     sturmian_system,
     tower_system,
-    uniform_recurrence_check,
     word_complexities,
 )
 from polyent.constructions import separated_shift_family
@@ -66,28 +65,6 @@ def test_rotation_pigeonhole_bound():
             bound = _ceil_reciprocal(eps)
             t = return_time(system, 0.0, eps, bound)
             assert t is not None and t <= bound
-
-
-# ---------------------------------------------------------------------------
-# uniform recurrence
-
-def test_uniform_recurrence_on_exp_tower():
-    system = tower_system(ExpHeights())
-    sample = system.sampler(20)
-    report = uniform_recurrence_check(system, sample, 0.25, 4)
-    assert report.all_within
-    assert report.eps == 0.25 and report.m_bound == 4
-    assert len(report.times) == len(sample)
-    assert all(1 <= t <= 4 for _, t in report.times)
-
-
-def test_uniform_recurrence_flags_non_returning_points():
-    system = full_shift(2)
-    sample = [one_defect_point(), system.sampler(2)[0]]
-    report = uniform_recurrence_check(system, sample, 1.0, 8)
-    assert not report.all_within
-    assert report.times[0][1] is None
-    assert report.times[1][1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,9 @@ def test_greedy_tower_counts_are_monotone():
 
 
 def test_greedy_product_counts_past_a_quarter_match_the_stepping_reference():
-    # scales past the tower kernel's height band: the counts equal the
-    # sequential greedy rule over distances stepped by bowen_dist, away
-    # from float ties
+    # scales past a quarter, one past the tower kernel's height band: the
+    # counts equal the sequential greedy rule over distances stepped by
+    # bowen_dist, away from float ties
     system = make_system(f"product:tower-power:2,sturmian:{GOLDEN!r}")
     sample = system.sampler(2)
     ns, epss = [2, 4, 8], [0.45, 0.3]
@@ -252,17 +252,19 @@ def test_fit_tower_counts_have_negligible_exponential_rate():
 
 
 def test_fit_validations():
+    # the tail is the larger half of the windows at one eps
     ns = [16, 32, 64, 128]
-    records = _synthetic([4, 5, 6, 7], ns)
-    with pytest.raises(ValueError, match="at least 3"):
-        fit_poly_slope(records, 0.1, tail_fraction=0.4)
-    with pytest.raises(ValueError, match="tail fraction"):
-        fit_poly_slope(records, 0.1, tail_fraction=0.0)
+    with pytest.raises(ValueError, match="at least 3 tail points at eps 0.1, have 2"):
+        fit_poly_slope(_synthetic([4, 5, 6, 7], ns), 0.1)
+    ns = [16, 32, 64, 128, 256]
+    assert fit_poly_slope(_synthetic([4, 5, 6, 7, 8], ns), 0.1).window == (64, 256)
     with pytest.raises(ValueError, match="zero count"):
-        fit_poly_slope(_synthetic([0, 1, 2, 3], ns), 0.1, tail_fraction=1.0)
-    same_n = [CountRecord(16, 0.1, c, "synthetic", BOUND_EXACT) for c in (3, 4, 5)]
+        fit_poly_slope(_synthetic([1, 1, 0, 2, 3], ns), 0.1)
+    # a zero count before the tail is never read
+    assert fit_poly_slope(_synthetic([0, 1, 2, 3, 4], ns), 0.1).points_used == 3
+    same_n = [CountRecord(16, 0.1, c, "synthetic", BOUND_EXACT) for c in range(3, 9)]
     with pytest.raises(ValueError, match="degenerate"):
-        fit_poly_slope(same_n, 0.1, tail_fraction=1.0)
+        fit_poly_slope(same_n, 0.1)
 
 
 def test_fit_slope_is_scale_invariant():

@@ -45,11 +45,12 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=N
 TWELFTHS = [j / 12 for j in range(12)]
 ANGLES = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
                    st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75] + TWELFTHS))
-# caps past 1/4 take the towers' dense path, where wrapped drifts take the
+# caps past 1/3 take the towers' dense path, where wrapped drifts take the
 # continued-fraction descent, and caps past 1 make the subshifts list pairs
 # at coding distance 1
 CAPS = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 3.0),
-                 st.sampled_from([0.125, 0.25, float(np.nextafter(0.25, 1.0)), 0.5, 1.0,
+                 st.sampled_from([0.125, 0.25, float(np.nextafter(0.25, 1.0)), 1.0 / 3.0,
+                                  float(np.nextafter(1.0 / 3.0, 1.0)), 0.5, 1.0,
                                   float(np.nextafter(1.0, 2.0)), math.inf]))
 
 
@@ -197,7 +198,7 @@ EMPTY_BATCH_POINTS = {
 @pytest.mark.parametrize("name", list(EMPTY_BATCH_POINTS))
 def test_kernels_list_no_pair_of_an_empty_batch(name, cap):
     # the cap contract's strategies draw at least one point per batch; a
-    # band cap takes the towers' row scan or angle band, a cap above 1/4
+    # band cap takes the towers' row scan or angle band, a cap above 1/3
     # and inf their dense block
     system = KERNELS[name][0]
     points = EMPTY_BATCH_POINTS[name]
@@ -220,8 +221,8 @@ def _deep_tower_blocks(draw):
     pa = draw(st.lists(points, min_size=1, max_size=8))
     pb = draw(st.lists(st.one_of(points, st.sampled_from(pa)), min_size=1, max_size=8))
     n = draw(st.sampled_from([1, 2, 3, 500, 20000]))
-    cap = draw(st.one_of(st.floats(0.0, 0.25, exclude_min=True),
-                         st.sampled_from([0.25, 0.1, 1e-3, 1e-9])))
+    cap = draw(st.one_of(st.floats(0.0, 1.0 / 3.0, exclude_min=True),
+                         st.sampled_from([1.0 / 3.0, 0.25, 0.1, 1e-3, 1e-9])))
     system = tower_system(fam)
     a, b = system.pack(pa, n), system.pack(pb, n)
     w = cap if n < 3 else 2.0 * cap / (n - 1)
@@ -239,6 +240,24 @@ def _deep_tower_blocks(draw):
 def test_tower_height_band_keeps_every_entry_below_cap(block):
     system, a, b, n, cap = block
     _assert_pair_contract(system.orbit_pairs(a, b, n, cap), _dense(system, a, b, n), cap)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_tower_kernel_past_a_third_keeps_pairs_outside_the_height_band(rows):
+    # at cap 0.45 the angle-0 points on heights 0 and 1/5 lie 0.4 apart
+    # over 40 steps, their iterates passing from 0 to 8; the height band's
+    # rule would need (n-1)|dh| < 2 cap and drop the pair. Its drift wraps,
+    # so the distance comes from the continued-fraction descent
+    system = tower_system(PowerHeights(1))
+    n, cap = 40, 0.45
+    x, y = TowerPoint(0.0, 0), TowerPoint(0.0, 5)
+    assert bowen_dist(system, x, y, n) == 0.4
+    a, b = system.pack([x] * rows, n), system.pack([y], n)
+    assert b["height"][0] == 0.2 > systems._band_width(n, cap)
+    i, j, d = system.orbit_pairs(a, b, n, cap)
+    assert (i.tolist(), j.tolist()) == (list(range(rows)), [0] * rows)
+    assert d.tolist() == pytest.approx([0.4] * rows, abs=FLOAT_TOL)
+    _assert_pair_contract((i, j, d), _dense(system, a, b, n), cap)
 
 
 def test_tower_height_band_margin_covers_rounding():
@@ -280,8 +299,8 @@ def _wide_tower_blocks(draw):
         return [TowerPoint(float(x), int(lv)) for x, lv in zip(angles, rng.choice(pool, m))]
 
     n = draw(st.sampled_from([2, 3, 500, 20000]))
-    cap = draw(st.one_of(st.floats(0.0, 0.25, exclude_min=True),
-                         st.sampled_from([0.25, 0.1, 0.02, 1e-3])))
+    cap = draw(st.one_of(st.floats(0.0, 1.0 / 3.0, exclude_min=True),
+                         st.sampled_from([1.0 / 3.0, 0.25, 0.1, 0.02, 1e-3])))
     system = tower_system(fam)
     return system, system.pack(points(rows), n), system.pack(points(cols), n), n, cap
 
@@ -327,7 +346,7 @@ def test_tower_angle_band_keeps_band_edge_pairs(fam, rows, cols):
                    rng.choice(levels, m))]
         return system.pack(pts, n)
 
-    for n, cap in ((2, 0.25), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
+    for n, cap in ((2, 0.25), (40, 1.0 / 3.0), (500, 0.1), (20000, 0.05), (20000, 1e-4)):
         a, b = batch(rows, n), batch(cols, n)
         w = systems._band_width(n, cap)
         edge = [(x, h) for x, ha in a[:40].tolist() for e in (ha - w, ha + w)
@@ -439,7 +458,8 @@ def test_verifiers_at_exact_cap_match_reference(p, q, n):
 @given(_tower_points(PowerHeights(2)), _tower_points(PowerHeights(2)), st.integers(1, 24),
        st.one_of(st.floats(0.25, 1.0, exclude_min=True), st.sampled_from(TWELFTHS[4:])))
 def test_verifiers_above_a_quarter_match_reference(p, q, n, eps):
-    # past 1/4 wrapped drifts decide the verdict, read by the descent
+    # past 1/4: the height band up to 1/3, then the dense path, where
+    # wrapped drifts decide the verdict, read by the descent
     system = tower_system(PowerHeights(2))
     true = bowen_dist(system, p, q, n)
     if abs(true - eps) < 1e-9:

@@ -258,11 +258,11 @@ def test_tower_dist_triangle_inequality_sampled():
 
 
 def test_tower_sample_layout():
-    pts = tower_sample(ExpHeights(), 3, [0, 2])
+    pts = tower_sample(3, [0, 2])
     assert list(pts) == [TowerPoint(0.0, 0), TowerPoint(1 / 3, 0), TowerPoint(2 / 3, 0),
                    TowerPoint(0.0, 2), TowerPoint(1 / 3, 2), TowerPoint(2 / 3, 2)]
     with pytest.raises(ValueError):
-        tower_sample(ExpHeights(), 0, [0])
+        tower_sample(0, [0])
 
 
 def test_angle_level_grid_lives_in_systems_and_checks_levels():
@@ -291,7 +291,7 @@ def test_tower_pack_of_a_grid_matches_its_points_bitwise(fam):
     for levels in ([0, 2, 1, top, 0], [top], range(0, min(top, 8) + 1),
                    range(1, top + 1, 97), range(top, -1, -113), range(0)):
         for r in (1, 7, 600):
-            grid = tower_sample(fam, r, levels)
+            grid = tower_sample(r, levels)
             packed = system.pack(grid, 5)
             assert packed.tobytes() == system.pack(list(grid), 5).tobytes()
             assert len(packed) == len(grid) == r * len(levels)
