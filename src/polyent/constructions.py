@@ -311,10 +311,12 @@ def certified_separated_witness(window: int, eps: float, c: float,
     with the top level dropped (recorded in the report notes) before giving
     up. An audit whose closest pair lies on one level stops the retries,
     whether it holds or not: every level carries the same angles, so
-    dropping levels keeps a pair at that distance (see
-    ``separated_witness``).
+    dropping levels keeps a pair at that distance (see ``separated_witness``).
+    A family past ``systems.TOWER_SAMPLE_LIMIT`` points is refused unpacked.
     """
     report = separated_witness(window, eps, c)
+    systems.check_sample_limit(f"the separated audit at n={window}, eps={eps!r}",
+                               "family", report.size)
     system = tower_system(PowerHeights(c))
     m = floor_reciprocal(eps)
     levels = report.levels

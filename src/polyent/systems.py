@@ -13,20 +13,19 @@ Products of any two systems use the max metric and the coordinatewise map.
 
 Each system is wrapped in a :class:`SystemHandle` carrying the metric, the
 step map, an optional inverse, a canonical sampler, and one vectorized
-Bowen-distance kernel over numpy batches of points made by ``pack``:
-``orbit_pairs`` lists the pairs below a cap as ``(i, j, d)``. Every
-built-in kernel is exact at every threshold; the stepping
-``bowen.bowen_dist`` is the oracle the tests hold the kernels to.
-
-``orbit_pairs(a, b, n, cap)`` is a fixed-radius near-neighbour query
-(Bentley, Stanat and Williams 1977). Every pair whose distance is below
-cap is listed exactly once, and its listed ``d`` is exact. Other listed
-pairs read exactly or as a lower bound of at least cap, so at ``cap =
-inf`` every pair is listed, with its exact distance. No order is
-promised, and callers compare ``d`` with their own threshold. The tower
-band paths do not filter ``d < cap`` themselves: they already drop almost
-every pair, and a filter would copy the survivors three more times per
-call.
+Bowen-distance kernel over numpy batches of points made by ``pack``, in
+two stages: candidate pairs, then one exact evaluator, ``evaluate``, which
+keeps every given pair below a cap. ``orbit_pairs``, the two composed,
+lists the pairs below a cap as ``(i, j, d)``: a fixed-radius near-neighbour
+query (Bentley, Stanat and Williams 1977), whose contract
+:class:`SystemHandle` states. Every built-in kernel is exact at every
+threshold; the stepping ``bowen.bowen_dist`` is the oracle the tests hold
+the kernels to. No list is filtered down to ``d < cap`` past what its
+evaluator keeps: the tower bands already drop almost every pair, and a
+filter would copy the survivors three more times per call. A product lists
+its pairs through one factor and evaluates the other on those alone; the
+tower lists, when there is one, as its bands list far fewer candidates
+than a shift's key join.
 
 A tower pair with angle gap theta and height gap dh drifts by delta =
 dh - rint(dh) per step, and its Bowen distance over n steps is the larger
@@ -44,15 +43,15 @@ most half as long. A wrapped pair lies at least max(|delta|,
 1/2 - |delta|/2) >= 1/3 away, so no pair below a float cap of at most
 1/3 needs it.
 
-The tower kernel has three candidate generators and one evaluator, which
-keeps the candidates a - b whose step-0 term is below cap and gives each
-its exact distance; a pair that a generator leaves out or the evaluator
-drops lies at or above cap. A pair of equal heights has zero drift, so its
+The tower kernel has three candidate generators, and its evaluator keeps
+the candidates a - b whose step-0 term is below cap and gives each its
+exact distance; a pair that a generator leaves out or the evaluator drops
+lies at or above cap. A pair of equal heights has zero drift, so its
 window max is its step-0 term or ||theta - floor(theta)||, whichever is
 larger, bit for bit what the drift scan returns at delta = 0: a call whose
 survivors all share one height, as most greedy row queries do, reads that
-and makes no drift scan. The dense generator serves n = 1 and caps outside
-(0, 1/3], and lists only the pairs below cap.
+and makes no drift scan. The dense generator, every pair of the block,
+serves n = 1 and caps outside (0, 1/3].
 
 For a cap in (0, 1/3] the kernel prunes by height. A pair at Bowen distance
 below cap has height gap |dh| < cap <= 1/3, so its per-step drift is dh
@@ -569,15 +568,17 @@ class SystemHandle:
 
     ``metric``/``step``/``inverse`` act on opaque points; ``inverse`` is
     None for a non-invertible map. ``sampler(res)`` returns the canonical
-    finite sample at the requested resolution. The kernel is ``pack`` and
-    ``orbit_pairs``: ``pack(points, n)`` makes a numpy batch (points on
-    axis 0) for window n, and ``orbit_pairs(a, b, n, cap)`` returns index
-    and distance arrays ``(i, j, d)`` that list every pair of two batches
-    whose Bowen distance is below ``cap`` exactly once, with that distance
-    exact. Other listed pairs read exactly or as a lower bound of at least
-    ``cap``, so at ``cap = inf`` every pair is listed with its exact
-    distance; there is no order, and the kernel leaves the comparison with
-    a threshold to the caller (the module docstring says why).
+    finite sample at the requested resolution. The kernel is ``pack``,
+    ``evaluate`` and ``orbit_pairs``. ``pack(points, n)`` makes a numpy
+    batch (points on axis 0) for window n. ``evaluate(a, b, i, j, n, cap)``
+    reads index pairs (i, j) of two batches, repeats allowed, and returns
+    the positions ``live`` of those it keeps and their distances ``d``;
+    ``orbit_pairs(a, b, n, cap)`` lists pairs of the two batches as ``(i,
+    j, d)``, each at most once. Both keep every pair whose Bowen distance is
+    below ``cap``, with that distance exact and the same bits; any other
+    pair they keep reads exactly or as a lower bound of at least ``cap``.
+    So at ``cap = inf`` every pair is listed with its exact distance. There
+    is no order: the caller compares ``d`` with its own threshold.
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
     multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
@@ -591,6 +592,7 @@ class SystemHandle:
     sampler: Callable[[int], Sequence]
     pack: Callable[[Sequence, int], np.ndarray]
     orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
     inverse: Callable[[Any], Any] | None = None
     heights: HeightFamily | None = None
     word_fn: Callable[[int, int], SymbolicWord] | None = None
@@ -651,21 +653,26 @@ def word_window(system: SystemHandle, span: int) -> int:
     return length
 
 
-def _pairs_below(d: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (i, j, d) list of a dense block's entries below cap."""
-    i, j = np.nonzero(d < cap)
-    return i, j, d[i, j]
+def _every_pair(evaluate: Callable, a: np.ndarray, b: np.ndarray, n: int,
+                cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, d) list, row-major, of every pair that ``evaluate`` keeps."""
+    i, j = np.indices((len(a), len(b))).reshape(2, -1)
+    live, d = evaluate(a, b, i, j, n, cap)
+    return i[live], j[live], d
 
 
 def circle_rotation(theta: float) -> SystemHandle:
     """Rigid rotation by theta on the unit circle; points are plain angles."""
     th = theta % 1.0
 
-    def dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    def evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
+                 cap: float) -> tuple[np.ndarray, np.ndarray]:
         # rotations are isometries: the Bowen distance is the plain
         # distance, computed as in circle_dist
-        d = np.abs(np.mod(a, 1.0)[:, None] - np.mod(b, 1.0)[None, :])
-        return np.minimum(d, 1.0 - d)
+        d = np.abs(np.mod(a[i], 1.0) - np.mod(b[j], 1.0))
+        np.minimum(d, 1.0 - d, out=d)
+        live = (d < cap).nonzero()[0]
+        return live, d[live]
 
     return SystemHandle(
         name=f"rotation:{th!r}",
@@ -674,7 +681,8 @@ def circle_rotation(theta: float) -> SystemHandle:
         inverse=lambda x: (x - th) % 1.0,
         sampler=lambda res: [j / res for j in range(res)],
         pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
-        orbit_pairs=lambda a, b, n, cap: _pairs_below(dense(a, b, n), cap),
+        orbit_pairs=lambda a, b, n, cap: _every_pair(evaluate, a, b, n, cap),
+        evaluate=evaluate,
     )
 
 
@@ -728,14 +736,6 @@ def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _step0(theta: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """The step-0 term of (broadcast) pairs: the larger of the initial arc
-    offset and the height gap, both lower bounds on the window max."""
-    u = np.rint(theta)
-    np.abs(theta - u, out=u)
-    return np.maximum(u, np.abs(dh), out=u)
-
-
 def _reflect(phi: np.ndarray, delta: np.ndarray) -> None:
     """Reduce delta mod 1 into [0, 1/2] and phi mod 1 into [0, 1], in place,
     negating phi where delta is reflected: ||phi + k delta|| equals
@@ -779,13 +779,18 @@ def _nearest_approach(phi: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tower_pairs(theta: np.ndarray, dh: np.ndarray, n: int,
-                 cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """The tower kernel's one evaluator: the positions of the candidate
-    pairs (angle gaps theta, height gaps dh) whose step-0 term is below cap,
-    and their exact distances over n steps. A call whose survivors all
-    share one height makes no drift scan (module docstring)."""
-    dist = _step0(theta, dh)
+def _tower_evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray | int, j: np.ndarray,
+                    n: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tower kernel's one evaluator: the positions of the candidate pairs
+    (i, j) whose step-0 term is below cap, and their exact distances over n
+    steps. A call whose survivors all share one height makes no drift scan
+    (module docstring). A row passes i = 0, so its gaps take scalar operands."""
+    theta = a["angle"][i] - b["angle"][j]
+    dh = a["height"][i] - b["height"][j]
+    # the step-0 term max(||theta||, |dh|), a lower bound on the window max
+    dist = np.rint(theta)
+    np.abs(theta - dist, out=dist)
+    np.maximum(dist, np.abs(dh), out=dist)
     live = (dist < cap).nonzero()[0]
     dist = dist[live]
     if n == 1:
@@ -805,19 +810,6 @@ def _band_width(n: int, cap: float) -> float:
     return _widen(min(cap, 2.0 * cap / (n - 1)))
 
 
-def _tower_row_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
-                    w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # a single row (the greedy loop's queries) finds its band in one scan
-    # of b, by the height band's own float test, without sorting b. Rows
-    # are short, so contiguous copies, scalar operands and ndarray.nonzero
-    # save most of the per-call overhead.
-    h = a["height"].item()
-    hb = b["height"].copy()
-    col = ((hb >= h - w) & (hb <= h + w)).nonzero()[0]
-    live, dist = _tower_pairs(a["angle"].item() - b["angle"][col], h - hb[col], n, cap)
-    return np.zeros(live.size, np.intp), col[live], dist
-
-
 def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
                       w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Angle band (module docstring). The longer batch s is sorted by height,
@@ -833,8 +825,6 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     c = _widen(cap)
     s_is_a = len(a) >= len(b)
     s, q = (a, b) if s_is_a else (b, a)
-    if not len(s):  # both batches empty: no run to find
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
     order = np.lexsort((s["angle"], s["height"]))
     hs = s["height"][order]
     first = np.empty(len(hs), bool)
@@ -860,9 +850,7 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     si, qi = order[pos], np.repeat(np.repeat(qi, 3), counts)
     ia, ib = (si, qi) if s_is_a else (qi, si)
-    # the caller's orientation a - b, as in the row scan and the dense path
-    live, dist = _tower_pairs(a["angle"][ia] - b["angle"][ib],
-                              a["height"][ia] - b["height"][ib], n, cap)
+    live, dist = _tower_evaluate(a, b, ia, ib, n, cap)
     return ia[live], ib[live], dist
 
 
@@ -870,22 +858,25 @@ def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
                        cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
-    if n > 1 and 0.0 < cap <= _TOWER_BAND_CAP:
-        # Height band and angle windows (module docstring). Their margin
-        # absorbs the kernel's own rounding (an angle gap rounded inward can
-        # put a pair one ulp past the edge just below cap), so every pair
-        # the evaluator puts below cap is listed. The path is chosen from
-        # the block's shape alone.
-        w = _band_width(n, cap)
-        if len(a) == 1:
-            return _tower_row_band(a, b, n, cap, w)
+    if n == 1 or not len(a) * len(b) or not 0.0 < cap <= _TOWER_BAND_CAP:
+        # every pair is a candidate (an empty block has none)
+        return _every_pair(_tower_evaluate, a, b, n, cap)
+    # Height band and angle windows (module docstring). Their margin absorbs the
+    # kernel's own rounding (an angle gap rounded inward can put a pair one ulp
+    # past the edge just below cap), so every pair the evaluator puts below cap
+    # is listed. The path is chosen from the block's shape alone.
+    w = _band_width(n, cap)
+    if len(a) > 1:
         return _tower_angle_band(a, b, n, cap, w)
-    # every pair of the block is a candidate; the list keeps those below cap
-    live, dist = _tower_pairs((a["angle"][:, None] - b["angle"][None, :]).ravel(),
-                              (a["height"][:, None] - b["height"][None, :]).ravel(), n, cap)
-    keep = (dist < cap).nonzero()[0]
-    i, j = np.divmod(live[keep], len(b))
-    return i, j, dist[keep]
+    # a single row (the greedy loop's queries) finds its band in one scan of
+    # b, by the height band's own float test, without sorting b. Rows are
+    # short, so a contiguous copy, scalar operands and ndarray.nonzero save
+    # most of the per-call overhead.
+    h = a["height"].item()
+    hb = b["height"].copy()
+    col = ((hb >= h - w) & (hb <= h + w)).nonzero()[0]
+    live, dist = _tower_evaluate(a, b, 0, col, n, cap)
+    return np.zeros(live.size, np.intp), col[live], dist
 
 
 # levels above the base circle that a tower's canonical sampler covers
@@ -926,6 +917,7 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
         sampler=sampler,
         pack=pack,
         orbit_pairs=_tower_orbit_pairs,
+        evaluate=_tower_evaluate,
         heights=fam,
     )
 
@@ -953,32 +945,38 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
         batch["key"] = np.ascontiguousarray(batch["rows"][:, :n]).view(key)[:, 0]
         return batch
 
-    def same_block_pairs(a: np.ndarray, b: np.ndarray,
-                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def outward_scan(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray,
+                     n: int) -> np.ndarray:
         # Bowen max over k in [0, n) of the coding metric = 2^-(distance from
-        # the nearest differing coordinate to the index block [0, n-1]); a
-        # pair with different central blocks is at distance 1, and only
-        # pairs with equal ones need the outward scan, which is exact
-        ii, jj = np.nonzero(a["key"][:, None] == b["key"][None, :])
-        diff = a["rows"][ii, n:] != b["rows"][jj, n:]
+        # the nearest differing coordinate to the index block [0, n-1]) for
+        # pairs with equal central blocks; any other pair lies at distance 1
+        diff = a["rows"][i, n:] != b["rows"][j, n:]
         hit = diff.any(axis=1)
-        d = np.zeros(len(ii))
+        d = np.zeros(len(diff))
         d[hit] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)
-        return ii, jj, d
+        return d
 
-    def dense(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-        out = np.ones((len(a), len(b)))
-        ii, jj, d = same_block_pairs(a, b, n)
-        out[ii, jj] = d
-        return out
+    def evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
+                 cap: float) -> tuple[np.ndarray, np.ndarray]:
+        same = (a["key"][i] == b["key"][j]).nonzero()[0]
+        if cap > 1.0:
+            d = np.ones(len(i))
+            d[same] = outward_scan(a, b, i[same], j[same], n)
+            return np.arange(len(i)), d
+        return same, outward_scan(a, b, i[same], j[same], n)
 
     def pairs(a: np.ndarray, b: np.ndarray, n: int,
               cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the keys compare by broadcasting, which gathers no pair's key
+        i, j = np.nonzero(a["key"][:, None] == b["key"][None, :])
+        d = outward_scan(a, b, i, j, n)
         if cap > 1.0:
             # pairs at distance 1 lie below cap too (the factor-shift audit
             # at eps 1.0 asks for them)
-            return _pairs_below(dense(a, b, n), cap)
-        return same_block_pairs(a, b, n)
+            full = np.ones((len(a), len(b)))
+            full[i, j] = d
+            return *np.indices(full.shape).reshape(2, -1), full.ravel()
+        return i, j, d
 
     return {
         "metric": shift_metric,
@@ -986,6 +984,7 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
         "inverse": lambda x: x.shifted(-1),
         "pack": pack,
         "orbit_pairs": pairs,
+        "evaluate": evaluate,
     }
 
 
@@ -1049,26 +1048,24 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         batch["a"], batch["b"] = pa, pb
         return batch
 
+    # the tower lists, when there is one (module docstring); a tie keeps a first
+    (f, lister), (s, other) = sorted((("a", a), ("b", b)), key=lambda p: p[1].heights is None)
+
+    def evaluate(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
+                 cap: float) -> tuple[np.ndarray, np.ndarray]:
+        live, d = lister.evaluate(x[f], y[f], i, j, n, cap)
+        keep, d2 = other.evaluate(x[s], y[s], i[live], j[live], n, cap)
+        return live[keep], np.maximum(d[keep], d2)
+
     def orbit_pairs(x: np.ndarray, y: np.ndarray, n: int,
                     cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # under the max metric a pair lies below cap iff it does in both
-        # factors, so both lists hold it; a factor distance at or above cap
-        # is exact or a lower bound >= cap, and so is their max
-        ia, ja, da = a.orbit_pairs(x["a"], y["a"], n, cap)
-        ib, jb, db = b.orbit_pairs(x["b"], y["b"], n, cap)
-        ka, kb = ia * len(y) + ja, ib * len(y) + jb
-        # intersect on the key through one flag per pair of the block, which
-        # is several times faster than sorting both lists when repeated
-        # factor coordinates make them long; only the common keys are
-        # sorted, to line the two lists up
-        flag = np.zeros(len(x) * len(y), bool)
-        flag[kb] = True
-        sa = np.flatnonzero(flag[ka])
-        flag[kb] = False
-        flag[ka[sa]] = True
-        sb = np.flatnonzero(flag[kb])
-        sa, sb = sa[np.argsort(ka[sa])], sb[np.argsort(kb[sb])]
-        return ia[sa], ja[sa], np.maximum(da[sa], db[sb])
+        # factors, so the lister lists it and the other factor keeps it; a
+        # factor distance at or above cap is exact or a lower bound >= cap,
+        # and so is their max
+        i, j, d = lister.orbit_pairs(x[f], y[f], n, cap)
+        live, d2 = other.evaluate(x[s], y[s], i, j, n, cap)
+        return i[live], j[live], np.maximum(d[live], d2)
 
     return SystemHandle(
         name=f"product({a.name},{b.name})",
@@ -1078,6 +1075,7 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         sampler=sampler,
         pack=pack,
         orbit_pairs=orbit_pairs,
+        evaluate=evaluate,
         parts=(a, b),
     )
 

@@ -298,6 +298,11 @@ REFUSED = [
     ((*_DIAG, "2,2"), None, "distality needs two different levels"),
     ((*_DIAG, "800,900"), None,
      "levels 800 and 900 share the height 0.0; their distality gap is trivially 0"),
+    # sized before the family is packed: the audit would take about 4 * 10^12 pairs
+    (("verify-construction", "--system", "tower-power:1", "--which", "separated",
+      "--n0", "10000000000", "--steps", "1", "--eps", "0.1"), None,
+     "the separated audit at n=10000000000, eps=0.1 needs a family of 2846043 points, "
+     "beyond the limit of 2097152"),
 ]
 
 

@@ -4,9 +4,11 @@ Generated point sets check the kernel contract. The uncapped pair list
 holds every pair exactly once, with its exact orbit distance. The pair list
 of any cap holds every pair whose uncapped distance is below the cap
 exactly once, bitwise equal to that distance, and any other pair it holds
-reads that distance or at least the cap. The tower kernel is also held to a closed-form brute force, per
-step k, out to windows of a million steps, where the stepping reference
-accumulates too much rounding to serve.
+reads that distance or at least the cap. Each system's evaluator, given
+any index pairs, keeps those below the cap with the same bits. The tower
+kernel is also held to a closed-form brute force, per step k, out to
+windows of a million steps, where the stepping reference accumulates too
+much rounding to serve.
 """
 
 import math
@@ -115,6 +117,11 @@ KERNELS = {
         product_system(tower_system(PowerHeights(1)), sturmian_system(GOLDEN)),
         _pair_batches(st.tuples(_tower_points(PowerHeights(1)), _sturmian_points())),
         FLOAT_TOL),
+    # the tower lists the pairs when it is the second factor too
+    "sturmian-x-tower": (
+        product_system(sturmian_system(GOLDEN), tower_system(PowerHeights(1))),
+        _pair_batches(st.tuples(_sturmian_points(), _tower_points(PowerHeights(1)))),
+        FLOAT_TOL),
 }
 
 
@@ -182,8 +189,40 @@ def test_kernel_cap_contract(name):
     check()
 
 
-# one short batch per kernel of the cap contract's list: towers through the
-# row scan and the angle band, a product through both factors' kernels
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_evaluate_keeps_every_given_pair_below_cap(name):
+    # an arbitrary index list, repeats included, and an empty one: every
+    # pair below cap is kept, bitwise equal to its uncapped entry, and any
+    # other kept pair reads at least cap
+    system, batches, _ = KERNELS[name]
+
+    @PROPERTY
+    @given(batches, st.integers(1, 24), CAPS, st.data())
+    def check(pair, n, cap, data):
+        pa, pb = pair
+        a, b = system.pack(pa, n), system.pack(pb, n)
+        dense = _dense(system, a, b, n)
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, len(pa) - 1),
+                                             st.integers(0, len(pb) - 1)), max_size=12))
+        for ij in (drawn, []):
+            i, j = np.array(ij, np.intp).reshape(-1, 2).T
+            live, d = system.evaluate(a, b, i, j, n, cap)
+            assert live.shape == d.shape and live.ndim == 1
+            assert np.unique(live).size == live.size
+            assert ((0 <= live) & (live < i.size)).all()
+            entry = dense[i, j]
+            kept = np.zeros(i.size, bool)
+            kept[live] = True
+            assert kept[entry < cap].all()
+            below = entry[live] < cap
+            assert (d[below].view(np.uint64) == entry[live][below].view(np.uint64)).all()
+            assert (d[~below] >= cap).all()
+
+    check()
+
+
+# one short batch per kernel of the cap contract's list: a tower, and a
+# product through its tower's kernel and its shift's evaluator
 EMPTY_BATCH_POINTS = {
     "rotation": [0.1, 0.3, 0.35],
     "tower-power:2": [TowerPoint(0.1, 0), TowerPoint(0.15, 3), TowerPoint(0.2, 3)],
@@ -197,9 +236,8 @@ EMPTY_BATCH_POINTS = {
 @pytest.mark.parametrize("cap", [0.1, 0.5, math.inf])
 @pytest.mark.parametrize("name", list(EMPTY_BATCH_POINTS))
 def test_kernels_list_no_pair_of_an_empty_batch(name, cap):
-    # the cap contract's strategies draw at least one point per batch; a
-    # band cap takes the towers' row scan or angle band, a cap above 1/3
-    # and inf their dense block
+    # the cap contract's strategies draw at least one point per batch; an
+    # empty block takes the towers' dense path at every cap
     system = KERNELS[name][0]
     points = EMPTY_BATCH_POINTS[name]
     for n in (1, 2, 7):
@@ -413,10 +451,10 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
 
 
 def test_product_pairs_line_up_factor_lists_in_any_order():
-    # the angle band lists each factor's pairs in its own sort order, and
-    # coarse grids on the base circle and one slow level put many pairs
-    # below cap in both factors, so the intersection must line the two
-    # lists up by key
+    # the first factor's angle band lists its pairs in its own sort order,
+    # and coarse grids on the base circle and one slow level put many pairs
+    # below cap in both factors, so the second factor's evaluator must read
+    # each listed pair at its own indices, whatever their order
     rng = np.random.default_rng(3)
     system = product_system(tower_system(PowerHeights(2)), tower_system(ExpHeights()))
 
