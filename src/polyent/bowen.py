@@ -211,7 +211,7 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
     Reports the minimum distance and the first pair in chunk order that
     attains it, both exactly as an uncapped scan finds them, and whether
     strict separation held everywhere. Other pairs are only settled as
-    lying above the running minimum: each block is capped one ulp above it.
+    lying at or above the running minimum: each block is capped at it.
     """
     _check_scale(n, eps)
     m = len(points)
@@ -219,35 +219,30 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
         return SeparationCheck(True, True, n, eps, 0, np.inf, None)
     pairs = system.orbit_pairs
     pts = system.pack(points, n)
-    # Capping one ulp above the running minimum lists every pair at or
-    # below it with its exact distance, and every unlisted pair lies
-    # strictly above it, so neither the block minimum nor the update below
-    # can change. Before any minimum exists, the distance of pair (0, 1),
-    # which the first block holding any pair contains, serves as the
-    # running minimum.
-    seed = float(pairs(pts[0:1], pts[1:2], n, np.inf)[2][0])
-    min_value = np.inf
-    min_pair: tuple[int, int] | None = None
-    for lo in range(0, m, chunk):
-        rows = pts[lo:lo + chunk]
-        for clo in range(lo, m, chunk):
-            cap = float(np.nextafter(min(min_value, seed), np.inf))
-            block = pts[clo:clo + chunk]
-            cols = len(block)
-            i, j, d = pairs(rows, block, n, cap)
-            if clo == lo:
-                # keep the strictly upper triangle of the global matrix
-                upper = i < j
-                i, j, d = i[upper], j[upper], d[upper]
-            if d.size == 0:
-                continue
-            value = d.min()
-            if value < min_value:
-                # the first pair attaining it in row-major block order, as
-                # a dense argmin would find it
-                first = int((i * cols + j)[d == value].min())
-                min_value = float(value)
-                min_pair = (lo + first // cols, clo + first % cols)
+    # Pair (0, 1) comes first in chunk order, so its distance starts the
+    # running minimum. Each block is capped at it: every pair below it is
+    # listed exactly, and a pair at or above it cannot lower it. Nothing
+    # lies below 0, and a cap of 0 would send the tower kernel to its dense
+    # every-pair path, so the scan stops there.
+    min_value = float(pairs(pts[0:1], pts[1:2], n, np.inf)[2][0])
+    min_pair = (0, 1)
+    blocks = ((lo, clo) for lo in range(0, m, chunk) for clo in range(lo, m, chunk))
+    for lo, clo in blocks:
+        if min_value == 0.0:
+            break
+        cols = min(chunk, m - clo)
+        i, j, d = pairs(pts[lo:lo + chunk], pts[clo:clo + chunk], n, min_value)
+        if clo == lo:
+            # keep the strictly upper triangle of the global matrix
+            upper = i < j
+            i, j, d = i[upper], j[upper], d[upper]
+        value = d.min(initial=min_value)
+        if value < min_value:
+            # the first pair attaining it in row-major block order, as a
+            # dense argmin would find it
+            first = int((i * cols + j)[d == value].min())
+            min_value = float(value)
+            min_pair = (lo + first // cols, clo + first % cols)
     return SeparationCheck(
         ok=min_value >= eps,
         all_strict=min_value > eps,

@@ -347,8 +347,10 @@ def certified_factor_shifts(system: SystemHandle, word: SymbolicWord, n: int,
 
     ``system`` must be the shift dynamics the word lives in (its metric and
     step are used for the audit); separation scale is 1, a difference at
-    the leading coordinate.
+    the leading coordinate. A family that would pack into more bytes than
+    ``systems.check_pack_limit`` allows is refused unpacked.
     """
+    systems.check_pack_limit(f"the factor-shift audit at n={n}", system, n + 1, n)
     indices = separated_shift_family(word, n)
     base = word.point()
     points = [base.shifted(i) for i in indices]

@@ -14,18 +14,15 @@ Products of any two systems use the max metric and the coordinatewise map.
 Each system is wrapped in a :class:`SystemHandle` carrying the metric, the
 step map, an optional inverse, a canonical sampler, and one vectorized
 Bowen-distance kernel over numpy batches of points made by ``pack``, in
-two stages: candidate pairs, then one exact evaluator, ``evaluate``, which
-keeps every given pair below a cap. ``orbit_pairs``, the two composed,
-lists the pairs below a cap as ``(i, j, d)``: a fixed-radius near-neighbour
-query (Bentley, Stanat and Williams 1977), whose contract
-:class:`SystemHandle` states. Every built-in kernel is exact at every
-threshold; the stepping ``bowen.bowen_dist`` is the oracle the tests hold
-the kernels to. No list is filtered down to ``d < cap`` past what its
-evaluator keeps: the tower bands already drop almost every pair, and a
-filter would copy the survivors three more times per call. A product lists
-its pairs through one factor and evaluates the other on those alone; the
-tower lists, when there is one, as its bands list far fewer candidates
-than a shift's key join.
+two stages, ``candidates`` then the exact evaluator ``evaluate``, which
+:meth:`SystemHandle.orbit_pairs` composes: a fixed-radius near-neighbour
+query (Bentley, Stanat and Williams 1977). Every built-in kernel is exact
+at every threshold; the stepping ``bowen.bowen_dist`` is the oracle the
+tests hold the kernels to. No list is filtered down to ``d < cap`` past
+what its evaluator keeps: the tower bands already drop almost every pair,
+and a filter would copy the survivors three more times per call. A product
+takes its candidates from one factor, the tower when there is one, as its
+bands list far fewer candidates than a shift's key join.
 
 A tower pair with angle gap theta and height gap dh drifts by delta =
 dh - rint(dh) per step, and its Bowen distance over n steps is the larger
@@ -568,17 +565,13 @@ class SystemHandle:
 
     ``metric``/``step``/``inverse`` act on opaque points; ``inverse`` is
     None for a non-invertible map. ``sampler(res)`` returns the canonical
-    finite sample at the requested resolution. The kernel is ``pack``,
-    ``evaluate`` and ``orbit_pairs``. ``pack(points, n)`` makes a numpy
-    batch (points on axis 0) for window n. ``evaluate(a, b, i, j, n, cap)``
-    reads index pairs (i, j) of two batches, repeats allowed, and returns
-    the positions ``live`` of those it keeps and their distances ``d``;
-    ``orbit_pairs(a, b, n, cap)`` lists pairs of the two batches as ``(i,
-    j, d)``, each at most once. Both keep every pair whose Bowen distance is
-    below ``cap``, with that distance exact and the same bits; any other
-    pair they keep reads exactly or as a lower bound of at least ``cap``.
-    So at ``cap = inf`` every pair is listed with its exact distance. There
-    is no order: the caller compares ``d`` with its own threshold.
+    finite sample at the requested resolution. ``pack(points, n)`` makes a
+    numpy batch (points on axis 0) for window n, and :meth:`orbit_pairs`
+    composes the kernel's two stages on two such batches, under its
+    contract: ``candidates(a, b, n, cap)`` lists index pairs ``(i, j)``,
+    each at most once, a superset of the pairs below ``cap``; ``evaluate(a,
+    b, i, j, n, cap)`` reads given pairs, repeats allowed, and returns the
+    positions ``live`` of those it keeps and their distances ``d``.
     ``heights`` is set for towers, ``word_fn`` for subshifts with a
     canonical word, and ``parts`` for products, so closed-form counts can
     multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
@@ -591,7 +584,7 @@ class SystemHandle:
     step: Callable[[Any], Any]
     sampler: Callable[[int], Sequence]
     pack: Callable[[Sequence, int], np.ndarray]
-    orbit_pairs: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+    candidates: Callable[..., tuple[np.ndarray, np.ndarray]]
     evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
     inverse: Callable[[Any], Any] | None = None
     heights: HeightFamily | None = None
@@ -602,6 +595,19 @@ class SystemHandle:
     def __post_init__(self) -> None:
         if (self.word_fn is None) != (self.recurrence is None):
             raise ValueError(f"system {self.name}: word_fn and recurrence must be set together")
+
+    def orbit_pairs(self, a: np.ndarray, b: np.ndarray, n: int,
+                    cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The candidate pairs of two batches that the evaluator keeps, as
+        ``(i, j, d)``, each at most once. Every pair whose Bowen distance
+        over n steps is below ``cap`` is listed with that distance, exact and
+        with the same bits; any other listed pair reads exactly or as a lower
+        bound of at least ``cap``, so at ``cap = inf`` every distance is
+        exact. There is no order: the caller compares ``d`` with its own
+        threshold."""
+        i, j = self.candidates(a, b, n, cap)
+        live, d = self.evaluate(a, b, i, j, n, cap)
+        return i[live], j[live], d
 
 
 # Largest tower sample the greedy counter takes on: 32 MiB packed, and the
@@ -629,6 +635,16 @@ def check_sample_limit(task: str, what: str, size: int) -> None:
                          f"limit of {TOWER_SAMPLE_LIMIT}")
 
 
+def check_pack_limit(task: str, system: SystemHandle, size: int, n: int) -> None:
+    """Refuse a ``task`` whose ``size`` points, packed for window n, would
+    take more bytes than a ``TOWER_SAMPLE_LIMIT`` tower sample (32 MiB); a
+    subshift row holds 2n + 128 bytes, so n + 1 rows pass up to n = 4063."""
+    nbytes = size * system.pack([], n).itemsize
+    if nbytes > TOWER_SAMPLE_LIMIT * 16:
+        raise ValueError(f"{task} packs a family of {size} points into {nbytes} bytes, "
+                         f"beyond the limit of {TOWER_SAMPLE_LIMIT * 16}")
+
+
 def sized_tower_sample(grid: int, top: int, task: str) -> AngleLevelGrid:
     """The counting or audit sample of a ``task`` whose witness family
     resolves levels up to ``top``: ``grid`` angles on levels 0 to top +
@@ -653,12 +669,9 @@ def word_window(system: SystemHandle, span: int) -> int:
     return length
 
 
-def _every_pair(evaluate: Callable, a: np.ndarray, b: np.ndarray, n: int,
-                cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (i, j, d) list, row-major, of every pair that ``evaluate`` keeps."""
-    i, j = np.indices((len(a), len(b))).reshape(2, -1)
-    live, d = evaluate(a, b, i, j, n, cap)
-    return i[live], j[live], d
+def _every_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair of two batches, row-major."""
+    return tuple(np.indices((len(a), len(b))).reshape(2, -1))
 
 
 def circle_rotation(theta: float) -> SystemHandle:
@@ -681,7 +694,7 @@ def circle_rotation(theta: float) -> SystemHandle:
         inverse=lambda x: (x - th) % 1.0,
         sampler=lambda res: [j / res for j in range(res)],
         pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
-        orbit_pairs=lambda a, b, n, cap: _every_pair(evaluate, a, b, n, cap),
+        candidates=lambda a, b, n, cap: _every_pair(a, b),
         evaluate=evaluate,
     )
 
@@ -779,12 +792,15 @@ def _nearest_approach(phi: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tower_evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray | int, j: np.ndarray,
+def _tower_evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray,
                     n: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
     """The tower kernel's one evaluator: the positions of the candidate pairs
     (i, j) whose step-0 term is below cap, and their exact distances over n
     steps. A call whose survivors all share one height makes no drift scan
-    (module docstring). A row passes i = 0, so its gaps take scalar operands."""
+    (module docstring). Every valid i of a single row is 0, so a row's gaps
+    take scalar operands, which saves most of a row query's overhead."""
+    if len(a) == 1:
+        i = 0
     theta = a["angle"][i] - b["angle"][j]
     dh = a["height"][i] - b["height"][j]
     # the step-0 term max(||theta||, |dh|), a lower bound on the window max
@@ -810,8 +826,8 @@ def _band_width(n: int, cap: float) -> float:
     return _widen(min(cap, 2.0 * cap / (n - 1)))
 
 
-def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
-                      w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tower_angle_band(a: np.ndarray, b: np.ndarray, cap: float,
+                      w: float) -> tuple[np.ndarray, np.ndarray]:
     # Angle band (module docstring). The longer batch s is sorted by height,
     # then by the key angle + 4 g, g numbering its runs of equal height; each
     # row of the shorter batch q looks up, in every run of its height band,
@@ -820,8 +836,8 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     # TowerPoint(-1e-300, 1).angle == 1.0), so run g's keys fill [4g, 4g + 1]
     # and its windows stay inside [4g - 2, 4g + 3], clear of the other runs;
     # the three windows are disjoint, as 2c < 1. Rounding of the keys and of
-    # the window ends is monotone: it can admit extra pairs, which the step-0
-    # test below removes, but never drops one inside the margin on c.
+    # the window ends is monotone: it can admit extra pairs, which the
+    # evaluator's step-0 test drops, but never drops one inside the margin on c.
     c = _widen(cap)
     s_is_a = len(a) >= len(b)
     s, q = (a, b) if s_is_a else (b, a)
@@ -849,34 +865,31 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, n: int, cap: float,
     counts = np.searchsorted(key, (images + c) + offset, "right").ravel() - lo
     pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     si, qi = order[pos], np.repeat(np.repeat(qi, 3), counts)
-    ia, ib = (si, qi) if s_is_a else (qi, si)
-    live, dist = _tower_evaluate(a, b, ia, ib, n, cap)
-    return ia[live], ib[live], dist
+    return (si, qi) if s_is_a else (qi, si)
 
 
-def _tower_orbit_pairs(a: np.ndarray, b: np.ndarray, n: int,
-                       cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tower_candidates(a: np.ndarray, b: np.ndarray, n: int,
+                      cap: float) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
     if n == 1 or not len(a) * len(b) or not 0.0 < cap <= _TOWER_BAND_CAP:
         # every pair is a candidate (an empty block has none)
-        return _every_pair(_tower_evaluate, a, b, n, cap)
+        return _every_pair(a, b)
     # Height band and angle windows (module docstring). Their margin absorbs the
     # kernel's own rounding (an angle gap rounded inward can put a pair one ulp
     # past the edge just below cap), so every pair the evaluator puts below cap
     # is listed. The path is chosen from the block's shape alone.
     w = _band_width(n, cap)
     if len(a) > 1:
-        return _tower_angle_band(a, b, n, cap, w)
+        return _tower_angle_band(a, b, cap, w)
     # a single row (the greedy loop's queries) finds its band in one scan of
     # b, by the height band's own float test, without sorting b. Rows are
-    # short, so a contiguous copy, scalar operands and ndarray.nonzero save
-    # most of the per-call overhead.
+    # short, so a contiguous copy and ndarray.nonzero save most of the
+    # per-call overhead.
     h = a["height"].item()
     hb = b["height"].copy()
     col = ((hb >= h - w) & (hb <= h + w)).nonzero()[0]
-    live, dist = _tower_evaluate(a, b, 0, col, n, cap)
-    return np.zeros(live.size, np.intp), col[live], dist
+    return np.zeros(col.size, np.intp), col
 
 
 # levels above the base circle that a tower's canonical sampler covers
@@ -916,7 +929,7 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
         inverse=lambda p: tower_inverse(p, fam),
         sampler=sampler,
         pack=pack,
-        orbit_pairs=_tower_orbit_pairs,
+        candidates=_tower_candidates,
         evaluate=_tower_evaluate,
         heights=fam,
     )
@@ -956,6 +969,14 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
         d[hit] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)
         return d
 
+    def candidates(a: np.ndarray, b: np.ndarray, n: int,
+                   cap: float) -> tuple[np.ndarray, np.ndarray]:
+        if cap > 1.0:
+            # pairs at distance 1 lie below cap too
+            return _every_pair(a, b)
+        # the keys compare by broadcasting, which gathers no pair's key
+        return np.nonzero(a["key"][:, None] == b["key"][None, :])
+
     def evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
                  cap: float) -> tuple[np.ndarray, np.ndarray]:
         same = (a["key"][i] == b["key"][j]).nonzero()[0]
@@ -965,25 +986,12 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
             return np.arange(len(i)), d
         return same, outward_scan(a, b, i[same], j[same], n)
 
-    def pairs(a: np.ndarray, b: np.ndarray, n: int,
-              cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the keys compare by broadcasting, which gathers no pair's key
-        i, j = np.nonzero(a["key"][:, None] == b["key"][None, :])
-        d = outward_scan(a, b, i, j, n)
-        if cap > 1.0:
-            # pairs at distance 1 lie below cap too (the factor-shift audit
-            # at eps 1.0 asks for them)
-            full = np.ones((len(a), len(b)))
-            full[i, j] = d
-            return *np.indices(full.shape).reshape(2, -1), full.ravel()
-        return i, j, d
-
     return {
         "metric": shift_metric,
         "step": lambda x: x.shifted(1),
         "inverse": lambda x: x.shifted(-1),
         "pack": pack,
-        "orbit_pairs": pairs,
+        "candidates": candidates,
         "evaluate": evaluate,
     }
 
@@ -1053,19 +1061,13 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
 
     def evaluate(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
                  cap: float) -> tuple[np.ndarray, np.ndarray]:
+        # under the max metric a pair lies below cap iff it does in both
+        # factors, so the lister's candidates hold it and both factors keep
+        # it; a factor distance at or above cap is exact or a lower bound
+        # >= cap, and so is their max
         live, d = lister.evaluate(x[f], y[f], i, j, n, cap)
         keep, d2 = other.evaluate(x[s], y[s], i[live], j[live], n, cap)
         return live[keep], np.maximum(d[keep], d2)
-
-    def orbit_pairs(x: np.ndarray, y: np.ndarray, n: int,
-                    cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # under the max metric a pair lies below cap iff it does in both
-        # factors, so the lister lists it and the other factor keeps it; a
-        # factor distance at or above cap is exact or a lower bound >= cap,
-        # and so is their max
-        i, j, d = lister.orbit_pairs(x[f], y[f], n, cap)
-        live, d2 = other.evaluate(x[s], y[s], i, j, n, cap)
-        return i[live], j[live], np.maximum(d[live], d2)
 
     return SystemHandle(
         name=f"product({a.name},{b.name})",
@@ -1074,7 +1076,7 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         inverse=inverse,
         sampler=sampler,
         pack=pack,
-        orbit_pairs=orbit_pairs,
+        candidates=lambda x, y, n, cap: lister.candidates(x[f], y[f], n, cap),
         evaluate=evaluate,
         parts=(a, b),
     )

@@ -16,7 +16,9 @@ from polyent import (
     bowen_dist,
     circle_rotation,
     full_shift,
+    periodic_point,
     product_system,
+    separated_shift_family,
     sturmian_point,
     sturmian_system,
     tower_dist,
@@ -179,8 +181,8 @@ def test_greedy_separated_matches_a_stepped_sequential_loop(fam, sample):
 def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch):
     # one rule for rows and blocks: a query drift-scans once if one of its
     # step-0 survivors lies at another height, and not at all otherwise.
-    # The band paths list exactly their step-0 survivors, so the listed
-    # pairs tell which queries must scan
+    # The evaluator keeps exactly its step-0 survivors, so the kept pairs
+    # tell which queries must scan
     scans = []
     real_peak = systems._drift_peak
 
@@ -191,18 +193,18 @@ def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch
     # per kind: queries, and queries with a survivor across heights
     queries = {"row": [0, 0], "block": [0, 0]}
 
-    def pairs(a, b, n, cap):
+    def evaluate(a, b, i, j, n, cap):
         before = len(scans)
-        i, j, d = systems._tower_orbit_pairs(a, b, n, cap)
-        cross = bool((a["height"][i] != b["height"][j]).any())
+        live, d = systems._tower_evaluate(a, b, i, j, n, cap)
+        cross = bool((a["height"][i[live]] != b["height"][j[live]]).any())
         assert len(scans) - before == cross
         kind = queries["row" if len(a) == 1 else "block"]
         kind[0] += 1
         kind[1] += cross
-        return i, j, d
+        return live, d
 
     monkeypatch.setattr(systems, "_drift_peak", peak)
-    system = dataclasses.replace(tower_system(PowerHeights(1)), orbit_pairs=pairs)
+    system = dataclasses.replace(tower_system(PowerHeights(1)), evaluate=evaluate)
     # grid 300 makes the sample span more than one chunk, so the greedy
     # loop asks block queries as well as row queries
     record, = count_table(system, [32], [0.1], METHOD_GREEDY_SEPARATED, grid=300)
@@ -217,7 +219,7 @@ def test_greedy_drift_scans_only_rows_with_a_survivor_across_heights(monkeypatch
                     + [TowerPoint(x, 301) for x in (0.65, 0.75, 0.85)], n)
     assert (np.abs(b["height"] - a["height"][0]) <= systems._band_width(n, cap)).all()
     before = len(scans)
-    i, j, d = pairs(a, b, n, cap)
+    i, j, d = system.orbit_pairs(a, b, n, cap)
     assert len(scans) == before and i.size
     assert (b["height"][j] == a["height"][0]).all()
 
@@ -319,11 +321,12 @@ def test_verify_spanning_ignores_lower_bounds_in_the_first_rung():
     # eps/2) must not take for a cover below eps
     tower = tower_system(PowerHeights(2))
 
-    def lower_bounds(a, b, n, cap):
-        i, j, d = tower.orbit_pairs(a, b, n, np.inf)
-        return i, j, np.minimum(d, cap)
+    def lower_bounds(a, b, i, j, n, cap):
+        live, d = tower.evaluate(a, b, i, j, n, np.inf)
+        return live, np.minimum(d, cap)
 
-    stub = dataclasses.replace(tower, orbit_pairs=lower_bounds)
+    stub = dataclasses.replace(tower, candidates=lambda a, b, n, cap: systems._every_pair(a, b),
+                               evaluate=lower_bounds)
     check = verify_spanning(stub, [TowerPoint(0.0, 0)], [TowerPoint(0.2, 0)], 3, 0.125)
     assert not check.ok and check.first_uncovered == 0
     for n in (1, 3):
@@ -374,14 +377,14 @@ def test_verify_spanning_settles_most_rows_on_their_blocks_covering_centers(n):
     narrow = float(np.nextafter(eps / 32, np.inf))
     ladder, cover = set(), []
 
-    def pairs(a, b, n, cap):
+    def candidates(a, b, n, cap):
         if len(b) < len(centers):
             cover.append(len(b))
         elif cap > narrow:
             ladder.update(a.tolist())
-        return tower.orbit_pairs(a, b, n, cap)
+        return tower.candidates(a, b, n, cap)
 
-    stub = dataclasses.replace(tower, orbit_pairs=pairs)
+    stub = dataclasses.replace(tower, candidates=candidates)
     check = verify_spanning(stub, centers, sample, n, eps)
     assert check.ok and check.all_strict
     assert cover
@@ -478,17 +481,85 @@ def _separation_by_blocks(system, pts, n, eps, chunk):
 def test_verify_separated_capped_scan_matches_uncapped(chunk):
     # grid angles tie many pairs at one minimum, repeated points tie at 0,
     # eps = 0.3 lies in the height band and eps = 0.4 past it, on the
-    # dense path
+    # dense path. The shifts tie many pairs at powers of 2: a Sturmian
+    # factor-shift family with one offset repeated, and periodic points of
+    # a full shift, two of them one sequence under different rules
     grid = tower_sample(4, [0, 1, 3])
     deep = [TowerPoint(0.5, lv) for lv in (40, 41, 900, 901, 902)]
     families = [grid, grid[:5] + grid[2:4] + deep, deep + grid[::3]]
+    word = sturmian_system(GOLDEN).word_fn(0, 80)
+    offsets = separated_shift_family(word, 8)
+    periodic = [periodic_point(p) for p in ((0, 1), (1, 1, 0), (0, 1, 0, 1), (0, 0, 1))]
     for system, pts in ((tower_system(PowerHeights(2)), families[0]),
                         (tower_system(PowerHeights(2)), families[1]),
-                        (tower_system(PowerHeights(1)), families[2])):
+                        (tower_system(PowerHeights(1)), families[2]),
+                        (sturmian_system(GOLDEN),
+                         [word.point().shifted(k) for k in offsets + offsets[4:5]]),
+                        (full_shift(2), full_shift(2).sampler(8) + periodic)):
         for n in (1, 3, 40):
             for eps in (0.05, 0.25, 0.3, 0.4):
                 check = verify_separated(system, pts, n, eps, chunk=chunk)
                 assert check == _separation_by_blocks(system, pts, n, eps, chunk)
+
+
+def _recording_caps(system):
+    # the system with a candidates stage that records each call's shape and cap
+    calls = []
+
+    def candidates(a, b, n, cap):
+        calls.append((len(a), len(b), cap))
+        return system.candidates(a, b, n, cap)
+
+    return dataclasses.replace(system, candidates=candidates), calls
+
+
+@pytest.mark.parametrize("chunk", [7, 2048])
+def test_verify_separated_caps_factor_shifts_at_one(chunk):
+    # distinct length-30 blocks put every pair at distance 1: the one-pair
+    # seed reads pair (0, 1) uncapped, and every block after is capped at
+    # 1.0, where only key-equal pairs are candidates
+    system = sturmian_system(GOLDEN)
+    word = system.word_fn(0, systems.word_window(system, 30) - 1)
+    points = [word.point().shifted(k) for k in separated_shift_family(word, 30)]
+    stub, calls = _recording_caps(system)
+    check = verify_separated(stub, points, 30, 1.0, chunk=chunk)
+    assert (check.min_value, check.min_pair) == (1.0, (0, 1))
+    assert calls[0] == (1, 1, math.inf)
+    assert len(calls) > 1 and all(cap <= 1.0 for *_, cap in calls[1:])
+
+
+def test_verify_separated_caps_blocks_at_the_running_minimum():
+    # the running minimum before each block, from the dense block in chunk
+    # order: no block may ask for more
+    system = tower_system(PowerHeights(2))
+    pts = tower_sample(8, range(0, 6))
+    m, n, chunk = len(pts), 5, 7
+    d = bowen_block(system, pts, pts, n)
+    running = [d[0, 1]]
+    for lo in range(0, m, chunk):
+        for clo in range(lo, m, chunk):
+            block = [d[i, j] for i in range(lo, min(lo + chunk, m))
+                     for j in range(max(clo, i + 1), min(clo + chunk, m))]
+            running.append(min([running[-1]] + block))
+    stub, calls = _recording_caps(system)
+    check = verify_separated(stub, pts, n, 0.1, chunk=chunk)
+    assert check.min_value == running[-1] < running[0]
+    assert len(calls) == len(running)
+    assert all(cap <= low for (*_, cap), low in zip(calls[1:], running))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5, 2048])
+def test_verify_separated_stops_at_a_zero_minimum(chunk):
+    # points 4 and 6 come back as points 9 and 13: the audit reads 0.0 at
+    # pair (4, 9) and asks for no block after that pair's
+    grid = list(tower_sample(4, [0, 1, 3]))
+    pts = grid[:9] + grid[4:5] + grid[9:] + grid[6:7]
+    stub, calls = _recording_caps(tower_system(PowerHeights(2)))
+    check = verify_separated(stub, pts, 3, 0.1, chunk=chunk)
+    assert (check.min_value, check.min_pair) == (0.0, (4, 9))
+    blocks = [(lo, clo) for lo in range(0, len(pts), chunk)
+              for clo in range(lo, len(pts), chunk)]
+    assert len(calls) == 2 + blocks.index((4 // chunk * chunk, 9 // chunk * chunk))
 
 
 def test_verify_spanning_semantics():

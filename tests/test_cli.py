@@ -303,6 +303,12 @@ REFUSED = [
       "--n0", "10000000000", "--steps", "1", "--eps", "0.1"), None,
      "the separated audit at n=10000000000, eps=0.1 needs a family of 2846043 points, "
      "beyond the limit of 2097152"),
+    # past the word limit's reach: a 296,417-symbol word, but 100,001 rows of
+    # 200,128 bytes each would pack into about 19 GiB
+    (("verify-construction", "--system", f"sturmian:{GOLDEN!r}", "--which", "factor-shifts",
+      "--n0", "100000", "--steps", "1"), None,
+     "the factor-shift audit at n=100000 packs a family of 100001 points into "
+     "20013000128 bytes, beyond the limit of 33554432"),
 ]
 
 

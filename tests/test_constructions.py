@@ -387,6 +387,21 @@ def test_certified_factor_shifts():
     assert all(isinstance(i, int) for i in rep.points)
 
 
+def test_factor_shift_families_are_sized_in_bytes_before_packing(monkeypatch):
+    # a subshift row holds 2n + 128 bytes, so n = 4063 is the longest window
+    # whose n + 1 rows fit in 32 MiB
+    system = sturmian_system(GOLDEN)
+    systems.check_pack_limit("audit", system, 4064, 4063)
+    with pytest.raises(ValueError, match="into 33560640 bytes, beyond the limit of 33554432"):
+        systems.check_pack_limit("audit", system, 4065, 4064)
+    # refused before the word is scanned
+    calls = []
+    monkeypatch.setattr(constructions, "separated_shift_family", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="factor-shift audit at n=4064 packs"):
+        certified_factor_shifts(system, system.word_fn(0, 10), 4064)
+    assert calls == []
+
+
 def test_certified_separated_matches_direct_verification():
     rep = separated_witness(1000, 0.1, 2)
     system = tower_system(PowerHeights(2))

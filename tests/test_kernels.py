@@ -396,8 +396,8 @@ def test_tower_angle_band_keeps_band_edge_pairs(fam, rows, cols):
 @pytest.mark.parametrize("fam", [PowerHeights(1), ExpHeights()], ids=lambda f: f.label)
 def test_tower_row_scan_matches_height_band_bitwise(fam):
     # a single row scans b for its height band where the angle band sorts
-    # it by the same float test; both hand their candidates to the one
-    # evaluator, so they must list the same pairs with the same bits.
+    # it by the same float test; the one evaluator reads either's
+    # candidates, so they must list the same pairs with the same bits.
     # Blocks hold only the row's own level (every survivor takes the
     # zero-drift rule), only other levels (every survivor is drift-scanned),
     # or both. The other levels end with points on the row's widened band
@@ -435,7 +435,9 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
                 blocks["mix"] = np.concatenate((blocks["cross"], blocks["same"]))
                 for kind, block in blocks.items():
                     scan = system.orbit_pairs(row, block, n, cap)
-                    band = systems._tower_angle_band(row, block, n, cap, w)
+                    ia, ib = systems._tower_angle_band(row, block, cap, w)
+                    live, d = systems._tower_evaluate(row, block, ia, ib, n, cap)
+                    band = ia[live], ib[live], d
                     order = [np.argsort(q[1], kind="stable") for q in (scan, band)]
                     for u, v in zip(scan, band):
                         assert u[order[0]].tobytes() == v[order[1]].tobytes()

@@ -513,7 +513,7 @@ def test_system_handle_sets_pack_and_kernel_together():
     # and its recurrence come as a pair
     kernel = circle_rotation(0.3)
     required = {"sampler": kernel.sampler, "pack": kernel.pack,
-                "orbit_pairs": kernel.orbit_pairs, "evaluate": kernel.evaluate}
+                "candidates": kernel.candidates, "evaluate": kernel.evaluate}
     for missing in required:
         given = {k: v for k, v in required.items() if k != missing}
         with pytest.raises(TypeError, match=missing):
