@@ -287,16 +287,17 @@ def certified_spanning_witness(window: int, eps: float, fam: HeightFamily,
                                grid: int) -> tuple[ConstructionReport, SpanningCheck]:
     """Build the covering family and audit it against a canonical sample.
 
-    The sample puts ``grid`` angles on the levels up to the cutoff
-    (``systems.sized_tower_sample``). A sample or family of more than
-    ``systems.TOWER_SAMPLE_LIMIT`` points is refused before anything is
-    packed.
+    The sample puts ``grid`` angles on the levels up to the cutoff, plus
+    slack (``systems.sized_tower_sample``). A sample or family that would
+    pack into more than ``systems.PACK_LIMIT`` bytes is refused before
+    anything is packed.
     """
     report = spanning_witness(window, eps, fam)
     system = tower_system(fam)
-    task = f"the spanning audit at n={window}, eps={eps!r}"
-    sample = systems.sized_tower_sample(grid, report.cutoff, task)
-    systems.check_sample_limit(task, "center family", report.size)
+    sample = systems.sized_tower_sample(grid, report.cutoff)
+    for what, family in (("sample", sample), ("center family", report.points)):
+        systems.check_pack_limit(f"the spanning audit's {what} at n={window}, eps={eps!r}",
+                                 system, len(family), window)
     check = verify_spanning(system, report.points, sample, window, eps)
     return replace(report, verified=check.ok, strict=check.all_strict), check
 
@@ -312,12 +313,12 @@ def certified_separated_witness(window: int, eps: float, c: float,
     up. An audit whose closest pair lies on one level stops the retries,
     whether it holds or not: every level carries the same angles, so
     dropping levels keeps a pair at that distance (see ``separated_witness``).
-    A family past ``systems.TOWER_SAMPLE_LIMIT`` points is refused unpacked.
+    A family past ``systems.PACK_LIMIT`` packed bytes is refused unpacked.
     """
     report = separated_witness(window, eps, c)
-    systems.check_sample_limit(f"the separated audit at n={window}, eps={eps!r}",
-                               "family", report.size)
     system = tower_system(PowerHeights(c))
+    systems.check_pack_limit(f"the separated audit at n={window}, eps={eps!r}",
+                             system, report.size, window)
     m = floor_reciprocal(eps)
     levels = report.levels
     notes: list[str] = []

@@ -157,12 +157,15 @@ def _symbolic_counts(system: SystemHandle, ns: list[int],
     return counts
 
 
-def _witness_depth(system: SystemHandle, n: int, eps: float) -> int:
-    """Deepest level the (n, eps) witness family of a tower resolves."""
+def _greedy_sample(system: SystemHandle, grid: int, n: int, eps: float) -> Sequence:
+    """One cell's greedy sample: a tower's spans the levels its (n, eps)
+    witness family resolves; any other system's is its canonical sample."""
     fam = system.heights
+    if fam is None:
+        return system.sampler(grid)
     if isinstance(fam, PowerHeights):
-        return int(math.ceil(separation_depth(n, eps, fam.c)))
-    return drift_cutoff(n, eps, fam)
+        return systems.sized_tower_sample(grid, math.ceil(separation_depth(n, eps, fam.c)))
+    return systems.sized_tower_sample(grid, drift_cutoff(n, eps, fam))
 
 
 def count_table(system: SystemHandle, ns: list[int], epss: list[float],
@@ -172,9 +175,8 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
     The greedy method needs ``grid``: angles per circle for towers (the
     level range follows the witness thresholds for the cell, plus slack),
     or the sampler resolution for other systems. Closed-form and symbolic
-    methods ignore it. A greedy tower cell whose sample would hold more
-    than ``systems.TOWER_SAMPLE_LIMIT`` points is refused before any
-    counting.
+    methods ignore it. A greedy cell whose sample would pack into more
+    than ``systems.PACK_LIMIT`` bytes is refused before any counting.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
@@ -197,17 +199,14 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
         symbolic = _symbolic_counts(system, ns, epss)
 
     samples: dict[tuple[float, int], Sequence] = {}
-    if greedy and system.heights is None:
-        samples = dict.fromkeys(((eps, n) for eps in epss for n in ns),
-                                system.sampler(grid))
-    elif greedy:
-        # tower samples are lazy grids of known length: every cell is sized
-        # before any counting starts
+    if greedy:
+        # samples are sequences of known length, lazy where they grow large:
+        # every cell is sized before any counting starts
         for eps in epss:
             for n in ns:
-                samples[eps, n] = systems.sized_tower_sample(
-                    grid, _witness_depth(system, n, eps),
-                    f"greedy counting at n={n}, eps={eps!r}")
+                samples[eps, n] = sample = _greedy_sample(system, grid, n, eps)
+                systems.check_pack_limit(f"greedy counting at n={n}, eps={eps!r}",
+                                         system, len(sample), n)
 
     records: list[CountRecord] = []
     for eps in epss:

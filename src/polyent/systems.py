@@ -80,7 +80,8 @@ Tower samples and witness families are :class:`AngleLevelGrid` objects: a
 uniform angle grid crossed with a level list, indexed lazily. The tower
 ``pack`` builds a grid's batch from its two axes, so no point object is
 made on the counting paths; only indexing a grid (output, returned kept
-points, the tests' stepping oracle) builds ``TowerPoint`` objects.
+points, the tests' stepping oracle) builds ``TowerPoint`` objects. Product
+samples are lazy too, and the product ``pack`` packs each factor once.
 
 A symbolic point is a rule plus a shift offset. A rule takes an int64
 index array and returns the symbols there, so the subshift ``pack`` fills
@@ -109,11 +110,12 @@ __all__ = [
     "HeightFamily",
     "TowerPoint",
     "AngleLevelGrid",
+    "ProductSample",
     "tower_dist",
     "tower_map",
     "tower_inverse",
     "tower_sample",
-    "TOWER_SAMPLE_LIMIT",
+    "PACK_LIMIT",
     "WORD_SYMBOL_LIMIT",
     "SymbolicWord",
     "SymbolicPoint",
@@ -315,19 +317,30 @@ class AngleLevelGrid(Sequence):
         return self.angle_count * len(self.levels)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        m = len(self)
-        if i < 0:
-            i += m
-        if not 0 <= i < m:
-            raise IndexError(i)
-        lv, j = divmod(i, self.angle_count)
+        k = range(len(self))[i]
+        if isinstance(k, range):
+            return [self[j] for j in k]
+        lv, j = divmod(k, self.angle_count)
         return TowerPoint(j / self.angle_count, self.levels[lv])
 
     def __repr__(self) -> str:
         return f"AngleLevelGrid(angle_count={self.angle_count}, levels={self.levels!r})"
+
+
+@dataclass(frozen=True)
+class ProductSample(Sequence):
+    """Lazy a-major product of two factor samples, as the product ``pack``
+    reads it: item i is the pair ``(sa[i // len(sb)], sb[i % len(sb)])``."""
+
+    sa: Sequence
+    sb: Sequence
+
+    def __len__(self) -> int:
+        return len(self.sa) * len(self.sb)
+
+    def __getitem__(self, i):
+        q, r = divmod(range(len(self))[i], len(self.sb))
+        return self.sa[q], self.sb[r]
 
 
 def tower_sample(grid: int, levels: Sequence[int]) -> AngleLevelGrid:
@@ -563,19 +576,19 @@ def shift_metric(x: SymbolicPoint, y: SymbolicPoint, window: int = _CODING_WINDO
 class SystemHandle:
     """A dynamical system packaged for the counting and diagnostic code.
 
-    ``metric``/``step``/``inverse`` act on opaque points; ``inverse`` is
-    None for a non-invertible map. ``sampler(res)`` returns the canonical
-    finite sample at the requested resolution. ``pack(points, n)`` makes a
-    numpy batch (points on axis 0) for window n, and :meth:`orbit_pairs`
-    composes the kernel's two stages on two such batches, under its
-    contract: ``candidates(a, b, n, cap)`` lists index pairs ``(i, j)``,
-    each at most once, a superset of the pairs below ``cap``; ``evaluate(a,
-    b, i, j, n, cap)`` reads given pairs, repeats allowed, and returns the
-    positions ``live`` of those it keeps and their distances ``d``.
-    ``heights`` is set for towers, ``word_fn`` for subshifts with a
-    canonical word, and ``parts`` for products, so closed-form counts can
-    multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of the
-    canonical word, and ``recurrence(n)``, set with it, is a length such
+    ``metric``/``step``/``inverse`` act on opaque points; ``inverse`` is None
+    for a non-invertible map. ``sampler(res)`` returns the canonical finite
+    sample at the requested resolution, possibly a lazy sequence.
+    ``pack(points, n)`` makes a numpy batch (points on axis 0) for window n,
+    and :meth:`orbit_pairs` composes the kernel's two stages on two such
+    batches, under its contract: ``candidates(a, b, n, cap)`` lists index
+    pairs ``(i, j)``, each at most once, a superset of the pairs below
+    ``cap``; ``evaluate(a, b, i, j, n, cap)`` reads given pairs, repeats
+    allowed, and returns the positions ``live`` of those it keeps and their
+    distances ``d``. ``heights`` is set for towers, ``word_fn`` for subshifts
+    with a canonical word, and ``parts`` for products, so closed-form counts
+    can multiply through. ``word_fn(lo, hi)`` materializes indices lo..hi of
+    the canonical word, and ``recurrence(n)``, set with it, is a length such
     that every stretch of the word that long holds every length-n block.
     """
 
@@ -610,9 +623,9 @@ class SystemHandle:
         return i[live], j[live], d
 
 
-# Largest tower sample the greedy counter takes on: 32 MiB packed, and the
-# greedy loop's work grows with the square of the sample in the worst case.
-TOWER_SAMPLE_LIMIT = 1 << 21
+# Bytes a packed family may take, 2^21 tower rows of 16: the greedy loop's
+# work grows with the square of its sample in the worst case.
+PACK_LIMIT = 1 << 25
 
 # Levels a counting or audit sample takes past the deepest level its
 # witness family resolves: deeper circles sit closer to the base circle
@@ -627,32 +640,20 @@ TOWER_SAMPLE_SLACK = 5
 WORD_SYMBOL_LIMIT = 1 << 23
 
 
-def check_sample_limit(task: str, what: str, size: int) -> None:
-    """Refuse a ``task`` whose ``what`` would hold more than
-    ``TOWER_SAMPLE_LIMIT`` points."""
-    if size > TOWER_SAMPLE_LIMIT:
-        raise ValueError(f"{task} needs a {what} of {size} points, beyond the "
-                         f"limit of {TOWER_SAMPLE_LIMIT}")
-
-
 def check_pack_limit(task: str, system: SystemHandle, size: int, n: int) -> None:
     """Refuse a ``task`` whose ``size`` points, packed for window n, would
-    take more bytes than a ``TOWER_SAMPLE_LIMIT`` tower sample (32 MiB); a
-    subshift row holds 2n + 128 bytes, so n + 1 rows pass up to n = 4063."""
+    take more than ``PACK_LIMIT`` bytes; a tower row holds 16 bytes and a
+    subshift row 2n + 128, so n + 1 subshift rows pass up to n = 4063."""
     nbytes = size * system.pack([], n).itemsize
-    if nbytes > TOWER_SAMPLE_LIMIT * 16:
+    if nbytes > PACK_LIMIT:
         raise ValueError(f"{task} packs a family of {size} points into {nbytes} bytes, "
-                         f"beyond the limit of {TOWER_SAMPLE_LIMIT * 16}")
+                         f"beyond the limit of {PACK_LIMIT}")
 
 
-def sized_tower_sample(grid: int, top: int, task: str) -> AngleLevelGrid:
-    """The counting or audit sample of a ``task`` whose witness family
-    resolves levels up to ``top``: ``grid`` angles on levels 0 to top +
-    ``TOWER_SAMPLE_SLACK``, refused past ``TOWER_SAMPLE_LIMIT`` points
-    before anything is packed."""
-    sample = tower_sample(grid, range(0, top + TOWER_SAMPLE_SLACK + 1))
-    check_sample_limit(task, "sample", len(sample))
-    return sample
+def sized_tower_sample(grid: int, top: int) -> AngleLevelGrid:
+    """The counting or audit sample of a witness family resolving levels up
+    to ``top``: ``grid`` angles on levels 0 to top + ``TOWER_SAMPLE_SLACK``."""
+    return tower_sample(grid, range(0, top + TOWER_SAMPLE_SLACK + 1))
 
 
 def word_window(system: SystemHandle, span: int) -> int:
@@ -943,12 +944,20 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
         # rows hold the symbols at 0..n-1, then at -1, n, -2, n+1, ... out to
         # the coding window, so the first mismatch in column n + m lies at
         # distance m // 2 + 1 from the block; the central n symbols are also
-        # kept as one opaque byte string so blocks compare in a single test
+        # kept as one opaque byte string so blocks compare in a single test.
+        # A row past the budget is refused before any dtype is made: numpy
+        # may sum a dtype's field sizes in 32 bits, wrapping past 2 GiB.
+        width = n + 2 * _CODING_WINDOW
+        if (width + n) * symbol.itemsize > PACK_LIMIT:
+            raise ValueError(f"a window of {n} packs {(width + n) * symbol.itemsize} bytes "
+                             f"per point, beyond the limit of {PACK_LIMIT}")
+        key = np.dtype((np.void, n * symbol.itemsize))
+        batch = np.empty(len(points), [("rows", symbol, (width,)), ("key", key)])
+        if not len(points):
+            return batch
         outward = np.stack((-np.arange(1, _CODING_WINDOW + 1),
                             np.arange(n, n + _CODING_WINDOW)), axis=1)
         order = np.concatenate((np.arange(n), outward.ravel()))
-        key = np.dtype((np.void, n * symbol.itemsize))
-        batch = np.empty(len(points), [("rows", symbol, (order.size,)), ("key", key)])
         groups: dict[Callable[[np.ndarray], np.ndarray], list[int]] = {}
         for i, p in enumerate(points):
             groups.setdefault(p.rule, []).append(i)
@@ -1006,15 +1015,9 @@ def full_shift(alphabet_size: int = 2) -> SystemHandle:
         period = 1
         while alphabet_size ** period < res:
             period += 1
-        pts = []
-        for code in range(min(alphabet_size ** period, res)):
-            digits = []
-            c = code
-            for _ in range(period):
-                digits.append(c % alphabet_size)
-                c //= alphabet_size
-            pts.append(periodic_point(tuple(digits)))
-        return pts
+        return [periodic_point([code // alphabet_size ** k % alphabet_size
+                                for k in range(period)])
+                for code in range(min(alphabet_size ** period, res))]
 
     return SystemHandle(
         name=f"full-shift:{alphabet_size}",
@@ -1046,12 +1049,14 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
     if a.inverse is not None and b.inverse is not None:
         inverse = lambda p: (a.inverse(p[0]), b.inverse(p[1]))  # noqa: E731
 
-    def sampler(res: int) -> list:
-        return [(pa, pb) for pa in a.sampler(res) for pb in b.sampler(res)]
-
     def pack(points: Sequence, n: int) -> np.ndarray:
-        pa = a.pack([p[0] for p in points], n)
-        pb = b.pack([p[1] for p in points], n)
+        if isinstance(points, ProductSample):
+            # each factor packs once; its rows repeat a-major, as the pairs run
+            pa = np.repeat(a.pack(points.sa, n), len(points.sb))
+            pb = np.tile(b.pack(points.sb, n), len(points.sa))
+        else:
+            pa = a.pack([p[0] for p in points], n)
+            pb = b.pack([p[1] for p in points], n)
         batch = np.empty(len(points), [("a", pa.dtype), ("b", pb.dtype)])
         batch["a"], batch["b"] = pa, pb
         return batch
@@ -1074,7 +1079,7 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
         metric=metric,
         step=lambda p: (a.step(p[0]), b.step(p[1])),
         inverse=inverse,
-        sampler=sampler,
+        sampler=lambda res: ProductSample(a.sampler(res), b.sampler(res)),
         pack=pack,
         candidates=lambda x, y, n, cap: lister.candidates(x[f], y[f], n, cap),
         evaluate=evaluate,

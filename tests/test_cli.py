@@ -301,8 +301,8 @@ REFUSED = [
     # sized before the family is packed: the audit would take about 4 * 10^12 pairs
     (("verify-construction", "--system", "tower-power:1", "--which", "separated",
       "--n0", "10000000000", "--steps", "1", "--eps", "0.1"), None,
-     "the separated audit at n=10000000000, eps=0.1 needs a family of 2846043 points, "
-     "beyond the limit of 2097152"),
+     "the separated audit at n=10000000000, eps=0.1 packs a family of 2846043 points "
+     "into 45536688 bytes, beyond the limit of 33554432"),
     # past the word limit's reach: a 296,417-symbol word, but 100,001 rows of
     # 200,128 bytes each would pack into about 19 GiB
     (("verify-construction", "--system", f"sturmian:{GOLDEN!r}", "--which", "factor-shifts",
@@ -310,6 +310,28 @@ REFUSED = [
      "the factor-shift audit at n=100000 packs a family of 100001 points into "
      "20013000128 bytes, beyond the limit of 33554432"),
 ]
+
+# greedy samples sized before they are built: a tower factor samples levels
+# 0..8, so grid 600 crosses 5,400 points with 5,400, and the default grid 500
+# crosses 4,500 with 4,500; a subshift row holds 2n + 128 bytes, and a window
+# of 2^30 would need a 2 GiB row
+OVERSIZED_GREEDY = [
+    (("estimate", "--system", "product:tower-power:2,tower-power:2", "--method", "greedy",
+      "--grid", "600"),
+     "greedy counting at n=16, eps=0.2 packs a family of 29160000 points into "
+     "933120000 bytes, beyond the limit of 33554432"),
+    (("estimate", "--system", "product:tower-power:2,tower-exp", "--method", "greedy"),
+     "greedy counting at n=16, eps=0.2 packs a family of 20250000 points into "
+     "648000000 bytes, beyond the limit of 33554432"),
+    (("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "greedy", "--grid", "10000",
+      "--n0", "4096", "--steps", "6"),
+     "greedy counting at n=4096, eps=0.2 packs a family of 10000 points into "
+     "83200000 bytes, beyond the limit of 33554432"),
+    (("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "greedy",
+      "--n0", str(2 ** 30), "--steps", "6"),
+     "a window of 1073741824 packs 2147483776 bytes per point, beyond the limit of 33554432"),
+]
+REFUSED += [(args, None, message) for args, message in OVERSIZED_GREEDY]
 
 
 @pytest.mark.parametrize("args,config,message", REFUSED)
@@ -815,7 +837,8 @@ GREEDY_TOWER = ("estimate", "--system", "tower-power:1", "--method", "greedy",
 
 
 def test_tower_sample_limit_admits_a_sample_at_the_limit(tmp_path, monkeypatch):
-    monkeypatch.setattr(systems, "TOWER_SAMPLE_LIMIT", 32 * 50)
+    # a tower row packs into 16 bytes
+    monkeypatch.setattr(systems, "PACK_LIMIT", 16 * 32 * 50)
     sizes = _count_greedy(monkeypatch)
     assert _run(*GREEDY_TOWER, "--out", str(tmp_path)) == 0
     assert len(sizes) == 5 and max(sizes) == 32 * 50
@@ -823,11 +846,12 @@ def test_tower_sample_limit_admits_a_sample_at_the_limit(tmp_path, monkeypatch):
 
 
 def test_tower_sample_limit_refuses_before_any_counting(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(systems, "TOWER_SAMPLE_LIMIT", 32 * 50 - 1)
+    monkeypatch.setattr(systems, "PACK_LIMIT", 16 * (32 * 50 - 1))
     sizes = _count_greedy(monkeypatch)
     assert _run(*GREEDY_TOWER, "--out", str(tmp_path)) == 64
     err = capsys.readouterr().err
-    assert f"sample of {32 * 50} points, beyond the limit of {32 * 50 - 1}" in err
+    assert (f"family of {32 * 50} points into {16 * 32 * 50} bytes, beyond the limit "
+            f"of {16 * (32 * 50 - 1)}" in err)
     assert sizes == [] and not (tmp_path / "counts.csv").exists()
 
 
@@ -839,9 +863,44 @@ def test_tower_sample_limit_refuses_deep_greedy_cells(tmp_path, capsys, monkeypa
               "--n0", str(2 ** 16), "--ratio", "4", "--steps", "5", "--eps", "0.02",
               "--grid", "500", "--out", str(tmp_path))
     assert rc == 64
-    assert (f"sample of 3623500 points, beyond the limit of {systems.TOWER_SAMPLE_LIMIT}"
-            in capsys.readouterr().err)
+    assert (f"family of 3623500 points into {16 * 3623500} bytes, beyond the limit of "
+            f"{systems.PACK_LIMIT}" in capsys.readouterr().err)
     assert sizes == []
+
+
+@pytest.mark.parametrize("args,message", OVERSIZED_GREEDY)
+def test_oversized_greedy_samples_are_refused_within_a_second(tmp_path, capsys, monkeypatch,
+                                                              args, message):
+    sizes = _count_greedy(monkeypatch)
+    start = time.perf_counter()
+    rc = _run(*args, "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == 64 and message in err and "Traceback" not in err
+    assert sizes == []
+
+
+# a Sturmian row packs 2n + 128 bytes: 20 points at n = 64 take 5,120
+GREEDY_STURMIAN = ("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "greedy",
+                   "--n0", "4", "--steps", "5", "--eps", "0.5", "--grid", "20")
+
+
+def test_pack_limit_admits_a_sturmian_sample_at_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(systems, "PACK_LIMIT", 20 * 256)
+    sizes = _count_greedy(monkeypatch)
+    assert _run(*GREEDY_STURMIAN, "--out", str(tmp_path)) == 0
+    assert sizes == [20] * 5
+    assert (tmp_path / "counts.csv").exists()
+
+
+def test_pack_limit_refuses_a_sturmian_sample_before_any_counting(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(systems, "PACK_LIMIT", 20 * 256 - 1)
+    sizes = _count_greedy(monkeypatch)
+    assert _run(*GREEDY_STURMIAN, "--out", str(tmp_path)) == 64
+    assert ("greedy counting at n=64, eps=0.5 packs a family of 20 points into 5120 bytes, "
+            f"beyond the limit of {20 * 256 - 1}" in capsys.readouterr().err)
+    assert sizes == [] and not (tmp_path / "counts.csv").exists()
 
 
 def _count_spanning_audits(monkeypatch):
@@ -866,7 +925,7 @@ def test_oversized_spanning_audit_is_refused_before_packing(tmp_path, capsys, mo
     assert time.perf_counter() - start < 1.0
     assert rc == 64
     err = capsys.readouterr().err
-    assert f"beyond the limit of {systems.TOWER_SAMPLE_LIMIT}" in err
+    assert f"beyond the limit of {systems.PACK_LIMIT}" in err
     assert "Traceback" not in err
     assert calls == [] and not (tmp_path / "construction.json").exists()
 

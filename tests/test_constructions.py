@@ -294,11 +294,15 @@ def test_certified_spanning_witness_passes_strictly():
 def test_certified_spanning_witness_refuses_past_the_sample_limit(monkeypatch, limit, what):
     # power:1 at n = 64 and eps 0.1 has drift cutoff 640: grid 1 samples
     # 646 points against 10 x 641 = 6,410 centers (the float 0.1 lies just
-    # above 1/10), and grid 100 samples 64,600; the audit is never reached
-    monkeypatch.setattr(systems, "TOWER_SAMPLE_LIMIT", limit)
+    # above 1/10), and grid 100 samples 64,600; the audit is never reached.
+    # A tower row packs into 16 bytes.
+    monkeypatch.setattr(systems, "PACK_LIMIT", 16 * limit)
     monkeypatch.setattr(constructions, "verify_spanning", None)
     grid = 1 if what.startswith("center") else 100
-    with pytest.raises(ValueError, match=f"{what} points, beyond the limit of {limit}"):
+    kind, size = what.rsplit(" of ", 1)
+    with pytest.raises(ValueError, match=f"audit's {kind} at n=64, eps=0.1 packs a family of "
+                                         f"{size} points into {16 * int(size)} bytes, "
+                                         f"beyond the limit of {16 * limit}"):
         certified_spanning_witness(64, 0.1, PowerHeights(1), grid=grid)
 
 

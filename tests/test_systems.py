@@ -8,6 +8,7 @@ import functools
 import importlib
 import math
 import pkgutil
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -37,11 +38,12 @@ from polyent import (
     tower_system,
 )
 import polyent
-from polyent import constructions
+from polyent import constructions, systems
 from polyent.bowen import bowen_block, bowen_dist
 from polyent.systems import (
     POWER_EXPONENT_LIMIT,
     AngleLevelGrid,
+    ProductSample,
     _drift_peak,
     _floor_multiples,
     _heights_array,
@@ -698,3 +700,90 @@ def test_product_kernel_is_max_of_factors_and_forwards_cap():
         assert np.array_equal(below, dense < cap)
         assert (got[below] == dense[below]).all()
         assert (got[~below] <= dense[~below] + 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# packed-byte budget and lazy product samples
+
+_BUDGET_SYSTEMS = {
+    "tower": lambda: tower_system(PowerHeights(2)),
+    "rotation": lambda: circle_rotation(0.3),
+    "full-shift:3": lambda: full_shift(3),
+    "full-shift:300": lambda: full_shift(300),
+    "sturmian": lambda: sturmian_system(GOLDEN),
+    "tower x sturmian": lambda: make_system(f"product:tower-power:2,sturmian:{GOLDEN!r}"),
+    "sturmian x tower": lambda: make_system(f"product:sturmian:{GOLDEN!r},tower-power:2"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("name", list(_BUDGET_SYSTEMS))
+def test_pack_limit_sizes_a_family_as_pack_lays_it_out(monkeypatch, name, n):
+    # the bytes check_pack_limit refuses past are those the pack takes
+    system = _BUDGET_SYSTEMS[name]()
+    sample = system.sampler(3)
+    nbytes = system.pack(sample, n).nbytes
+    monkeypatch.setattr(systems, "PACK_LIMIT", nbytes)
+    systems.check_pack_limit("packing", system, len(sample), n)
+    monkeypatch.setattr(systems, "PACK_LIMIT", nbytes - 1)
+    with pytest.raises(ValueError, match=f"packing packs a family of {len(sample)} points "
+                                         f"into {nbytes} bytes, beyond the limit of {nbytes - 1}"):
+        systems.check_pack_limit("packing", system, len(sample), n)
+
+
+def test_shift_row_at_the_budget_packs_and_one_symbol_more_is_refused(monkeypatch):
+    # a subshift row holds 2n + 128 one-byte symbols
+    system = sturmian_system(GOLDEN)
+    n, row = 100, 2 * 100 + 128
+    monkeypatch.setattr(systems, "PACK_LIMIT", row)
+    assert system.pack([], n).itemsize == row
+    assert system.pack(system.sampler(3), n).nbytes == 3 * row
+    monkeypatch.setattr(systems, "PACK_LIMIT", row - 1)
+    with pytest.raises(ValueError, match=f"a window of {n} packs {row} bytes per point, "
+                                         f"beyond the limit of {row - 1}"):
+        system.pack([], n)
+
+
+def test_shift_family_is_sized_without_building_its_rows():
+    # n = 2^24 - 64 fills the 32 MiB budget with one row; its empty batch
+    # builds no index array of n + 128 entries (134 MB of int64)
+    system = full_shift(2)
+    tracemalloc.start()
+    try:
+        assert system.pack([], 2 ** 24 - 64).itemsize == systems.PACK_LIMIT
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # numpy may sum field sizes in 32 bits: a 2^30 window would report a
+    # negative row size, so it is refused before any dtype is made
+    with pytest.raises(ValueError, match="a window of 1073741824 packs 2147483776 bytes"):
+        system.pack([], 2 ** 30)
+
+
+@pytest.mark.parametrize("spec", [f"product:tower-power:2,sturmian:{GOLDEN!r}",
+                                  f"product:sturmian:{GOLDEN!r},full-shift:2"])
+def test_product_sample_is_the_a_major_pair_list(spec):
+    system = make_system(spec)
+    sample = system.sampler(4)
+    assert isinstance(sample, ProductSample)
+    pairs = [(pa, pb) for pa in sample.sa for pb in sample.sb]
+    assert len(sample) == len(pairs) and list(sample) == pairs
+    assert sample[-1] == pairs[-1] and sample[5] == pairs[5]
+    with pytest.raises(IndexError):
+        sample[len(pairs)]
+    # the factor samples are the factors' own canonical samples
+    a, b = system.parts
+    assert len(sample.sa) == len(a.sampler(4)) and len(sample.sb) == len(b.sampler(4))
+
+
+@pytest.mark.parametrize("spec", ["tower-power:2,sturmian:{g}", "sturmian:{g},tower-power:2",
+                                  "sturmian:{g},full-shift:2", "full-shift:2,sturmian:{g}",
+                                  "tower-exp,tower-power:1"])
+def test_product_pack_of_a_sample_matches_its_pair_list_bitwise(spec):
+    system = make_system("product:" + spec.format(g=repr(GOLDEN)))
+    sample = system.sampler(5)
+    for n in (1, 9):
+        lazy, listed = system.pack(sample, n), system.pack(list(sample), n)
+        assert lazy.dtype == listed.dtype
+        assert lazy.tobytes() == listed.tobytes()
