@@ -327,7 +327,8 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
         near = _nearest(pairs, rows, ctr, n, eps / 32, chunk, hits)
         left = np.flatnonzero(~(near < eps / 32))
         if left.size and hits:
-            cover = ctr[np.unique(np.concatenate(hits))]
+            idx = np.sort(np.concatenate(hits))  # np.unique would import numpy.ma
+            cover = ctr[idx[np.diff(idx, prepend=-1) > 0]]
             near = _nearest(pairs, rows[left], cover, n, eps / 2, chunk)
             left = left[~(near < eps / 2)]
         kept.append(lo + left)

@@ -6,11 +6,14 @@ verifier from :mod:`polyent.bowen` over it:
 * a covering family for the tower: a uniform angle grid crossed with every
   level whose accumulated drift over the window stays visible, plus the
   base circle;
-* a separated family for power-law towers: well-spread angles crossed with
-  the levels below the depth where neighboring drifts stop diverging by a
-  full scale within the window;
+* a separated family for power-law towers at scales up to 1/3: well-spread
+  angles crossed with the levels below the depth where neighboring drifts
+  stop diverging by a full scale within the window;
 * a separated family of shift orbits picked at first occurrences of
   distinct length-n blocks of an aperiodic word.
+
+The sizes of the two tower families are the analytic counts of
+:mod:`polyent.estimation`; their closed forms live here only.
 
 Threshold counts (grid sizes, cutoffs, level depths) are computed in exact
 rational arithmetic on the binary64 value of eps. Near decimal scales like
@@ -217,9 +220,14 @@ def separated_witness(window: int, eps: float, c: float) -> ConstructionReport:
     progression with step eps would fail the audit at every scale, because
     float rounding nudges some of its pair gaps just below the nominal
     scale.
+
+    Scales above 1/3 are refused: a pair at one angle with height gap
+    dh <= eps first passes eps at a step k with k dh < 2 eps, which reads
+    more than eps only while 2 eps <= 1 - eps. At power 1, levels 2 and 6
+    differ by exactly 1/3, so that pair drifts by 0, 1/3 and 2/3 in turn.
     """
-    if not eps <= 0.5:
-        raise ValueError(f"scale must be in (0, 1/2] for a separated family, got {eps}")
+    if not eps <= 1 / 3:
+        raise ValueError(f"scale must be in (0, 1/3] for a separated family, got {eps}")
     m = floor_reciprocal(eps)
     depth = separation_depth(window, eps, c)
     levels = separation_levels(window, eps, c)

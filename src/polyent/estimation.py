@@ -1,13 +1,14 @@
 """Count tables and growth-exponent estimation.
 
 A count table is a list of :class:`~polyent.bowen.CountRecord` over a grid
-of window lengths and scales, produced by one of four methods: the greedy
-separated counter on a sampled system, the two closed-form witness sizes for
-towers, or exact block counting for symbolic systems. Slope fits then
-regress log(count) on log(n) (polynomial regime; ``fit_exp_rate`` regresses
-on n instead) over the larger half of the window grid (``TAIL_FRACTION``),
-and a scale sweep assembles per-eps polynomial fits with a max-over-grid
-headline standing in for the vanishing-scale limit.
+of window lengths and scales, produced by one of four methods, each declared
+once with its bound tag and its counter: the greedy separated counter on a
+sampled system, the sizes of the two tower witness families of
+:mod:`polyent.constructions`, or exact block counting for symbolic systems.
+Slope fits then regress log(count) on log(n) (polynomial regime;
+``fit_exp_rate`` regresses on n instead) over the larger half of the window
+grid (``TAIL_FRACTION``), and a scale sweep assembles per-eps polynomial
+fits with a max-over-grid headline standing in for the vanishing-scale limit.
 
 Fits are computed with an explicit centered least-squares formula in fixed
 summation order; no BLAS-backed solver is involved, so results are
@@ -28,14 +29,9 @@ from .bowen import (
     CountRecord,
     greedy_separated_mask,
 )
-from .constructions import (
-    drift_cutoff,
-    floor_reciprocal,
-    separation_depth,
-    separation_levels,
-)
+from .constructions import drift_cutoff, separated_witness, separation_depth, spanning_witness
 from .diagnostics import word_complexities
-from .systems import PowerHeights, SystemHandle, word_window
+from .systems import HeightFamily, PowerHeights, SystemHandle, word_window
 
 __all__ = [
     "METHOD_GREEDY_SEPARATED",
@@ -59,29 +55,12 @@ METHOD_ANALYTIC_SPANNING = "analytic-spanning"
 METHOD_ANALYTIC_SEPARATED = "analytic-separated"
 METHOD_SYMBOLIC_EXACT = "symbolic-exact"
 
-COUNT_METHODS = (
-    METHOD_GREEDY_SEPARATED,
-    METHOD_ANALYTIC_SPANNING,
-    METHOD_ANALYTIC_SEPARATED,
-    METHOD_SYMBOLIC_EXACT,
-)
-
-# what the CLI's --method picks: every count method of one kind that applies
-METHOD_CHOICES = ("greedy", "analytic", "symbolic")
-
 # share of a scale's windows, the largest, that its slope fit uses
 TAIL_FRACTION = 0.5
 
-_BOUND_OF = {
-    METHOD_GREEDY_SEPARATED: BOUND_SEPARATED_LOWER,
-    METHOD_ANALYTIC_SPANNING: BOUND_SPANNING_UPPER,
-    METHOD_ANALYTIC_SEPARATED: BOUND_SEPARATED_LOWER,
-    METHOD_SYMBOLIC_EXACT: BOUND_EXACT,
-}
-
 
 # ---------------------------------------------------------------------------
-# per-cell counts
+# counters: (system, ns, epss, grid) -> {(eps, n): count}; each refuses before counting
 
 def _factor_heights(system: SystemHandle) -> list:
     if system.parts is None:
@@ -89,38 +68,29 @@ def _factor_heights(system: SystemHandle) -> list:
     return [h for part in system.parts for h in _factor_heights(part)]
 
 
-def count_methods(choice: str, system: SystemHandle) -> tuple[str, ...]:
-    """The count methods a choice in ``METHOD_CHOICES`` runs on the system.
-
-    Greedy counts any system. Analytic gives every closed form that
-    applies: counts multiply over products, so covering needs heights on
-    every factor, separation power-law heights. Symbolic needs a canonical
-    word.
-    """
-    if choice not in METHOD_CHOICES:
-        raise ValueError(f"unknown method choice {choice!r}; expected one of {METHOD_CHOICES}")
-    if choice == "greedy":
-        return (METHOD_GREEDY_SEPARATED,)
-    if choice == "symbolic":
-        if system.word_fn is None:
-            raise ValueError(f"symbolic counts need a canonical word, got {system.name}")
-        return (METHOD_SYMBOLIC_EXACT,)
+def _tower_heights(system: SystemHandle) -> list[HeightFamily]:
     heights = _factor_heights(system)
     if any(h is None for h in heights):
         raise ValueError(f"analytic counts need a tower system, got {system.name}")
-    if all(isinstance(h, PowerHeights) for h in heights):
-        return (METHOD_ANALYTIC_SPANNING, METHOD_ANALYTIC_SEPARATED)
-    return (METHOD_ANALYTIC_SPANNING,)
+    return heights
 
 
-def _analytic_count(system: SystemHandle, method: str, n: int, eps: float) -> int:
-    if method not in count_methods("analytic", system):
-        raise ValueError(f"closed-form {method} counts do not apply to {system.name}")
-    if method == METHOD_ANALYTIC_SPANNING:
-        return math.prod((floor_reciprocal(eps) + 1) * (drift_cutoff(n, eps, fam) + 1)
-                         for fam in _factor_heights(system))
-    return math.prod(floor_reciprocal(eps) * separation_levels(n, eps, fam.c)
-                     for fam in _factor_heights(system))
+def _spanning_counts(system: SystemHandle, ns: list[int], epss: list[float],
+                     grid: int | None) -> dict[tuple[float, int], int]:
+    """Covering-family sizes, multiplied over a product's factors."""
+    heights = _tower_heights(system)
+    return {(eps, n): math.prod(spanning_witness(n, eps, fam).size for fam in heights)
+            for eps in epss for n in ns}
+
+
+def _separated_counts(system: SystemHandle, ns: list[int], epss: list[float],
+                      grid: int | None) -> dict[tuple[float, int], int]:
+    """Separated-family sizes, multiplied over a product's factors."""
+    heights = _tower_heights(system)
+    if not all(isinstance(h, PowerHeights) for h in heights):
+        raise ValueError(f"analytic separated counts need a power-law tower, got {system.name}")
+    return {(eps, n): math.prod(separated_witness(n, eps, fam.c).size for fam in heights)
+            for eps in epss for n in ns}
 
 
 def _dyadic_index(eps: float) -> int:
@@ -142,11 +112,13 @@ def _symbolic_span(n: int, eps: float) -> int:
     return n + 2 * _dyadic_index(eps)
 
 
-def _symbolic_counts(system: SystemHandle, ns: list[int],
-                     epss: list[float]) -> dict[tuple[float, int], int]:
+def _symbolic_counts(system: SystemHandle, ns: list[int], epss: list[float],
+                     grid: int | None) -> dict[tuple[float, int], int]:
     """Exact block counts of every (eps, n) cell. Each window n takes one
     word, as long as its largest span needs, and counts every eps's span
     over that span's own ``word_window`` only."""
+    # the last cell needs the longest word: refuse it before counting
+    word_window(system, _symbolic_span(ns[-1], epss[-1]))
     counts = {}
     for n in ns:
         spans = [_symbolic_span(n, eps) for eps in epss]
@@ -168,17 +140,66 @@ def _greedy_sample(system: SystemHandle, grid: int, n: int, eps: float) -> Seque
     return systems.sized_tower_sample(grid, drift_cutoff(n, eps, fam))
 
 
+def _greedy_counts(system: SystemHandle, ns: list[int], epss: list[float],
+                   grid: int | None) -> dict[tuple[float, int], int]:
+    """Greedy separated counts over each cell's ``_greedy_sample``."""
+    if grid is None:
+        raise ValueError(f"method {METHOD_GREEDY_SEPARATED!r} needs a sample resolution (grid)")
+    # samples are sequences of known length, lazy where they grow large:
+    # every cell is sized before any counting starts
+    samples: dict[tuple[float, int], Sequence] = {}
+    for eps in epss:
+        for n in ns:
+            samples[eps, n] = sample = _greedy_sample(system, grid, n, eps)
+            systems.check_pack_limit(f"greedy counting at n={n}, eps={eps!r}",
+                                     system, len(sample), n)
+    return {(eps, n): int(greedy_separated_mask(system, sample, n, eps).sum())
+            for (eps, n), sample in samples.items()}
+
+
+# every count method, once: its --method choice, its bound tag and its counter
+_METHODS = {
+    METHOD_GREEDY_SEPARATED: ("greedy", BOUND_SEPARATED_LOWER, _greedy_counts),
+    METHOD_ANALYTIC_SPANNING: ("analytic", BOUND_SPANNING_UPPER, _spanning_counts),
+    METHOD_ANALYTIC_SEPARATED: ("analytic", BOUND_SEPARATED_LOWER, _separated_counts),
+    METHOD_SYMBOLIC_EXACT: ("symbolic", BOUND_EXACT, _symbolic_counts),
+}
+COUNT_METHODS = tuple(_METHODS)
+
+# what the CLI's --method picks: every count method of one kind that applies
+METHOD_CHOICES = tuple(dict.fromkeys(choice for choice, _, _ in _METHODS.values()))
+
+
+def count_methods(choice: str, system: SystemHandle) -> tuple[str, ...]:
+    """The count methods a choice in ``METHOD_CHOICES`` runs on the system.
+
+    Greedy counts any system. Analytic gives every witness family that
+    applies: counts multiply over products, so covering needs heights on
+    every factor, separation power-law heights. Symbolic needs a canonical
+    word.
+    """
+    if choice not in METHOD_CHOICES:
+        raise ValueError(f"unknown method choice {choice!r}; expected one of {METHOD_CHOICES}")
+    if choice == "symbolic" and system.word_fn is None:
+        raise ValueError(f"symbolic counts need a canonical word, got {system.name}")
+    if choice == "analytic" and not all(isinstance(h, PowerHeights)
+                                        for h in _tower_heights(system)):
+        return (METHOD_ANALYTIC_SPANNING,)
+    return tuple(m for m, (kind, _, _) in _METHODS.items() if kind == choice)
+
+
 def count_table(system: SystemHandle, ns: list[int], epss: list[float],
                 method: str, grid: int | None = None) -> list[CountRecord]:
     """One CountRecord per (eps, n) cell, eps in given order, n ascending.
 
     The greedy method needs ``grid``: angles per circle for towers (the
     level range follows the witness thresholds for the cell, plus slack),
-    or the sampler resolution for other systems. Closed-form and symbolic
-    methods ignore it. A greedy cell whose sample would pack into more
-    than ``systems.PACK_LIMIT`` bytes is refused before any counting.
+    or the sampler resolution for other systems; the others ignore it.
+    Each counter refuses before it counts: a greedy sample packing past
+    ``systems.PACK_LIMIT`` bytes, a word past ``word_window``'s limit, a
+    cell its witness family refuses.
     """
-    if method not in COUNT_METHODS:
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("window grid must be nonempty and strictly increasing")
@@ -186,39 +207,9 @@ def count_table(system: SystemHandle, ns: list[int], epss: list[float],
         raise ValueError(f"windows must be >= 1, got {ns[0]}")
     if not epss or any(b >= a for a, b in zip(epss, epss[1:])):
         raise ValueError("scale grid must be nonempty and strictly decreasing")
-
-    bound = _BOUND_OF[method]
-    greedy = method == METHOD_GREEDY_SEPARATED
-    if greedy and grid is None:
-        raise ValueError(f"method {method!r} needs a sample resolution (grid)")
-
-    symbolic: dict[tuple[float, int], int] = {}
-    if method == METHOD_SYMBOLIC_EXACT:
-        # the last cell needs the longest word: refuse it before counting
-        word_window(system, _symbolic_span(ns[-1], epss[-1]))
-        symbolic = _symbolic_counts(system, ns, epss)
-
-    samples: dict[tuple[float, int], Sequence] = {}
-    if greedy:
-        # samples are sequences of known length, lazy where they grow large:
-        # every cell is sized before any counting starts
-        for eps in epss:
-            for n in ns:
-                samples[eps, n] = sample = _greedy_sample(system, grid, n, eps)
-                systems.check_pack_limit(f"greedy counting at n={n}, eps={eps!r}",
-                                         system, len(sample), n)
-
-    records: list[CountRecord] = []
-    for eps in epss:
-        for n in ns:
-            if method in (METHOD_ANALYTIC_SPANNING, METHOD_ANALYTIC_SEPARATED):
-                count = _analytic_count(system, method, n, eps)
-            elif method == METHOD_SYMBOLIC_EXACT:
-                count = symbolic[eps, n]
-            else:
-                count = int(greedy_separated_mask(system, samples[eps, n], n, eps).sum())
-            records.append(CountRecord(n, eps, count, method, bound))
-    return records
+    _, bound, counter = _METHODS[method]
+    counts = counter(system, ns, epss, grid)
+    return [CountRecord(n, eps, counts[eps, n], method, bound) for eps in epss for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Driver behavior: config layering, outputs, exit codes, reproducibility.
 
-Everything here runs the entry point in-process; the thread-count
+Everything here runs the entry point in-process, except one check of the
+modules a run imports, which needs a fresh interpreter; the thread-count
 determinism check lives in the acceptance suite, where it spawns real
 subprocesses.
 """
@@ -10,6 +11,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -97,6 +99,21 @@ def test_estimate_sturmian_symbolic(tmp_path):
     assert len(exact) == len(rows) == 21
 
 
+def test_estimate_full_shift_greedy(tmp_path):
+    # the first cells count the 2^(n + 2j) words a window of n sees at
+    # eps 2^-j; the 40-point sample caps the rest
+    rc = _run("estimate", "--system", "full-shift:2", "--method", "greedy",
+              "--n0", "1", "--steps", "6", "--eps", "1,0.5", "--grid", "40",
+              "--out", str(tmp_path))
+    assert rc == 0
+    rows = (tmp_path / "counts.csv").read_text().splitlines()
+    assert rows[0] == "n,eps,count,method,bound"
+    assert rows[1:] == [f"{n},{eps},{count},greedy-separated,separated-lower-bound"
+                        for eps, counts in (("1.0", (2, 4, 16, 40, 40, 40)),
+                                            ("0.5", (8, 16, 40, 40, 40, 40)))
+                        for n, count in zip((1, 2, 4, 8, 16, 32), counts)]
+
+
 def _perfbench_workloads(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -166,12 +183,12 @@ def test_config_file_layering_and_overrides(tmp_path, capsys):
         "seed = 3\n"
     )
     out = tmp_path / "out"
-    rc = _run("estimate", "--config", str(cfg), "--eps", "0.5,0.25",
+    rc = _run("estimate", "--config", str(cfg), "--eps", "0.3,0.25",
               "--out", str(out))
     assert rc == 0
     doc = _read_json(out / "fits.json")
     # command line wins over the file; untouched keys come from the file
-    assert doc["config"]["eps"] == [0.5, 0.25]
+    assert doc["config"]["eps"] == [0.3, 0.25]
     assert doc["config"]["seed"] == 3
     assert doc["config"]["system"] == "tower-power:2"
     assert doc["config"]["ns"] == [16, 32, 64, 128, 256, 512]
@@ -332,6 +349,17 @@ OVERSIZED_GREEDY = [
      "a window of 1073741824 packs 2147483776 bytes per point, beyond the limit of 33554432"),
 ]
 REFUSED += [(args, None, message) for args, message in OVERSIZED_GREEDY]
+
+# separated witness families stop at eps 1/3 (constructions.separated_witness)
+PAST_A_THIRD = [
+    (("estimate", "--system", "tower-power:1", "--method", "analytic", "--eps", "0.9,0.6",
+      "--n0", "1000", "--steps", "6"),
+     "scale must be in (0, 1/3] for a separated family, got 0.9"),
+    (("verify-construction", "--system", "tower-power:1", "--which", "separated",
+      "--n0", "100000", "--steps", "1", "--eps", "0.45"),
+     "scale must be in (0, 1/3] for a separated family, got 0.45"),
+]
+REFUSED += [(args, None, message) for args, message in PAST_A_THIRD]
 
 
 @pytest.mark.parametrize("args,config,message", REFUSED)
@@ -499,6 +527,30 @@ def test_verify_factor_shifts_construction(tmp_path):
     assert all(isinstance(i, int) for i in rep["points"])
 
 
+@pytest.mark.parametrize("args,message", PAST_A_THIRD)
+def test_separated_families_past_a_third_are_refused_within_a_second(tmp_path, capsys,
+                                                                     args, message):
+    start = time.perf_counter()
+    rc = _run(*args, "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == 64 and message in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_covering_audit_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 20 ms of every
+    # process that runs the audit's prefix; a fresh interpreter shows it
+    argv = ["verify-construction", "--system", "tower-power:2", "--which", "spanning",
+            "--n0", "40", "--steps", "1", "--eps", "0.1", "--grid", "100",
+            "--out", str(tmp_path)]
+    code = (f"import sys; from polyent.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 _WITNESSES = {
     "spanning": ("certified_spanning_witness", "--system", "tower-power:2",
                  "--n0", "40", "--eps", "0.1", "--grid", "100"),
@@ -654,6 +706,22 @@ def test_diagnose_recurrence_default_bound(tmp_path, capsys):
     capsys.readouterr()
     doc = _read_json(tmp_path / "recurrence.json")
     assert doc["reports"][0]["m_bound"] == 4
+
+
+@pytest.mark.parametrize("spec,first", [
+    ("full-shift:2", [[{"shift_offset": 0}, 1], [{"shift_offset": 0}, None]]),
+    (f"product:tower-power:2,sturmian:{GOLDEN!r}",
+     [[[{"angle": 0.0, "level": 0}, {"shift_offset": 0}], 2],
+      [[{"angle": 0.0, "level": 0}, {"shift_offset": 1}], None]]),
+])
+def test_diagnose_recurrence_on_shift_and_product_points(tmp_path, capsys, spec, first):
+    rc = _run("diagnose", "--system", spec, "--check", "recurrence",
+              "--grid", "20", "--eps", "0.5", "--out", str(tmp_path))
+    assert rc == 0
+    capsys.readouterr()
+    rep = _read_json(tmp_path / "recurrence.json")["reports"][0]
+    assert rep["m_bound"] == 2 and rep["all_within"] is False
+    assert rep["times"][:2] == first
 
 
 def test_diagnose_complexity(tmp_path, capsys):

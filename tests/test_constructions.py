@@ -172,17 +172,46 @@ def test_spanning_witness_accepts_coarse_scales():
 
 
 def test_separated_witness_shape_and_frozen_sizes():
-    rep = separated_witness(10, 0.5, 1)
-    assert rep.size == rep.predicted_size == 8
-    assert rep.levels == 4
+    # 4 angles on the levels L with L^2 * 0.25 < 10
+    rep = separated_witness(10, 0.25, 1)
+    assert rep.size == rep.predicted_size == 24
+    assert rep.levels == 6
     levels = {p.level for p in rep.points}
-    assert levels == {1, 2, 3, 4}
+    assert levels == {1, 2, 3, 4, 5, 6}
     rep = separated_witness(1000, 0.1, 2)
     assert rep.size == 243
     assert rep.levels == 27
     assert rep.depth == pytest.approx((2 * 1000 / 0.1) ** (1 / 3), rel=1e-12)
-    with pytest.raises(ValueError):
-        separated_witness(10, 0.6, 1)
+    with pytest.raises(ValueError, match=r"\(0, 1/3\]"):
+        separated_witness(10, 0.34, 1)
+
+
+def test_separated_witness_refuses_scales_past_a_third():
+    # at power 1, levels 2 and 6 differ by exactly 1/3: the pair at one angle
+    # drifts by 0, 1/3 and 2/3 in turn and never reads more than 1/3, so two
+    # angles per level do not separate at 0.34
+    levels = separation_levels(1000, 0.34, 1)
+    check = verify_separated(tower_system(PowerHeights(1)),
+                             AngleLevelGrid(2, range(1, levels + 1)), 1000, 0.34)
+    assert not check.ok and check.min_value == pytest.approx(1 / 3)
+    for which in (separated_witness, certified_separated_witness):
+        with pytest.raises(ValueError, match=r"\(0, 1/3\] for a separated family, got 0.34"):
+            which(1000, 0.34, 1)
+    assert separated_witness(1000, 1 / 3, 1).size == 3 * 54
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 1.5, 2, 3]), st.integers(1, 200),
+       st.one_of(st.floats(0.05, 1 / 3), st.sampled_from([1 / 3, 0.25, 1 / 6, 1 / 7])))
+def test_separated_witnesses_up_to_a_third_pass_their_audit(c, n, eps):
+    # the only failure left is a tie on one level, where 1/eps is an integer
+    # and rounding puts a neighbouring gap just below eps
+    rep, check = certified_separated_witness(n, eps, c)
+    if not rep.verified:
+        angles = floor_reciprocal(eps)
+        i, j = check.min_pair
+        assert i // angles == j // angles
+        assert 1 / eps == angles
 
 
 def test_separated_witness_angles_are_equally_spaced():
