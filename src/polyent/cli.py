@@ -392,7 +392,7 @@ def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
             "levels": report.levels,
             "verified": report.verified,
             "strict": report.strict,
-            "notes": list(report.notes),
+            "notes": [],  # no report carries notes; the file format keeps the key
             "check": _check_json(check),
         },
     }

@@ -7,20 +7,22 @@ verifier from :mod:`polyent.bowen` over it:
   level whose accumulated drift over the window stays visible, plus the
   base circle;
 * a separated family for power-law towers at scales up to 1/3: well-spread
-  angles crossed with the levels below the depth where neighboring drifts
-  stop diverging by a full scale within the window;
+  angles crossed with every level whose height gap to the level below
+  drifts by a full scale within the window;
 * a separated family of shift orbits picked at first occurrences of
   distinct length-n blocks of an aperiodic word.
 
 The sizes of the two tower families are the analytic counts of
 :mod:`polyent.estimation`; their closed forms live here only.
 
-Threshold counts (grid sizes, cutoffs, level depths) are computed in exact
-rational arithmetic on the binary64 value of eps. Near decimal scales like
-0.1 the float sits a hair off the nominal value, and a naive float floor of
-1/eps lands on the wrong side of the boundary, producing witness families
-that miss their own strictness guarantee; the exact floor keeps the counts
-and the verifier in agreement.
+Grid sizes and separation levels are computed in exact rational arithmetic
+on the binary64 value of eps (levels also on the float heights). Near
+decimal scales like 0.1 the float sits a hair off the nominal value, and a
+naive float floor of 1/eps lands on the wrong side of the boundary,
+producing witness families that miss their own strictness guarantee.
+Drift cutoffs are exact for integer-exponent power heights only; otherwise
+``drift_cutoff`` compares the rounded float ``window * height(n)``, which
+can land one level off the exact comparison at a boundary.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ def drift_cutoff(window: int, eps: float, fam: HeightFamily) -> int:
 def separation_depth(window: int, eps: float, c: float) -> float:
     """Real-valued level depth (c * window / eps)^(1/(c+1)).
 
-    Below this depth, adjacent levels of a power-c tower drift apart by at
-    least eps somewhere inside the window (mean-value bound on the height
-    differences); it caps the usable levels of the separated family.
+    The mean-value estimate of where adjacent levels of a power-c tower stop
+    drifting apart by eps within the window. Separated reports carry it as
+    their ``depth``, and greedy tower samples reach up to it; the family's
+    own level count is the exact ``separation_levels``.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -124,42 +127,52 @@ def separation_depth(window: int, eps: float, c: float) -> float:
 
 
 def separation_levels(window: int, eps: float, c: float) -> int:
-    """Number of whole levels strictly below the separation depth.
+    """Levels of the separated power-c family: the last level L whose height
+    gap g to level L - 1 passes g >= eps or (window - 1) g >= eps, that is
+    reach g >= eps with reach = max(window - 1, 1).
 
-    Exact integer comparison when c is an integer: the largest L with
-    L^(c+1) * eps < c * window. Raises when not even level 1 qualifies.
+    The gaps are exact rationals of the float heights the kernel reads,
+    walked to the boundary from the closed-form candidate
+    (c reach / eps)^(1/(c+1)). At eps <= 1/3 the test certifies the family
+    of ``separated_witness``, and level 1 always qualifies:
+
+    * pairs at different angles are at least 1/floor(1/eps) >= eps apart
+      at step 0;
+    * a pair at one angle with g <= eps <= 1/3 first passes eps at a drift
+      below 2 eps <= 1 - eps, so it passes before it can wrap;
+    * gaps shrink as the level grows, so adjacent levels decide.
+
+    Larger scales are refused: at power 1, levels 2 and 6 differ by exactly
+    1/3, so that pair drifts by 0, 1/3 and 2/3 in turn.
     """
-    depth = separation_depth(window, eps, c)
-    if float(c).is_integer():
-        ci = int(c)
-        f = Fraction(eps)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if not 0.0 < eps <= 1 / 3:
+        raise ValueError(f"scale must be in (0, 1/3] for a separated family, got {eps}")
+    fam = PowerHeights(c)
+    reach = max(window - 1, 1)
+    f = Fraction(eps)
 
-        def inside(n: int) -> bool:
-            return n ** (ci + 1) * f.numerator < ci * window * f.denominator
-    else:
-        def inside(n: int) -> bool:
-            return float(n) < depth
+    def passes(n: int) -> bool:
+        return n == 1 or reach * (Fraction(fam.height(n - 1)) - Fraction(fam.height(n))) >= f
 
-    level = max(0, int(depth))
-    while level > 0 and not inside(level):
-        level -= 1
-    while inside(level + 1):
-        level += 1
-    if level < 1:
-        raise ValueError(
-            f"window {window} too small for eps {eps!r}, c {c}: no usable levels"
-        )
-    return level
+    n = max(1, int((c * reach / eps) ** (1.0 / (c + 1.0))))
+    while not passes(n):
+        n -= 1
+    while passes(n + 1):
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
 class ConstructionReport:
     """A witness family plus the numbers that pin down its shape.
 
-    ``cutoff`` is set for covering families (first drift-quiet level),
-    ``depth``/``levels`` for separated tower families. ``verified`` stays
-    None until a certifier has run; ``strict`` records whether the strong
-    form of the inequality held everywhere.
+    ``cutoff`` is set for covering families (first drift-quiet level);
+    separated tower families set ``depth``, the mean-value estimate of
+    ``separation_depth``, and ``levels``, the exact ``separation_levels``.
+    ``verified`` stays None until a certifier has run; ``strict`` records
+    whether the strong form of the inequality held everywhere.
     """
 
     kind: str
@@ -173,7 +186,6 @@ class ConstructionReport:
     levels: int | None = None
     verified: bool | None = None
     strict: bool | None = None
-    notes: tuple[str, ...] = ()
 
     @property
     def size(self) -> int:
@@ -210,27 +222,19 @@ def _separated_points(angle_count: int, levels: int) -> AngleLevelGrid:
 def separated_witness(window: int, eps: float, c: float) -> ConstructionReport:
     """Separated family for the power-c tower at scale eps over the window.
 
-    floor(1/eps) equally spaced angles on each level strictly below the
-    separation depth. Equal spacing puts every angle pair at least
-    1/floor(1/eps) >= eps apart, with equality up to rounding when 1/eps
-    is an integer (eps 0.25, 1/3, 0.125, ...): there neighbouring angles
-    of a level sit about eps apart for the whole window, so no family of
-    this shape passes the strict audit, and at some such scales (1/6, 1/7)
-    rounding puts one of those gaps just below eps. An arithmetic
-    progression with step eps would fail the audit at every scale, because
-    float rounding nudges some of its pair gaps just below the nominal
-    scale.
-
-    Scales above 1/3 are refused: a pair at one angle with height gap
-    dh <= eps first passes eps at a step k with k dh < 2 eps, which reads
-    more than eps only while 2 eps <= 1 - eps. At power 1, levels 2 and 6
-    differ by exactly 1/3, so that pair drifts by 0, 1/3 and 2/3 in turn.
+    floor(1/eps) equally spaced angles on each of the levels 1..L that
+    ``separation_levels`` picks (it refuses scales above 1/3). Equal
+    spacing puts every angle pair at least 1/floor(1/eps) >= eps apart,
+    with equality up to rounding when 1/eps is an integer (eps 0.25, 1/3,
+    0.125, ...): there neighbouring angles of a level sit about eps apart
+    for the whole window, so no family of this shape passes the strict
+    audit, and at some such scales (1/6, 1/7) rounding puts one of those
+    gaps just below eps. An arithmetic progression with step eps would fail
+    the audit at every scale, because float rounding nudges some of its
+    pair gaps just below the nominal scale.
     """
-    if not eps <= 1 / 3:
-        raise ValueError(f"scale must be in (0, 1/3] for a separated family, got {eps}")
-    m = floor_reciprocal(eps)
-    depth = separation_depth(window, eps, c)
     levels = separation_levels(window, eps, c)
+    m = floor_reciprocal(eps)
     return ConstructionReport(
         kind="separated-witness",
         window=window,
@@ -238,7 +242,7 @@ def separated_witness(window: int, eps: float, c: float) -> ConstructionReport:
         family=PowerHeights(c).label,
         points=_separated_points(m, levels),
         predicted_size=m * levels,
-        depth=depth,
+        depth=separation_depth(window, eps, c),
         levels=levels,
     )
 
@@ -312,42 +316,18 @@ def certified_spanning_witness(window: int, eps: float, fam: HeightFamily,
 
 def certified_separated_witness(window: int, eps: float, c: float,
                                 ) -> tuple[ConstructionReport, SeparationCheck]:
-    """Build the separated family and audit every pair strictly.
+    """Build the separated family and audit every pair once.
 
-    The level depth comes from a mean-value bound whose step count is off by
-    one from the window convention used here; if that slack ever bites, it
-    bites at the deepest level, so on a non-strict audit the family retries
-    with the top level dropped (recorded in the report notes) before giving
-    up. An audit whose closest pair lies on one level stops the retries,
-    whether it holds or not: every level carries the same angles, so
-    dropping levels keeps a pair at that distance (see ``separated_witness``).
     A family past ``systems.PACK_LIMIT`` packed bytes is refused unpacked.
+    The audit is strict except where 1/eps is an integer, at the ties on
+    one level that ``separated_witness`` describes.
     """
     report = separated_witness(window, eps, c)
     system = tower_system(PowerHeights(c))
     systems.check_pack_limit(f"the separated audit at n={window}, eps={eps!r}",
                              system, report.size, window)
-    m = floor_reciprocal(eps)
-    levels = report.levels
-    notes: list[str] = []
-    while True:
-        check = verify_separated(system, report.points, window, eps)
-        if check.all_strict or levels <= 1:
-            break
-        i, j = check.min_pair
-        if i // m == j // m:
-            break
-        levels -= 1
-        notes.append(
-            f"dropped level {levels + 1}: separation not strict at depth boundary"
-        )
-        report = replace(report, points=_separated_points(m, levels),
-                         predicted_size=m * levels, levels=levels)
-    return (
-        replace(report, verified=check.ok, strict=check.all_strict,
-                notes=tuple(notes)),
-        check,
-    )
+    check = verify_separated(system, report.points, window, eps)
+    return replace(report, verified=check.ok, strict=check.all_strict), check
 
 
 def certified_factor_shifts(system: SystemHandle, word: SymbolicWord, n: int,

@@ -318,8 +318,8 @@ REFUSED = [
     # sized before the family is packed: the audit would take about 4 * 10^12 pairs
     (("verify-construction", "--system", "tower-power:1", "--which", "separated",
       "--n0", "10000000000", "--steps", "1", "--eps", "0.1"), None,
-     "the separated audit at n=10000000000, eps=0.1 packs a family of 2846043 points "
-     "into 45536688 bytes, beyond the limit of 33554432"),
+     "the separated audit at n=10000000000, eps=0.1 packs a family of 2846052 points "
+     "into 45536832 bytes, beyond the limit of 33554432"),
     # past the word limit's reach: a 296,417-symbol word, but 100,001 rows of
     # 200,128 bytes each would pack into about 19 GiB
     (("verify-construction", "--system", f"sturmian:{GOLDEN!r}", "--which", "factor-shifts",

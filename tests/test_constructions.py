@@ -22,6 +22,7 @@ from polyent import (
     certified_spanning_witness,
     circle_dist,
     circle_rotation,
+    count_table,
     drift_cutoff,
     floor_reciprocal,
     full_shift,
@@ -107,25 +108,36 @@ def test_separation_depth_formula():
         separation_depth(10, 0.1, 0.5)
 
 
+def _gap_passes(window, eps, c, level):
+    # the exact gap rule, re-derived: the height gap g from the level below,
+    # in rationals of the float heights, reads eps at step 0 or by drift
+    if level == 1:
+        return True
+    fam = PowerHeights(c)
+    g = Fraction(fam.height(level - 1)) - Fraction(fam.height(level))
+    return g >= Fraction(eps) or (window - 1) * g >= Fraction(eps)
+
+
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_separation_levels_exact_for_integer_exponents(c):
-    for window in (100, 1000, 10 ** 4):
-        for eps in (0.2, 0.1):
+    # the same rule holds at every c; the generated sweep below covers c 1.5
+    for window in (1, 2, 100, 1000, 10 ** 4):
+        for eps in (1 / 3, 0.2, 0.1):
             lv = separation_levels(window, eps, c)
-            f = Fraction(eps)
-            assert lv ** (c + 1) * f < c * window
-            assert (lv + 1) ** (c + 1) * f >= c * window
+            assert all(_gap_passes(window, eps, c, level) for level in range(1, lv + 1))
+            assert not _gap_passes(window, eps, c, lv + 1)
 
 
 def test_separation_levels_frozen_values():
     assert separation_levels(1000, 0.1, 2) == 27
-    assert separation_levels(10, 0.5, 1) == 4
-    assert separation_levels(100, 0.2, 2) == 9
-
-
-def test_separation_levels_raises_when_depth_collapses():
-    with pytest.raises(ValueError, match="no usable levels"):
-        separation_levels(1, 1.9, 1.0)
+    assert separation_levels(100, 0.2, 2) == 10
+    # one step reads only the step-0 height gap: 1/2 from level 1 to 2, 1/6
+    # from 2 to 3. At eps <= 1/3 level 1 always qualifies; past 1/3 the rule
+    # refuses, so no window is too short for every level
+    assert separation_levels(1, 1 / 3, 1) == 2
+    for window, eps in ((10, 0.5), (1, 1.9), (10, 0.0)):
+        with pytest.raises(ValueError, match=r"\(0, 1/3\] for a separated family"):
+            separation_levels(window, eps, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +184,7 @@ def test_spanning_witness_accepts_coarse_scales():
 
 
 def test_separated_witness_shape_and_frozen_sizes():
-    # 4 angles on the levels L with L^2 * 0.25 < 10
+    # 4 angles on the levels L with 9 (1/(L-1) - 1/L) >= 0.25
     rep = separated_witness(10, 0.25, 1)
     assert rep.size == rep.predicted_size == 24
     assert rep.levels == 6
@@ -190,14 +202,13 @@ def test_separated_witness_refuses_scales_past_a_third():
     # at power 1, levels 2 and 6 differ by exactly 1/3: the pair at one angle
     # drifts by 0, 1/3 and 2/3 in turn and never reads more than 1/3, so two
     # angles per level do not separate at 0.34
-    levels = separation_levels(1000, 0.34, 1)
     check = verify_separated(tower_system(PowerHeights(1)),
-                             AngleLevelGrid(2, range(1, levels + 1)), 1000, 0.34)
+                             AngleLevelGrid(2, range(1, 55)), 1000, 0.34)
     assert not check.ok and check.min_value == pytest.approx(1 / 3)
-    for which in (separated_witness, certified_separated_witness):
+    for which in (separation_levels, separated_witness, certified_separated_witness):
         with pytest.raises(ValueError, match=r"\(0, 1/3\] for a separated family, got 0.34"):
             which(1000, 0.34, 1)
-    assert separated_witness(1000, 1 / 3, 1).size == 3 * 54
+    assert separated_witness(1000, 1 / 3, 1).size == 3 * 55
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -212,6 +223,34 @@ def test_separated_witnesses_up_to_a_third_pass_their_audit(c, n, eps):
         i, j = check.min_pair
         assert i // angles == j // angles
         assert 1 / eps == angles
+
+
+SWEEP_WINDOWS = [*range(1, 41), 64, 100, 256, 1000]
+SWEEP_SCALES = [1 / 3, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02]
+
+
+@pytest.mark.parametrize("c", [1, 1.5, 2, 3])
+def test_separated_levels_are_certified_and_maximal_over_the_sweep(c):
+    # every analytic-separated cell is the family its certifier verifies; the
+    # family with one more level fails between its two top levels; and the
+    # boundary walk agrees with a scan up from level 1
+    system = tower_system(PowerHeights(c))
+    table = count_table(system, SWEEP_WINDOWS, SWEEP_SCALES, "analytic-separated")
+    for record in table:
+        n, eps = record.n, record.eps
+        rep, check = certified_separated_witness(n, eps, c)
+        assert record.count == rep.size
+        angles, top = floor_reciprocal(eps), rep.levels
+        i, j = check.min_pair
+        assert check.ok
+        assert check.all_strict or (i // angles == j // angles and 1 / eps == angles)
+        over = verify_separated(system, AngleLevelGrid(angles, range(1, top + 2)), n, eps)
+        i, j = over.min_pair
+        assert not over.ok and {i // angles + 1, j // angles + 1} == {top, top + 1}
+        scanned = 1
+        while _gap_passes(n, eps, c, scanned + 1):
+            scanned += 1
+        assert top == scanned == separation_levels(n, eps, c)
 
 
 def test_separated_witness_angles_are_equally_spaced():
@@ -341,7 +380,6 @@ def test_certified_separated_witness_passes_at_full_depth():
     assert check.ok and check.all_strict
     assert rep.levels == 31
     assert rep.size == 9 * 31
-    assert rep.notes == ()
     assert check.min_value > 0.1
 
 
@@ -357,17 +395,17 @@ def _recorded_audits(monkeypatch):
     return checks
 
 
-@pytest.mark.parametrize("eps,angles,levels", [(0.25, 4, 63), (1 / 3, 3, 54),
+@pytest.mark.parametrize("eps,angles,levels", [(0.25, 4, 63), (1 / 3, 3, 55),
                                                 (0.125, 8, 89)])
 def test_certified_separated_witness_keeps_every_level_at_a_tight_scale(
         monkeypatch, eps, angles, levels):
     # with 1/eps an integer, neighbouring angles of one level sit exactly eps
-    # apart on every level: the first audit holds, not strictly, and its
-    # closest pair lies on one level, so no level is dropped
+    # apart on every level: the one audit holds, not strictly, and its
+    # closest pair lies on one level
     checks = _recorded_audits(monkeypatch)
     rep, check = certified_separated_witness(1000, eps, 1)
     assert checks == [check]
-    assert rep.verified and not rep.strict and rep.notes == ()
+    assert rep.verified and not rep.strict
     assert check.ok and check.min_value == eps
     i, j = check.min_pair
     assert i // angles == j // angles
@@ -375,34 +413,29 @@ def test_certified_separated_witness_keeps_every_level_at_a_tight_scale(
 
 
 @pytest.mark.parametrize("eps,angles,levels", [pytest.param(1 / 6, 6, 77, id="1/6"),
-                                                pytest.param(1 / 7, 7, 83, id="1/7")])
+                                                pytest.param(1 / 7, 7, 84, id="1/7")])
 def test_certified_separated_witness_stops_at_a_same_level_failure(
         monkeypatch, eps, angles, levels):
     # one level's gap 1 - (angles - 1)/angles rounds just below eps, so the
-    # first audit fails on a pair within one level; every level carries the
-    # same angles, so dropping levels cannot mend it and none is dropped
+    # one audit fails on a pair within one level; every level carries the
+    # same angles, so no choice of levels could mend it
     checks = _recorded_audits(monkeypatch)
     rep, check = certified_separated_witness(1000, eps, 1)
     assert checks == [check]
-    assert not rep.verified and not check.ok and rep.notes == ()
+    assert not rep.verified and not check.ok
     i, j = check.min_pair
     assert i // angles == j // angles
     assert rep.levels == levels and rep.size == rep.predicted_size == angles * levels
 
 
-def test_certified_separated_witness_drops_a_level_that_fails_the_audit(monkeypatch):
-    # at n 2, eps 0.2 the third level lies within eps of the second: the
-    # first audit fails on a pair across levels, and the second, on two
-    # levels, holds strictly
+def test_certified_separated_witness_audits_once(monkeypatch):
+    # at n 2, eps 0.2 the third level lies within eps of the second, drift
+    # included, so the family stops at two levels and holds strictly
     checks = _recorded_audits(monkeypatch)
     rep, check = certified_separated_witness(2, 0.2, 1)
-    assert len(checks) == 2 and checks[1] == check
-    i, j = checks[0].min_pair
-    assert not checks[0].ok and i // 4 != j // 4
-    assert rep.verified and rep.strict
-    assert rep.notes == ("dropped level 3: separation not strict at depth boundary",)
-    assert rep.levels == 2 and rep.size == 8
-    assert separated_witness(2, 0.2, 1).levels == 3
+    assert checks == [check]
+    assert rep.verified and rep.strict and check.all_strict
+    assert rep.levels == 2 and rep.size == rep.predicted_size == 8
 
 
 def test_certified_factor_shifts():
