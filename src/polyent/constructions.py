@@ -20,9 +20,8 @@ on the binary64 value of eps (levels also on the float heights). Near
 decimal scales like 0.1 the float sits a hair off the nominal value, and a
 naive float floor of 1/eps lands on the wrong side of the boundary,
 producing witness families that miss their own strictness guarantee.
-Drift cutoffs are exact for integer-exponent power heights only; otherwise
-``drift_cutoff`` compares the rounded float ``window * height(n)``, which
-can land one level off the exact comparison at a boundary.
+Drift cutoffs compare ``window * height(n)`` with eps exactly, on the
+float heights the kernel reads.
 """
 
 from __future__ import annotations
@@ -76,8 +75,9 @@ def drift_cutoff(window: int, eps: float, fam: HeightFamily) -> int:
     """First level whose total drift over the window drops below eps.
 
     Returns min {n >= 1 : window * height(n) < eps}. Closed-form candidate
-    plus a boundary walk; for integer-exponent power families the comparison
-    is done in exact integers so boundary cases cannot flip on rounding.
+    plus a boundary walk. The comparison is exact, so boundary cases cannot
+    flip on rounding: in integers for integer-exponent power families, in
+    ``Fraction``s of the float height and eps otherwise.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -93,8 +93,10 @@ def drift_cutoff(window: int, eps: float, fam: HeightFamily) -> int:
 
         cand = math.ceil((window / eps) ** (1.0 / c))
     else:
+        f = Fraction(eps)
+
         def below(n: int) -> bool:
-            return window * fam.height(n) < eps
+            return window * Fraction(fam.height(n)) < f
 
         if isinstance(fam, ExpHeights):
             cand = math.ceil(math.log(window / eps)) if window / eps > 1.0 else 1

@@ -10,7 +10,7 @@ for all time.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -44,19 +44,23 @@ def return_time(system: SystemHandle, x: Any, eps: float, m_max: int) -> int | N
     return None
 
 
+# every code stays below this bound, so it fits a nonnegative int64
+_CODE_LIMIT = 1 << 63
+
+
 def _ranks(code: np.ndarray) -> int:
     """Overwrite the codes with their dense ranks 0..K-1, equal codes equal
-    ranks, and return K: one argsort, then the cumsum of the sorted codes'
-    adjacent-change mask in the gathered buffer, scattered back. The mask
-    is copied into that buffer and summed in place, because a cumsum from
-    bool into int64 casts through a temporary of the full int64 size."""
+    ranks, and return K: one argsort, the sorted codes gathered, their
+    adjacent-change mask written over the codes (which the scatter
+    overwrites anyway), and its cumsum written over the sorted codes and
+    scattered back. No bool mask is kept beside them, so a rank traces 24
+    bytes per code, the codes included. ``np.unique(return_inverse=True)``
+    would sort too and then hash."""
     order = np.argsort(code)
     ordered = code[order]
-    change = np.empty(code.size, bool)
-    change[0] = False
-    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-    ordered[:] = change
-    np.cumsum(ordered, out=ordered)
+    code[0] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=code[1:])
+    np.cumsum(code, out=ordered)
     code[order] = ordered
     return int(ordered[-1]) + 1
 
@@ -68,57 +72,11 @@ def _distinct(code: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
-def _fold_ranks(code: np.ndarray, length: int,
-                n: int) -> tuple[np.ndarray, int, int]:
-    """One round from codes of the length-``length`` blocks towards the
-    length-n blocks, n > length: the longer blocks' codes, their length and
-    the bound the codes stay below.
-
-    The round overwrites ``code`` with its dense ranks 0..K-1 and folds as
-    many consecutive ranks into one int64 as K^a < 2^63 allows, so the
-    block length grows by a factor a per sort. A round that reaches n lets
-    its final part overlap the one before, ending exactly at length n.
-    Callers loop over rounds, rebinding their codes to each round's result,
-    so no frame keeps the previous round's codes while the next one sorts.
-    """
-    m = code.size + length - 1
-    k = _ranks(code)
-    parts = -(-n // length)
-    arity = 2
-    while arity < parts and k ** (arity + 1) < 2 ** 63:
-        arity += 1
-    if arity == parts:
-        offsets = [t * length for t in range(parts - 1)] + [n - length]
-    else:
-        offsets = [t * length for t in range(arity)]
-    count = m - (offsets[-1] + length) + 1
-    folded = code[:count].copy()
-    for off in offsets[1:]:
-        folded *= k
-        folded += code[off:off + count]
-    return folded, offsets[-1] + length, k ** len(offsets)
-
-
-def _block_codes(symbols: np.ndarray, alphabet_size: int,
-                 n: int) -> tuple[np.ndarray, int, int]:
-    """Packed codes of the blocks of ``symbols``: one int64 per start of a
-    length-w block, w = min(n, 63 // b), two starts getting equal codes
-    exactly when their blocks are equal, together with w and a bound the
-    codes stay below.
-
-    Each block's w symbols are packed b bits apiece, b being the bit width
-    of the alphabet, by doubling the packed width with in-place shifts.
-    :func:`block_codes` and :func:`word_complexities` take the codes the
-    rest of the way to length n by looping over ``_fold_ranks`` rounds,
-    each of which overwrites the codes it is given with their ranks. The
-    ranks come from an argsort rather than
-    ``np.unique(return_inverse=True)``, which sorts too and then hashes.
-    """
+def _packed(symbols: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """One int64 per start of a length-``width`` block of ``symbols``, its
+    symbols packed ``bits`` apiece (bits * width <= 63, or width 1): the
+    packed width doubles by in-place shifts."""
     m = symbols.size
-    if m < n:
-        return np.empty(0, np.int64), n, 1
-    bits = (alphabet_size - 1).bit_length()
-    width = min(n, 63 // bits)
     code = symbols.astype(np.int64)
     length = 1
     while length < width:
@@ -131,18 +89,99 @@ def _block_codes(symbols: np.ndarray, alphabet_size: int,
         code <<= bits * grow
         code |= tail
         length += grow
-    return code, length, 1 << bits * width
+    return code
+
+
+def _fold(code: np.ndarray, level: np.ndarray, base: int,
+          offsets: Sequence[int]) -> np.ndarray:
+    """Fold into each start's code, in place, the level's values at the
+    given offsets from that start: ``code = code * base + level[start +
+    offset]``, offset by offset. Symbols shift in with base 2^b, ranks
+    fold in with base K."""
+    for off in offsets:
+        code *= base
+        code += level[off:off + code.size]
+    return code
+
+
+def _arity(k: int) -> int:
+    """How many ranks below k fold into one code below ``_CODE_LIMIT``:
+    the largest a with k^a <= 2^63, at least 2 and at most 63."""
+    arity = 2
+    while arity < 63 and k ** (arity + 1) <= _CODE_LIMIT:
+        arity += 1
+    return arity
+
+
+def _ladder(symbols: np.ndarray, bits: int, lengths: Sequence[int],
+            ends: Sequence[int], take: Callable[[np.ndarray, int], Any]) -> list:
+    """``take(codes, i)`` for each ascending ``lengths[i]``, the codes being
+    one int64 per start of a length-``lengths[i]`` block of ``symbols``,
+    equal exactly when the blocks are, for at least the starts of the
+    blocks that end by ``ends[i]``.
+
+    A length n takes the codes of the length before by shifting its extra
+    symbols in when their bound stays below ``_CODE_LIMIT``. Otherwise, up
+    to w = 63 // b symbols (b bits per symbol), it packs them; past w it
+    folds ceil(n / L) overlapping ranks of one ranked level (Karp, Miller
+    and Rosenberg): the dense ranks of the length-L blocks over the whole
+    word, L = w first. Either covers only the starts that n and the
+    lengths shifted from it count. Only when n > L * arity(K), K the
+    level's rank count, does the level rise: one fold of arity(K) ranks,
+    its predecessor dropped, then one rank. So each level is ranked once
+    for every length.
+    """
+    if symbols.dtype == np.uint64:
+        # no bitwise loop mixes uint64 with int64; the symbols are small
+        symbols = symbols.view(np.int64)
+    width = max(1, 63 // bits)
+    level, results, i = None, [], 0
+    while i < len(lengths):
+        n = lengths[i]
+        code = None  # the last lengths' codes go before a level is ranked
+        if level is None and n <= width:
+            bound = 1 << bits * n
+        else:
+            if level is None:
+                level, size = _packed(symbols, bits, width), width
+                k = _ranks(level)
+            while n > size * (a := _arity(k)):
+                level = _fold(level[:level.size - (a - 1) * size].copy(), level, k,
+                              range(size, a * size, size))
+                size *= a
+                k = _ranks(level)
+            parts = -(-n // size)
+            bound = k ** parts
+        # the lengths after n whose extra symbols shift into its codes; the
+        # bound stays strictly below the limit, so the shift base does too
+        j, end = i + 1, ends[i]
+        while j < len(lengths) and bound << bits * (lengths[j] - n) < _CODE_LIMIT:
+            end = max(end, ends[j])
+            j += 1
+        if level is None:
+            code = _packed(symbols[:end], bits, n)
+        else:
+            code = _fold(level[:end - n + 1].copy(), level, k,
+                         [*range(size, (parts - 1) * size, size), n - size])
+        for t in range(i, j):
+            # the extra symbols of lengths[t] shift into the codes
+            code = _fold(code[:code.size - (lengths[t] - n)], symbols, 1 << bits,
+                         range(n, lengths[t]))
+            n = lengths[t]
+            results.append(take(code, t))
+        i = j
+    return results
 
 
 def block_codes(symbols: np.ndarray, alphabet_size: int, n: int) -> np.ndarray:
     """One int64 code per start of a length-n block of ``symbols``, two
     starts getting equal codes exactly when their blocks are equal: the
-    packed codes of ``_block_codes`` taken to length n by ``_fold_ranks``
-    rounds. Fewer than n symbols give no codes."""
-    codes, length, _ = _block_codes(symbols, alphabet_size, n)
-    while length < n:
-        codes, length, _ = _fold_ranks(codes, length, n)
-    return codes
+    codes ``_ladder`` reaches for n over the whole word. Fewer than n
+    symbols give no codes."""
+    if symbols.size < n:
+        return np.empty(0, np.int64)
+    bits = (alphabet_size - 1).bit_length()
+    return _ladder(symbols, bits, [n], [symbols.size], lambda code, i: code)[0]
 
 
 def word_complexities(word: SymbolicWord, lengths: Sequence[int],
@@ -156,14 +195,10 @@ def word_complexities(word: SymbolicWord, lengths: Sequence[int],
     and callers report the range alongside the count so any undercount is
     attributable.
 
-    One ladder serves every length: ``_block_codes`` packs the first, and
-    each longer one shifts its extra d symbols into the codes in place,
-    ``code <<= b; code |= symbol`` once per symbol, while the codes' bound
-    times 2^(b*d) stays below 2^63 (b bits per symbol, d <= 63 // b);
-    otherwise ``_fold_ranks`` rounds rank the codes over themselves and
-    fold overlapping ranks until the length is reached. Each count sorts
-    its prefix of the codes and counts adjacent changes rather than calling
-    ``np.unique``, which hashes and is many times slower on int64 codes.
+    One ``_ladder`` serves every length, so each rank level is ranked once
+    for all of them. Each count sorts its prefix of the codes and counts
+    adjacent changes rather than calling ``np.unique``, which hashes and is
+    many times slower on int64 codes.
     """
     if len(lengths) != len(stops):
         raise ValueError(f"{len(lengths)} block lengths but {len(stops)} stops")
@@ -180,23 +215,8 @@ def word_complexities(word: SymbolicWord, lengths: Sequence[int],
                 f"materialized range [{word.start}, {stop}) shorter than block length {n}")
     if not lengths:
         return []
-    symbols = word.symbols[:max(stops) - word.start]
-    if symbols.dtype == np.uint64:
-        # no bitwise loop mixes uint64 with int64; the symbols are small
-        symbols = symbols.view(np.int64)
+    ends = [stop - word.start for stop in stops]
+    symbols = word.symbols[:max(ends)]
     bits = (word.alphabet_size - 1).bit_length()
-    code, length, bound = _block_codes(symbols, word.alphabet_size, lengths[0])
-    counts = []
-    for n, stop in zip(lengths, stops):
-        d = n - length
-        if 0 < d <= 63 // bits and bound < 1 << (63 - bits * d):
-            count = code.size - d
-            code = code[:count]
-            for t in range(length, n):
-                code <<= bits
-                code |= symbols[t:t + count]
-            length, bound = n, bound << bits * d
-        while length < n:
-            code, length, bound = _fold_ranks(code, length, n)
-        counts.append(_distinct(code[:stop - word.start - n + 1]))
-    return counts
+    return _ladder(symbols, bits, lengths, ends,
+                   lambda code, i: _distinct(code[:ends[i] - lengths[i] + 1]))

@@ -114,19 +114,17 @@ def _symbolic_span(n: int, eps: float) -> int:
 
 def _symbolic_counts(system: SystemHandle, ns: list[int], epss: list[float],
                      grid: int | None) -> dict[tuple[float, int], int]:
-    """Exact block counts of every (eps, n) cell. Each window n takes one
-    word, as long as its largest span needs, and counts every eps's span
-    over that span's own ``word_window`` only."""
+    """Exact block counts of every (eps, n) cell from one word, as long as
+    the last cell needs, and one ``word_complexities`` call: the cells'
+    spans in ascending order, each counted over its own ``word_window``."""
+    cells = sorted((_symbolic_span(n, eps), eps, n) for eps in epss for n in ns)
+    spans = [span for span, _, _ in cells]
     # the last cell needs the longest word: refuse it before counting
-    word_window(system, _symbolic_span(ns[-1], epss[-1]))
-    counts = {}
-    for n in ns:
-        spans = [_symbolic_span(n, eps) for eps in epss]
-        stops = [word_window(system, span) for span in spans]
-        word = system.word_fn(0, max(stops) - 1)
-        for eps, count in zip(epss, word_complexities(word, spans, stops)):
-            counts[eps, n] = count
-    return counts
+    word_window(system, spans[-1])
+    stops = [word_window(system, span) for span in spans]
+    word = system.word_fn(0, max(stops) - 1)
+    counts = word_complexities(word, spans, stops)
+    return {(eps, n): count for (_, eps, n), count in zip(cells, counts)}
 
 
 def _greedy_sample(system: SystemHandle, grid: int, n: int, eps: float) -> Sequence:

@@ -632,11 +632,11 @@ PACK_LIMIT = 1 << 25
 # than any point the family must tell apart.
 TOWER_SAMPLE_SLACK = 5
 
-# Longest canonical word the counting code materializes. Counting the
-# blocks of a Sturmian word peaks at 25 bytes per symbol (int64 codes that
-# their ranks overwrite, a sort permutation, the gathered sorted codes and a
-# bool change mask; tracemalloc on a 2^20-symbol word), so about 0.2 GiB at
-# this limit.
+# Longest canonical word the counting code materializes. Generating a
+# Sturmian word and counting its blocks each peak at 24 traced bytes per
+# symbol, the counting beside the word's own byte (int64 codes that their
+# ranks overwrite, a sort permutation and the gathered sorted codes;
+# tracemalloc on an 832,038-symbol word), so about 0.2 GiB at this limit.
 WORD_SYMBOL_LIMIT = 1 << 23
 
 

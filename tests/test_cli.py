@@ -24,6 +24,7 @@ import polyent.estimation as estimation
 import polyent.systems as systems
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SILVER = math.sqrt(2.0) - 1.0
 
 
 def _run(*args):
@@ -97,6 +98,22 @@ def test_estimate_sturmian_symbolic(tmp_path):
     rows = (tmp_path / "counts.csv").read_text().splitlines()[1:]
     exact = [r for r in rows if r.endswith(",exact")]
     assert len(exact) == len(rows) == 21
+
+
+def test_estimate_silver_symbolic_counts(tmp_path):
+    # windows 60 to 3,840 at three scales: spans 60 to 3,844 on one word,
+    # from packed codes through ranked levels of 63, 630 and 3,780 symbols;
+    # a span n + 2j holds n + 2j + 1 blocks
+    rc = _run("estimate", "--system", f"sturmian:{SILVER!r}",
+              "--method", "symbolic", "--eps", "1,0.5,0.25",
+              "--n0", "60", "--ratio", "2", "--steps", "7",
+              "--out", str(tmp_path))
+    assert rc == 0
+    rows = (tmp_path / "counts.csv").read_text().splitlines()
+    assert rows == ["n,eps,count,method,bound"] + [
+        f"{n},{eps},{n + 2 * j + 1},symbolic-exact,exact"
+        for j, eps in enumerate(("1.0", "0.5", "0.25"))
+        for n in (60, 120, 240, 480, 960, 1920, 3840)]
 
 
 def test_estimate_full_shift_greedy(tmp_path):
@@ -734,6 +751,18 @@ def test_diagnose_complexity(tmp_path, capsys):
     # long (golden convergent denominators 8 <= 12 < 13)
     assert doc["range"] == [0, 32]
     assert "p(12) = 13" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, SILVER], ids=["golden", "silver"])
+def test_diagnose_complexity_across_ladder_levels(tmp_path, capsys, slope):
+    # lengths 1 to 700 pass the packed width of 63 symbols and the ranked
+    # levels of 63 and 630
+    rc = _run("diagnose", "--system", f"sturmian:{slope!r}",
+              "--check", "complexity", "--n-max", "700", "--out", str(tmp_path))
+    assert rc == 0
+    doc = _read_json(tmp_path / "complexity.json")
+    assert [(row["n"], row["complexity"]) for row in doc["table"]] == \
+        [(n, n + 1) for n in range(1, 701)]
 
 
 def _stepped_distality(system, x, y, window):

@@ -90,6 +90,30 @@ def test_drift_cutoff_is_minimal_power_in_exact_arithmetic(c):
                 assert Fraction(window, (h - 1) ** c) >= f
 
 
+@pytest.mark.parametrize("window,eps,cutoff", [
+    (25, 0.2, 25), (50, 0.05, 100), (54, 0.25, 36), (100, 0.1, 100)])
+def test_drift_cutoff_is_exact_at_power_one_and_a_half(window, eps, cutoff):
+    # at each cell the product window * height(cutoff) of the floats lies
+    # below eps (or height(cutoff - 1) at or above it) by less than the
+    # float product resolves, so a float comparison put the cutoff one
+    # level up: 26, 101, 37 and 101
+    fam = PowerHeights(1.5)
+    assert drift_cutoff(window, eps, fam) == cutoff
+    assert Fraction(window) * Fraction(fam.height(cutoff)) < Fraction(eps)
+    assert Fraction(window) * Fraction(fam.height(cutoff - 1)) >= Fraction(eps)
+
+
+@pytest.mark.parametrize("fam", [ExpHeights(), PowerHeights(1.5), PowerHeights(2.5)],
+                         ids=lambda fam: fam.label)
+def test_drift_cutoff_is_minimal_in_exact_arithmetic(fam):
+    for window in list(range(1, 101)) + [2 ** 10, 2 ** 20]:
+        for eps in EPS_GRID:
+            h = drift_cutoff(window, eps, fam)
+            assert Fraction(window) * Fraction(fam.height(h)) < Fraction(eps)
+            if h > 1:
+                assert Fraction(window) * Fraction(fam.height(h - 1)) >= Fraction(eps)
+
+
 def test_drift_cutoff_monotonicity():
     fam = PowerHeights(2)
     cuts = [drift_cutoff(w, 0.1, fam) for w in (10, 100, 1000, 10 ** 4)]

@@ -21,6 +21,7 @@ from polyent import (
     tower_system,
     word_complexities,
 )
+from polyent import diagnostics
 from polyent.constructions import separated_shift_family
 from polyent.diagnostics import block_codes
 from polyent.systems import SymbolicWord, word_window
@@ -228,6 +229,110 @@ def test_word_complexities_take_unsigned_symbols():
     assert word_complexities(word, lengths, stops) == _brute_complexities(word, lengths, stops)
 
 
+# ---------------------------------------------------------------------------
+# the rank ladder across its levels
+
+# lengths past the packed width and two or more ranked levels of every
+# ladder word below, with a gap of 636 symbols
+LADDER_LENGTHS = [1, 63, 64, 700, 701, 5000]
+
+
+def _ladder_word(seed, alphabet, dtype, motif):
+    # 6,000 symbols: free, or a random motif repeated with a few symbols
+    # changed, where long blocks recur, so equal blocks must get equal codes
+    # at every level while the changes keep distinct ones apart
+    rng = np.random.default_rng(seed)
+    if motif:
+        symbols = np.resize(rng.integers(0, alphabet, int(rng.integers(40, 400))), 6000)
+        changed = rng.integers(0, symbols.size, 12)
+        symbols[changed] = rng.integers(0, alphabet, changed.size)
+    else:
+        symbols = rng.integers(0, alphabet, 6000)
+    return SymbolicWord(symbols=symbols.astype(dtype), start=int(rng.integers(-50, 50)),
+                        alphabet_size=alphabet)
+
+
+def _block_bytes(symbols, n):
+    # each length-n block of the symbols as bytes, by start
+    raw, size = np.ascontiguousarray(symbols).tobytes(), symbols.itemsize
+    return [raw[i * size:(i + n) * size] for i in range(symbols.size - n + 1)]
+
+
+def _counted_ranks(monkeypatch):
+    # the size of every code array the ladder ranks
+    calls = []
+    real = diagnostics._ranks
+
+    def counted(code):
+        calls.append(code.size)
+        return real(code)
+
+    monkeypatch.setattr(diagnostics, "_ranks", counted)
+    return calls
+
+
+@pytest.mark.parametrize("motif", [True, False], ids=["motif", "free"])
+@pytest.mark.parametrize("alphabet,dtype", [(2, np.int8), (3, np.int8), (5, np.int16),
+                                            (3, np.uint64), (5, np.uint64)])
+@pytest.mark.parametrize("seed", range(2))
+def test_word_complexities_match_brute_force_across_ladder_levels(monkeypatch, seed,
+                                                                  alphabet, dtype, motif):
+    word = _ladder_word(seed, alphabet, dtype, motif)
+    rng = np.random.default_rng(1000 + seed)
+    # drawn lengths add repeats and more gaps wider than 63 // bits symbols
+    drawn = rng.integers(1, 5001, 4).tolist() + rng.choice(LADDER_LENGTHS, 2).tolist()
+    lengths = sorted(LADDER_LENGTHS + drawn)
+    stops = [int(rng.integers(word.start + n, word.end + 1)) for n in lengths]
+    ranks = _counted_ranks(monkeypatch)
+    lows = []
+    real_distinct = diagnostics._distinct
+
+    def distinct(code):
+        lows.append(int(code.min()))
+        return real_distinct(code)
+
+    monkeypatch.setattr(diagnostics, "_distinct", distinct)
+    counts = word_complexities(word, lengths, stops)
+    assert len(ranks) >= 3
+    # no shift or fold pushes a code past a nonnegative int64
+    assert min(lows) >= 0
+    assert counts == [len(set(_block_bytes(word.symbols[:stop - word.start], n)))
+                      for n, stop in zip(lengths, stops)]
+
+
+@pytest.mark.parametrize("n", [64, 700, 5000])
+@pytest.mark.parametrize("alphabet,dtype", [(2, np.int8), (5, np.uint64)])
+def test_block_codes_classes_match_brute_force_across_ladder_levels(alphabet, dtype, n):
+    # two starts share a code exactly when their blocks are equal: each
+    # start's first start with an equal code is its first with an equal block
+    word = _ladder_word(7, alphabet, dtype, motif=True)
+    codes = block_codes(word.symbols, alphabet, n)
+    by_code, by_block = {}, {}
+    assert codes.size == word.symbols.size - n + 1
+    assert [by_code.setdefault(c, i) for i, c in enumerate(codes.tolist())] == \
+        [by_block.setdefault(b, i) for i, b in enumerate(_block_bytes(word.symbols, n))]
+
+
+@pytest.mark.parametrize("k,arity", [(1, 63), (2, 63), (3, 39), (64, 10), (631, 6),
+                                     (3781, 5), (18901, 4), (2 ** 31, 2)])
+def test_ladder_arity_folds_the_most_ranks_an_int64_holds(k, arity):
+    # the Sturmian levels of 63, 630, 3,780 and 18,900 symbols hold 64,
+    # 631, 3,781 and 18,901 distinct blocks
+    assert diagnostics._arity(k) == arity
+    assert k ** arity <= 2 ** 63 and (arity == 63 or k ** (arity + 1) > 2 ** 63)
+
+
+def test_complexity_table_ranks_each_ladder_level_once(monkeypatch):
+    # the diagnose --check complexity --n-max 4000 path: every length from
+    # 1 to 4,000 on one word, over the ranked levels of 63, 630 and 3,780
+    # symbols; ranking the codes whenever a length outgrew them made 94 ranks
+    system = sturmian_system(GOLDEN)
+    word = system.word_fn(0, word_window(system, 4000) - 1)
+    ranks = _counted_ranks(monkeypatch)
+    assert word_complexities(word, range(1, 4001), [word.end] * 4000) == list(range(2, 4002))
+    assert len(ranks) == 3
+
+
 def _traced_peak(fn, *args):
     # the call's result and the peak of the memory it traced
     tracemalloc.start()
@@ -260,7 +365,7 @@ def test_separated_shift_family_traces_within_the_counting_peak():
     # the factor-shift pick of the n = 32,768 audit over its 107,792-symbol
     # word: 75,025 block codes, 5.6 bytes per symbol. The first-occurrence
     # selection sorts them in place and traces 11.2 bytes per symbol on top
-    # of them, under the rank ladder's own peak of 25.0; np.unique(codes,
+    # of them, under the rank ladder's own peak of 24.1; np.unique(codes,
     # return_index=True) traced 22.3 on top of them, which put the whole
     # pick at 27.8
     system = sturmian_system(GOLDEN)

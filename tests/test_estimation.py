@@ -1,9 +1,12 @@
 """Count tables, slope fits, and the scale sweep."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
+import polyent.diagnostics as diagnostics
 import polyent.estimation as estimation
 from polyent import (
     BOUND_EXACT,
@@ -117,6 +120,53 @@ def test_symbolic_counts_share_a_word_per_window():
         span = r.n + 2 * estimation._dyadic_index(r.eps)
         word = system.word_fn(0, word_window(system, span) - 1)
         assert r.count == word_complexities(word, [span], [word.end])[0]
+
+
+# the symbolic step of the sturmian-exact benchmark workload: 21 cells,
+# spans 512 to 32,772, whose longest recurrence window is 107,796 symbols
+BENCH_NS = [512 * 2 ** k for k in range(7)]
+BENCH_EPSS = [1.0, 0.5, 0.25]
+BENCH_WORD = 107796
+
+
+def test_symbolic_counts_rank_each_ladder_level_once(monkeypatch):
+    # one word for every cell and one ladder over it, ranked at 63, 630,
+    # 3,780 and 18,900 symbols; a word and a ladder per window made 7 words
+    # of 200,955 symbols and 19 ranks over 688,250 codes
+    system = sturmian_system(GOLDEN)
+    words, ranks = [], []
+    real_word, real_ranks = system.word_fn, diagnostics._ranks
+
+    def word_fn(lo, hi):
+        words.append((lo, hi))
+        return real_word(lo, hi)
+
+    def counted_ranks(code):
+        ranks.append(code.size)
+        return real_ranks(code)
+
+    monkeypatch.setattr(diagnostics, "_ranks", counted_ranks)
+    system = dataclasses.replace(system, word_fn=word_fn)
+    records = count_table(system, BENCH_NS, BENCH_EPSS, METHOD_SYMBOLIC_EXACT)
+    assert [r.count for r in records] == [n + 2 * j + 1 for j in range(3) for n in BENCH_NS]
+    assert words == [(0, BENCH_WORD - 1)]
+    assert ranks == [BENCH_WORD - 62, BENCH_WORD - 629, BENCH_WORD - 3779, BENCH_WORD - 18899]
+
+
+def test_symbolic_counts_trace_at_most_26_bytes_per_symbol():
+    # the benchmark grid over its one word: generating it peaks at 24 bytes
+    # per symbol, and each rank at 24 per code (the codes, a permutation and
+    # the gathered codes) beside the word's own byte
+    system = sturmian_system(GOLDEN)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        estimation._symbolic_counts(system, BENCH_NS, BENCH_EPSS, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * BENCH_WORD
 
 
 def _continued(quotients):
