@@ -6,6 +6,7 @@ float rounding drift in the construction arithmetic cannot pass unnoticed.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -490,6 +491,26 @@ def test_factor_shift_families_are_sized_in_bytes_before_packing(monkeypatch):
     with pytest.raises(ValueError, match="factor-shift audit at n=4064 packs"):
         certified_factor_shifts(system, system.word_fn(0, 10), 4064)
     assert calls == []
+
+
+def test_largest_factor_shift_audit_traces_under_100_mib():
+    # n = 4063 is the largest family PACK_LIMIT admits: its 4,064 rows pack
+    # into 33.5 MB, each rule group is read by one call over its merged
+    # windows, and each block's keys join by one sort, not a rows x cols
+    # byte compare
+    system = sturmian_system(GOLDEN)
+    n = 4063
+    word = system.word_fn(0, systems.word_window(system, n) - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep, check = certified_factor_shifts(system, word, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.verified and rep.size == n + 1 and check.min_value == 1.0
+    assert peak < 100 * 2 ** 20
 
 
 def test_certified_separated_matches_direct_verification():

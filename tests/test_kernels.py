@@ -247,6 +247,39 @@ def test_kernels_list_no_pair_of_an_empty_batch(name, cap):
             assert i.shape == j.shape == d.shape == (0,)
 
 
+# the cap contract's batches hold at most 4 points; the key join is held
+# here to the broadcast compare on batches of up to 60 rows whose keys
+# repeat in long runs: Sturmian shifts with repeated offsets, and shifts of
+# one periodic pattern, whose keys repeat with its period (two-byte
+# symbols on 300 letters)
+JOIN_KINDS = {
+    "sturmian": (sturmian_system(GOLDEN), sturmian_point(GOLDEN), 13),
+    "periodic": (full_shift(2), periodic_point((0, 1, 1)), 9),
+    "periodic-300": (full_shift(300), periodic_point((0, 299, 256, 1)), 9),
+}
+JOIN_SIZES = [(60, 60), (60, 13), (13, 60), (2, 2), (1, 60), (60, 1), (1, 1),
+              (0, 60), (60, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("sizes", JOIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("kind", list(JOIN_KINDS))
+def test_shift_key_join_lists_the_broadcast_pairs_once(kind, sizes):
+    system, base, spread = JOIN_KINDS[kind]
+    rng = np.random.default_rng(len(JOIN_SIZES) * sizes[0] + sizes[1])
+    for n in (1, 3, 8):
+        a, b = (system.pack([base.shifted(int(o)) for o in rng.integers(0, spread, size)], n)
+                for size in sizes)
+        ref = sorted(zip(*(k.tolist() for k in np.nonzero(a["key"][:, None] == b["key"][None, :]))))
+        if sizes == (60, 60):
+            # runs of equal keys longer than the cap contract's batches
+            assert len(ref) > 4 * 60
+        for cap in (1e-3, 0.25, 0.5, 1.0):
+            i, j = system.candidates(a, b, n, cap)
+            got = list(zip(i.tolist(), j.tolist()))
+            assert len(set(got)) == len(got)
+            assert sorted(got) == ref
+
+
 @st.composite
 def _deep_tower_blocks(draw):
     # deep levels crowd near height 0, where the height band is widest;

@@ -8,6 +8,7 @@ import functools
 import importlib
 import math
 import pkgutil
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -483,6 +484,35 @@ def test_packed_sturmian_rows_are_the_exact_floors(alpha):
     for o in (NEAR_TOP + 1, NEAR_BOTTOM - 1):
         with pytest.raises(ValueError, match="exact range"):
             system.pack([base.shifted(0), base.shifted(o)], 5)
+
+
+def test_packed_rule_group_reads_merged_windows_exactly():
+    # one rule group whose windows [o - 64, o + 69) at n = 5 come unsorted,
+    # repeated, overlapping, exactly touching (gap n + 128 = 133), one past
+    # touching and far apart, beside a one-member group of another rule
+    golden, silver = Fraction(GOLDEN), Fraction(SILVER)
+
+    def symbol(exact):
+        return functools.cache(lambda k: math.floor((k + 1) * exact) - math.floor(k * exact))
+
+    offsets = [1267, 1000, NEAR_TOP, 1133, 1000, 1317, NEAR_BOTTOM, 1133, -7]
+    lone = 77
+    base = sturmian_point(GOLDEN)
+    points = [base.shifted(o) for o in offsets]
+    points.insert(3, sturmian_point(SILVER).shifted(lone))
+    rows = sturmian_system(GOLDEN).pack(points, 5)["rows"]
+    assert rows[3].tolist() == _packed_rows(symbol(silver), [lone], 5, 64)[0].tolist()
+    group = np.delete(rows, 3, axis=0)
+    assert group.tolist() == _packed_rows(symbol(golden), offsets, 5, 64).tolist()
+    # the merged runs keep the least and the greatest index, so a group past
+    # the exact range is refused with the message a call per row gives: the
+    # rule reads the floors at k + 1 first, which leave the range at the top
+    for far, first in ((NEAR_TOP + 1, 1), (NEAR_BOTTOM - 1, 0)):
+        for group in ([1000, far, 1133], [far]):
+            lo, hi = min(group) - 64 + first, max(group) + 5 + 63 + first
+            message = re.escape(f"indices {lo}..{hi} leave the exact range")
+            with pytest.raises(ValueError, match=message):
+                sturmian_system(GOLDEN).pack([base.shifted(o) for o in group], 5)
 
 
 def test_packed_periodic_and_defect_rows_are_their_rules():
