@@ -9,15 +9,20 @@ along the first n iterates (steps 0 through n-1). On top of it sit:
   whether the strict form of each inequality held.
 
 All bulk routines are chunked so no full pairwise matrix is materialized.
-Each call packs its points once with the system's ``pack`` and asks its
-kernel for pair lists (``orbit_pairs``), never for dense blocks: a pair
-that is not listed lies at or above the cap, and every listed distance is
-compared with the routine's own threshold. Every built-in kernel is exact
-at every threshold. The greedy counter queries one row at a time, and only
-for rows still alive when their turn comes: the rows still to query sit in
-an index list that drops the rows each query kills. The counter returns a
-keep mask (:func:`greedy_separated_mask`), so no point is built only to be
-counted.
+Each call packs points with the system's ``pack`` and asks its kernel for
+pair lists (``orbit_pairs``), never for dense blocks: a pair that is not
+listed lies at or above the cap, and every listed distance is compared
+with the routine's own threshold. Every built-in kernel is exact at every
+threshold. The greedy counter and the covering audit pack their sample one
+block of ``chunk`` rows at a time, and keep packed only what later blocks
+read: the greedy counter its kept rows in sample order, the audit each
+block's still-open rows with their indices. Their working memory thus
+grows with the kept or open rows, not with the sample; the separation
+audit, which needs every pair, packs its family whole. The greedy
+counter queries one row at a time, and only for rows still alive when
+their turn comes: the rows still to query sit in an index list that drops
+the rows each query kills. The counter returns a keep mask
+(:func:`greedy_separated_mask`), so no point is built only to be counted.
 The covering audit first tries each block of sample rows against the
 block's own covering centers: a narrow scan of all centers, capped just
 past eps/32, names the centers the block comes near, and a scan of those
@@ -84,7 +89,7 @@ def bowen_dist(system: SystemHandle, x: Any, y: Any, n: int) -> float:
 
 
 def _check_scale(n: int, eps: float) -> None:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"scale must be positive, got {eps}")
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
@@ -117,10 +122,7 @@ class CountRecord:
     bound: str
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"window must be >= 1, got {self.n}")
-        if not self.eps > 0.0:
-            raise ValueError(f"scale must be positive, got {self.eps}")
+        _check_scale(self.n, self.eps)
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
 
@@ -141,12 +143,13 @@ def greedy_separated_mask(system: SystemHandle, sample: Sequence, n: int, eps: f
     _check_scale(n, eps)
     m = len(sample)
     pairs = system.orbit_pairs
-    packed = system.pack(sample, n)
     keep = np.ones(m, dtype=bool)
+    # the kept rows of the blocks before, in sample order: the only packed
+    # rows a later block reads
+    kept = system.pack([], n)
     for lo in range(0, m, chunk):
-        rows = packed[lo:lo + chunk]
+        rows = system.pack(sample, n, lo, lo + chunk)
         alive = keep[lo:lo + chunk]
-        kept = packed[:lo][keep[:lo]]
         for clo in range(0, len(kept), chunk):
             i, _, d = pairs(rows, kept[clo:clo + chunk], n, eps)
             alive[i[d < eps]] = False
@@ -161,6 +164,7 @@ def greedy_separated_mask(system: SystemHandle, sample: Sequence, n: int, eps: f
             alive[i + 1 + j[d < eps]] = False
             todo = todo[1:]
             todo = todo[alive[todo]]
+        kept = np.concatenate((kept, rows[alive]))
     return keep
 
 
@@ -255,24 +259,28 @@ def verify_separated(system: SystemHandle, points: Sequence, n: int, eps: float,
 
 
 def _nearest(pairs: Callable, rows: np.ndarray, ctr: np.ndarray, n: int, t: float,
-             chunk: int, hits: list | None = None) -> np.ndarray:
+             chunk: int, step: int, hits: list | None = None) -> np.ndarray:
     """Least listed distance from each row to the centers, in blocks of
-    ``chunk`` centers capped one ulp past t; a row leaves the scan once it
-    reads below t. ``hits`` collects the centers listed below t."""
+    ``step`` rows, each scanned against blocks of ``chunk`` centers capped
+    one ulp past t; a row leaves the scan once it reads below t. ``hits``
+    collects the centers listed below t."""
     # every distance below t is listed exactly, and one at or above t is
     # never taken for less than t; at t = eps the open cap also reports
     # distances equal to eps exactly, for the settled-vs-boundary split
     cap = float(np.nextafter(t, np.inf))
     near = np.full(len(rows), np.inf)
-    live = np.arange(len(rows))
-    for clo in range(0, len(ctr), chunk):
-        if live.size == 0:
-            break
-        i, j, d = pairs(rows[live], ctr[clo:clo + chunk], n, cap)
-        np.minimum.at(near, live[i], d)
-        if hits is not None:
-            hits.append(clo + j[d < t])
-        live = live[~(near[live] < t)]
+    for lo in range(0, len(rows), step):
+        live = np.arange(lo, min(lo + step, len(rows)))
+        for clo in range(0, len(ctr), chunk):
+            if live.size == 0:
+                break
+            i, j, d = pairs(rows[live], ctr[clo:clo + chunk], n, cap)
+            np.minimum.at(near, live[i], d)
+            if hits is not None:
+                hits.append(clo + j[d < t])
+            live = live[~(near[live] < t)]
+            # a block's pair list must not outlive it into the next call
+            del i, j, d
     return near
 
 
@@ -317,46 +325,40 @@ def verify_spanning(system: SystemHandle, centers: Sequence, sample: Sequence,
     _check_scale(n, eps)
     pairs = system.orbit_pairs
     ctr = system.pack(centers, n)
-    packed = system.pack(sample, n)
-    m = len(packed)
-    # the prefix (docstring)
-    kept = []
+    m = len(sample)
+    # the prefix (docstring), one block of sample rows packed at a time; a
+    # block keeps packed only the rows it leaves open, with their indices
+    kept, packed = [np.arange(0)], [system.pack([], n)]
     for lo in range(0, m, chunk):
-        rows = packed[lo:lo + chunk]
+        rows = system.pack(sample, n, lo, lo + chunk)
         hits: list[np.ndarray] = []
-        near = _nearest(pairs, rows, ctr, n, eps / 32, chunk, hits)
+        near = _nearest(pairs, rows, ctr, n, eps / 32, chunk, chunk, hits)
         left = np.flatnonzero(~(near < eps / 32))
         if left.size and hits:
             idx = np.sort(np.concatenate(hits))  # np.unique would import numpy.ma
             cover = ctr[idx[np.diff(idx, prepend=-1) > 0]]
-            near = _nearest(pairs, rows[left], cover, n, eps / 2, chunk)
+            near = _nearest(pairs, rows[left], cover, n, eps / 2, chunk, chunk)
             left = left[~(near < eps / 2)]
         kept.append(lo + left)
-    open_idx = np.concatenate(kept) if kept else np.arange(0)
+        packed.append(rows[left])
+    open_idx, packed = np.concatenate(kept), np.concatenate(packed)
     # the ladder over all centers for the points the prefix leaves open
     for k, t in enumerate((eps / 2, eps), start=1):
         # a row's candidate pairs grow with the square of the cap, so the
         # rungs take chunk/2 and chunk/4 rows per block, which bounds the
         # block temporaries (docstring)
-        rows_per_block = max(1, chunk >> k)
-        near = np.full(open_idx.size, np.inf)
-        for lo in range(0, open_idx.size, rows_per_block):
-            block = open_idx[lo:lo + rows_per_block]
-            near[lo:lo + block.size] = _nearest(pairs, packed[block], ctr, n, t, chunk)
+        near = _nearest(pairs, packed, ctr, n, t, chunk, max(1, chunk >> k))
         left = ~(near < t)
-        open_idx, near = open_idx[left], near[left]
-    weak = near <= eps
-    misses = open_idx[~weak]
-    uncovered_count = int(misses.size)
-    boundary_count = int(weak.sum())
-    first_uncovered = int(misses[0]) if misses.size else None
+        open_idx, packed, near = open_idx[left], packed[left], near[left]
+    # every point still open reads eps exactly (boundary) or beyond (missed)
+    misses = open_idx[near > eps]
     return SpanningCheck(
-        ok=uncovered_count == 0,
-        all_strict=uncovered_count == 0 and boundary_count == 0,
+        ok=misses.size == 0,
+        all_strict=open_idx.size == 0,
         n=n,
         eps=eps,
         sample_size=m,
         centers=len(ctr),
-        uncovered_count=uncovered_count,
-        first_uncovered=first_uncovered,
+        uncovered_count=int(misses.size),
+        first_uncovered=int(misses[0]) if misses.size else None,
     )

@@ -48,7 +48,7 @@ window max is its step-0 term or ||theta - floor(theta)||, whichever is
 larger, bit for bit what the drift scan returns at delta = 0: a call whose
 survivors all share one height, as most greedy row queries do, reads that
 and makes no drift scan. The dense generator, every pair of the block,
-serves n = 1 and caps outside (0, 1/3].
+serves n = 1 and the caps outside the bands' range (0, (1 - 2^-50)/3].
 
 For a cap in (0, 1/3] the kernel prunes by height. A pair at Bowen distance
 below cap has height gap |dh| < cap <= 1/3, so its per-step drift is dh
@@ -59,11 +59,9 @@ first and last lie within cap of it, so (n-1)|dh| < 2 cap. Above 1/3 the
 bound fails: at cap 0.45 and n = 40, the points of angle 0 on heights 0 and
 1/5 lie 0.4 apart, their iterates hopping from one integer's neighbourhood
 to the next. Sorting one batch by height turns |dh| <= min(cap, 2
-cap/(n-1)), widened by a float margin, into one contiguous run per row. A
-single row, such as the greedy loop's 1 x k queries, scans b for its band
-by the same float test instead of sorting it. The margin's absolute term
-can admit a wrapped drift once n passes 5 * 10^8; the evaluator reads such
-a pair exactly, at or above cap.
+cap/(n-1)), widened by the float margin below, into one contiguous run per
+row. A single row, such as the greedy loop's 1 x k queries, scans b for its
+band by the same float test instead of sorting it.
 
 Blocks of more than one row also prune by angle. The step-0 term is at
 least the arc distance between the two angles, so a pair whose angles lie
@@ -71,17 +69,44 @@ cap or more apart mod 1 is settled without being formed. The longer batch
 is sorted by height and then by the key angle + 4g, where g numbers its
 runs of equal height; each point of the other batch looks up, in every run
 of its height band, one window per wrap image theta - 1, theta, theta + 1
-of its angle, widened by the same margin as the height band. A spacing of
+of its angle, of half-width cap plus a float margin. A spacing of
 4 keeps each window inside its own run, and float rounding of keys and
 window ends is monotone, so it can only admit extra pairs, which the exact
 step-0 test then drops.
 
-Tower samples and witness families are :class:`AngleLevelGrid` objects: a
-uniform angle grid crossed with a level list, indexed lazily. The tower
-``pack`` builds a grid's batch from its two axes, so no point object is
-made on the counting paths; only indexing a grid (output, returned kept
-points, the tests' stepping oracle) builds ``TowerPoint`` objects. Product
-samples are lazy too, and the product ``pack`` packs each factor once.
+The float margins follow from the standard model of rounding (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 2): each operation
+is exact up to a relative error of at most u = 2^-53, so a result below 2
+in magnitude is off by at most u. Angles and heights lie in [0, 1]. The
+evaluator reads theta = fl(theta_a - theta_b) and dh = fl(h_a - h_b), one
+rounding each, and a pair it keeps has |dh| < cap, so dh is its own drift.
+While the drift stays under a turn, every term the drift scan evaluates
+is the reduced angle (one rounding) plus fl(k dh) (one rounding of a
+number below 1), summed with one more rounding, so it lies within 2.5 u of
+the exact term ||theta + k dh|| of the float inputs; the scan evaluates
+the window's largest term, so the computed window max undershoots the
+exact one by at most eta = 2^-51. A pair read below cap thus has every
+exact iterate within cap + eta of an integer, and the argument above, run
+at cap + eta, gives (n-1)|dh| < 2 (cap + eta). That run needs 1 - 2 (cap +
+eta) >= cap, which is why the bands stop at (1 - 2^-50)/3 rather than 1/3.
+The band's half-width is therefore min(cap, 2 cap/(n-1)) + 2 eta/(n-1),
+enlarged for the roundings of dh and of the quotient (relative u each)
+and of the band ends h +- w (absolute u, as heights are at most 1):
+``_band_width`` adds 2^-50 (w + 1/(n-1)) + 2^-52. The angle windows need
+cap plus the roundings of theta (u/2), of the wrap image theta +- 1 and of
+its window end (u each), and take cap + 2^-51. The height band admits a
+wrapped drift only once (n-1) 2^-52 reaches 1 - 2 cap, past n = 1.5 *
+10^15;
+the evaluator would read such a pair exactly, at or above cap.
+
+Tower points and the lazy samples, :class:`AngleLevelGrid` and
+:class:`ProductSample`, live in :mod:`polyent.samples`. Every ``pack``
+takes a run of rows, ``pack(points, n, lo, hi)``: the greedy counter and
+the covering audit pack one block at a time. The tower ``pack`` builds a
+run of a grid from its two axes, so no point object is made on the
+counting paths; only indexing a grid (output, the tests' stepping oracle)
+builds ``TowerPoint`` objects. The product ``pack`` packs only the factor
+rows a run spans, each once.
 
 Subshift points are the rule-backed ``SymbolicPoint`` objects of
 :mod:`polyent.symbolic`. The subshift ``pack`` gives each point a row over
@@ -104,13 +129,13 @@ sort per query measured several times slower.
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
+from .samples import AngleLevelGrid, ProductSample, TowerPoint
 from .symbolic import (
     _CODING_WINDOW,
     SymbolicPoint,
@@ -274,24 +299,6 @@ def _heights_array(fam: HeightFamily, levels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tower points and dynamics
 
-@dataclass(frozen=True, slots=True)
-class TowerPoint:
-    """A point of the rotation tower: an angle and a circle index.
-
-    ``level`` 0 is the base circle (height 0, fixed pointwise); level n >= 1
-    sits at the n-th height of the family. The height itself is always derived
-    from the family, never stored.
-    """
-
-    angle: float
-    level: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", self.angle % 1.0)
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-
-
 def _height_of(p: TowerPoint, fam: HeightFamily) -> float:
     return fam.height(p.level) if p.level > 0 else 0.0
 
@@ -310,68 +317,11 @@ def tower_inverse(p: TowerPoint, fam: HeightFamily) -> TowerPoint:
     return TowerPoint(p.angle - _height_of(p, fam), p.level)
 
 
-class AngleLevelGrid(Sequence):
-    """Lazy product of a uniform angle grid with a level list.
-
-    Indexing is level-major with the angle running fastest and yields
-    ``TowerPoint(j / angle_count, level)``; nothing is materialized, so
-    million-level families keep O(1) length and element access, and the
-    tower ``pack`` builds a grid's batch from its two axes without making
-    a single point. Slices return lists.
-    """
-
-    def __init__(self, angle_count: int, levels: Sequence[int]):
-        if angle_count < 1:
-            raise ValueError(f"angle count must be >= 1, got {angle_count}")
-        # a range stays a range: cutoff walks can reach 10^7+ levels and the
-        # whole point of this class is to never materialize them
-        if isinstance(levels, range):
-            low = min(levels[0], levels[-1]) if levels else 0
-        else:
-            levels = tuple(operator.index(lv) for lv in levels)
-            low = min(levels, default=0)
-        if low < 0:
-            raise ValueError(f"level must be >= 0, got {low}")
-        self.angle_count = angle_count
-        self.levels = levels
-
-    def __len__(self) -> int:
-        return self.angle_count * len(self.levels)
-
-    def __getitem__(self, i):
-        k = range(len(self))[i]
-        if isinstance(k, range):
-            return [self[j] for j in k]
-        lv, j = divmod(k, self.angle_count)
-        return TowerPoint(j / self.angle_count, self.levels[lv])
-
-    def __repr__(self) -> str:
-        return f"AngleLevelGrid(angle_count={self.angle_count}, levels={self.levels!r})"
-
-
-@dataclass(frozen=True)
-class ProductSample(Sequence):
-    """Lazy a-major product of two factor samples, as the product ``pack``
-    reads it: item i is the pair ``(sa[i // len(sb)], sb[i % len(sb)])``."""
-
-    sa: Sequence
-    sb: Sequence
-
-    def __len__(self) -> int:
-        return len(self.sa) * len(self.sb)
-
-    def __getitem__(self, i):
-        q, r = divmod(range(len(self))[i], len(self.sb))
-        return self.sa[q], self.sb[r]
-
-
 def tower_sample(grid: int, levels: Sequence[int]) -> AngleLevelGrid:
     """Canonical sample: ``grid`` equally spaced angles on each listed circle.
 
     Levels are taken in the given order; angle index runs fastest.
     """
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
     return AngleLevelGrid(grid, levels)
 
 
@@ -385,8 +335,10 @@ class SystemHandle:
     ``metric``/``step``/``inverse`` act on opaque points; ``inverse`` is None
     for a non-invertible map. ``sampler(res)`` returns the canonical finite
     sample at the requested resolution, possibly a lazy sequence.
-    ``pack(points, n)`` makes a numpy batch (points on axis 0) for window n,
-    and :meth:`orbit_pairs` composes the kernel's two stages on two such
+    ``pack(points, n, lo, hi)`` makes a numpy batch (points on axis 0) for
+    window n of the points lo to hi - 1, all by default, as a slice picks
+    them; a lazy sample packs such a run without building its points.
+    :meth:`orbit_pairs` composes the kernel's two stages on two such
     batches, under its contract: ``candidates(a, b, n, cap)`` lists index
     pairs ``(i, j)``, each at most once, a superset of the pairs below
     ``cap``; ``evaluate(a, b, i, j, n, cap)`` reads given pairs, repeats
@@ -402,7 +354,7 @@ class SystemHandle:
     metric: Callable[[Any, Any], float]
     step: Callable[[Any], Any]
     sampler: Callable[[int], Sequence]
-    pack: Callable[[Sequence, int], np.ndarray]
+    pack: Callable[..., np.ndarray]
     candidates: Callable[..., tuple[np.ndarray, np.ndarray]]
     evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
     inverse: Callable[[Any], Any] | None = None
@@ -500,20 +452,16 @@ def circle_rotation(theta: float) -> SystemHandle:
         step=lambda x: (x + th) % 1.0,
         inverse=lambda x: (x - th) % 1.0,
         sampler=lambda res: [j / res for j in range(res)],
-        pack=lambda points, n: np.fromiter(points, np.float64, len(points)),
+        pack=lambda points, n, lo=0, hi=None: np.fromiter(points[lo:hi], np.float64),
         candidates=lambda a, b, n, cap: _every_pair(a, b),
         evaluate=evaluate,
     )
 
 
-# the height band needs cap <= 1/3: below it a pair below cap drifts by dh
-# itself and its iterates stay near one integer (module docstring)
-_TOWER_BAND_CAP = 1.0 / 3.0
-
-
-def _widen(x: float) -> float:
-    # a band half-width plus the float margin for the kernel's own rounding
-    return x + (1e-9 * x + 1e-9)
+# the height band needs cap + 2^-51 <= (1 - cap)/2: below it a pair read
+# below cap drifts by dh itself and its iterates stay near one integer
+# (module docstring)
+_TOWER_BAND_CAP = (1.0 - 2.0 ** -50) / 3.0
 
 
 def _drift_peak(theta: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
@@ -628,9 +576,10 @@ def _tower_evaluate(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray,
 
 
 def _band_width(n: int, cap: float) -> float:
-    """Half-width of the height band of a cap in (0, 1/3] over n >= 2 steps,
-    with the float margin (module docstring)."""
-    return _widen(min(cap, 2.0 * cap / (n - 1)))
+    """Half-width of the height band of a cap in the bands' range over n >= 2
+    steps, with the float margin (module docstring)."""
+    w = min(cap, 2.0 * cap / (n - 1))
+    return w + (2.0 ** -50 * (w + 1.0 / (n - 1)) + 2.0 ** -52)
 
 
 def _run_positions(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -651,7 +600,7 @@ def _tower_angle_band(a: np.ndarray, b: np.ndarray, cap: float,
     # the three windows are disjoint, as 2c < 1. Rounding of the keys and of
     # the window ends is monotone: it can admit extra pairs, which the
     # evaluator's step-0 test drops, but never drops one inside the margin on c.
-    c = _widen(cap)
+    c = cap + 2.0 ** -51
     s_is_a = len(a) >= len(b)
     s, q = (a, b) if s_is_a else (b, a)
     order = np.lexsort((s["angle"], s["height"]))
@@ -715,23 +664,16 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
     levels 1..8; counting experiments pass their own level policy instead.
     """
 
-    def sampler(res: int) -> AngleLevelGrid:
-        return tower_sample(res, range(0, _SAMPLER_LEVELS + 1))
-
-    def pack(points: Sequence[TowerPoint], n: int) -> np.ndarray:
-        batch = np.empty(len(points), [("angle", np.float64), ("height", np.float64)])
+    def pack(points: Sequence[TowerPoint], n: int, lo: int = 0,
+             hi: int | None = None) -> np.ndarray:
         if isinstance(points, AngleLevelGrid):
-            # np.arange(r) / r is the same correctly rounded j / r that
-            # TowerPoint(j / r, level) holds, so no point is ever built
-            r, lv = points.angle_count, points.levels
-            levels = (np.arange(lv.start, lv.stop, lv.step, dtype=np.int64)
-                      if isinstance(lv, range) else np.array(lv, np.int64))
-            batch["angle"] = np.tile(np.arange(r) / r, len(levels))
-            batch["height"] = np.repeat(_heights_array(fam, levels), r)
-            return batch
-        batch["angle"] = np.fromiter((p.angle for p in points), np.float64, len(points))
-        levels = np.fromiter((p.level for p in points), np.int64, len(points))
-        batch["height"] = _heights_array(fam, levels)
+            angles, levels = points.rows(lo, hi)
+        else:
+            points = points[lo:hi]
+            angles = np.fromiter((p.angle for p in points), np.float64, len(points))
+            levels = np.fromiter((p.level for p in points), np.int64, len(points))
+        batch = np.empty(len(angles), [("angle", np.float64), ("height", np.float64)])
+        batch["angle"], batch["height"] = angles, _heights_array(fam, levels)
         return batch
 
     return SystemHandle(
@@ -739,7 +681,7 @@ def tower_system(fam: HeightFamily) -> SystemHandle:
         metric=lambda p, q: tower_dist(p, q, fam),
         step=lambda p: tower_map(p, fam),
         inverse=lambda p: tower_inverse(p, fam),
-        sampler=sampler,
+        sampler=lambda res: tower_sample(res, range(0, _SAMPLER_LEVELS + 1)),
         pack=pack,
         candidates=_tower_candidates,
         evaluate=_tower_evaluate,
@@ -787,7 +729,8 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
     (module docstring)."""
     symbol = np.min_scalar_type(alphabet_size - 1)
 
-    def pack(points: Sequence[SymbolicPoint], n: int) -> np.ndarray:
+    def pack(points: Sequence[SymbolicPoint], n: int, lo: int = 0,
+             hi: int | None = None) -> np.ndarray:
         # rows hold the symbols at 0..n-1, then at -1, n, -2, n+1, ... out to
         # the coding window, so the first mismatch in column n + m lies at
         # distance m // 2 + 1 from the block; the central n symbols are also
@@ -799,6 +742,7 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
             raise ValueError(f"a window of {n} packs {(width + n) * symbol.itemsize} bytes "
                              f"per point, beyond the limit of {PACK_LIMIT}")
         key = np.dtype((np.void, n * symbol.itemsize))
+        points = points[lo:hi]
         batch = np.empty(len(points), [("rows", symbol, (width,)), ("key", key)])
         if not len(points):
             return batch
@@ -894,25 +838,27 @@ def sturmian_system(alpha: float) -> SystemHandle:
     )
 
 
+def _factor_rows(system: SystemHandle, sample: Sequence, n: int, k: np.ndarray) -> np.ndarray:
+    """Rows k of a factor sample, packing only its rows k.min() to k.max()."""
+    first = int(k.min(initial=len(sample)))
+    return system.pack(sample, n, first, int(k.max(initial=0)) + 1)[k - first]
+
+
 def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
-    """Product with the max metric and the coordinatewise map."""
+    """Product with the max metric and the coordinatewise map, invertible
+    when both factors are."""
 
-    def metric(p, q):
-        return max(a.metric(p[0], q[0]), b.metric(p[1], q[1]))
-
-    inverse = None
-    if a.inverse is not None and b.inverse is not None:
-        inverse = lambda p: (a.inverse(p[0]), b.inverse(p[1]))  # noqa: E731
-
-    def pack(points: Sequence, n: int) -> np.ndarray:
+    def pack(points: Sequence, n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         if isinstance(points, ProductSample):
-            # each factor packs once; its rows repeat a-major, as the pairs run
-            pa = np.repeat(a.pack(points.sa, n), len(points.sb))
-            pb = np.tile(b.pack(points.sb, n), len(points.sa))
+            # each factor packs only the rows the run spans, once
+            k = range(len(points))[lo:hi]
+            q, r = np.divmod(np.arange(k.start, k.stop), len(points.sb))
+            pa, pb = _factor_rows(a, points.sa, n, q), _factor_rows(b, points.sb, n, r)
         else:
+            points = points[lo:hi]
             pa = a.pack([p[0] for p in points], n)
             pb = b.pack([p[1] for p in points], n)
-        batch = np.empty(len(points), [("a", pa.dtype), ("b", pb.dtype)])
+        batch = np.empty(len(pa), [("a", pa.dtype), ("b", pb.dtype)])
         batch["a"], batch["b"] = pa, pb
         return batch
 
@@ -931,9 +877,10 @@ def product_system(a: SystemHandle, b: SystemHandle) -> SystemHandle:
 
     return SystemHandle(
         name=f"product({a.name},{b.name})",
-        metric=metric,
+        metric=lambda p, q: max(a.metric(p[0], q[0]), b.metric(p[1], q[1])),
         step=lambda p: (a.step(p[0]), b.step(p[1])),
-        inverse=inverse,
+        inverse=None if a.inverse is None or b.inverse is None
+        else lambda p: (a.inverse(p[0]), b.inverse(p[1])),
         sampler=lambda res: ProductSample(a.sampler(res), b.sampler(res)),
         pack=pack,
         candidates=lambda x, y, n, cap: lister.candidates(x[f], y[f], n, cap),
@@ -955,9 +902,8 @@ def make_system(spec: str) -> SystemHandle:
         parts = body.split(",")
         if len(parts) != 2:
             raise ValueError(f"product spec needs exactly two components: {spec!r}")
-        for part in parts:
-            if part.strip().startswith("product:"):
-                raise ValueError("nested product specs are not supported")
+        if any(part.strip().startswith("product:") for part in parts):
+            raise ValueError("nested product specs are not supported")
         return product_system(make_system(parts[0]), make_system(parts[1]))
     if spec == "tower-exp":
         return tower_system(ExpHeights())

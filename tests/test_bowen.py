@@ -4,6 +4,7 @@ tiny-case search."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from polyent import (
     bowen_dist,
     circle_rotation,
     full_shift,
+    make_system,
     periodic_point,
     product_system,
     separated_shift_family,
+    spanning_witness,
     sturmian_point,
     sturmian_system,
     tower_dist,
@@ -28,6 +31,7 @@ from polyent import (
     verify_spanning,
 )
 from polyent import systems
+from polyent.systems import ProductSample
 from polyent.bowen import bowen_block, greedy_separated_mask
 from polyent.estimation import METHOD_GREEDY_SEPARATED, count_table
 
@@ -257,6 +261,80 @@ def test_verify_spanning_matches_a_full_scan(chunk):
         check = verify_spanning(rotation, [0.0, 0.25, 0.5], points, 7, eps, chunk=chunk)
         assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
                 == _spanning_by_hand(rotation, [0.0, 0.25, 0.5], points, 7, eps))
+
+
+def _greedy_whole_pack(system, sample, n, eps):
+    """The sequential greedy rule over one pack of the whole sample."""
+    packed = system.pack(sample, n)
+    keep = np.ones(len(packed), bool)
+    for i in range(len(packed)):
+        if keep[i]:
+            _, j, d = system.orbit_pairs(packed[i:i + 1], packed[i + 1:], n, eps)
+            keep[i + 1 + j[d < eps]] = False
+    return keep
+
+
+def _streamed_cases():
+    """(id, system, sample, centers, n, eps) over every built-in sample
+    kind: grids over a stepped range and a tuple, lazy products in both
+    factor orders, tower x shift included, and plain lists."""
+    tower, exp = tower_system(PowerHeights(1)), tower_system(ExpHeights())
+    grid = tower_sample(9, range(25, 0, -2))
+    cases = [("grid stepped", tower, grid, tower_sample(4, range(25, 0, -4)), 5, 0.2),
+             ("grid tuple", exp, tower_sample(12, (0, 7, 2, 30, 7, 1)),
+              tower_sample(3, (0, 2)), 9, 0.15),
+             ("tower list", tower, list(grid), list(grid)[::7], 5, 0.2)]
+    for spec in (f"tower-power:2,sturmian:{GOLDEN!r}", f"sturmian:{GOLDEN!r},tower-power:2"):
+        system = make_system("product:" + spec)
+        sample = system.sampler(4)
+        cases.append((spec, system, sample, list(sample)[::5], 6, 0.3))
+    sample = ProductSample(tower_sample(3, range(4)), tower_sample(4, range(5, 0, -1)))
+    cases.append(("tower x tower", product_system(exp, tower), sample, list(sample)[::5], 6, 0.3))
+    sturmian = sturmian_system(GOLDEN)
+    cases.append(("sturmian list", sturmian, sturmian.sampler(60),
+                  sturmian.sampler(60)[::4], 7, 0.25))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2048])
+@pytest.mark.parametrize("case", _streamed_cases(), ids=lambda c: c[0])
+def test_streamed_counter_and_audit_match_a_whole_pack(case, chunk):
+    # both routines pack one block of sample rows at a time; the references
+    # pack the whole sample once
+    _, system, sample, centers, n, eps = case
+    keep = greedy_separated_mask(system, sample, n, eps, chunk=chunk)
+    assert (keep == _greedy_whole_pack(system, sample, n, eps)).all()
+    assert 0 < keep.sum() < len(sample)
+    check = verify_spanning(system, centers, sample, n, eps, chunk=chunk)
+    assert check.sample_size == len(sample) and check.centers == len(centers)
+    assert ((check.uncovered_count, check.first_uncovered, check.all_strict)
+            == _spanning_by_hand(system, centers, sample, n, eps))
+    assert check.ok == (check.uncovered_count == 0)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counter_and_audit_memory_does_not_grow_with_the_sample():
+    # a tower grid of 200 angles on 1,000 and then 4,000 exp levels: 3.2
+    # and 12.8 MB packed whole. Streamed, the traced peak grows by the keep
+    # mask (a byte per row) and the open rows only; deep levels lie near the
+    # base circle, so the greedy keeps and the audit leaves open few rows
+    fam = ExpHeights()
+    system = tower_system(fam)
+    centers = spanning_witness(64, 0.2, fam).points
+    calls = (lambda grid: greedy_separated_mask(system, grid, 32, 0.1),
+             lambda grid: verify_spanning(system, centers, grid, 64, 0.2))
+    for call in calls:
+        small, large = (_traced_peak(lambda: call(tower_sample(200, range(levels))))
+                        for levels in (1000, 4000))
+        assert large - small < 1 << 20
 
 
 def _rung_kinds(system, centers, sample, n, eps):

@@ -485,6 +485,55 @@ def test_tower_row_scan_matches_height_band_bitwise(fam):
     assert mixed > 0
 
 
+# windows out to 10^12 steps, where the band is 2e-13 wide for cap 0.1 and
+# the margin must be derived from rounding rather than fixed
+EDGE_WINDOWS = [2, 3, 4, 40, 10 ** 6, 10 ** 9, 10 ** 11, 10 ** 12]
+EDGE_CAPS = st.one_of(st.floats(1e-6, systems._TOWER_BAND_CAP),
+                      st.sampled_from([1e-4, 0.05, 0.1, 0.25, systems._TOWER_BAND_CAP]))
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+@PROPERTY
+@given(st.sampled_from(EDGE_WINDOWS), EDGE_CAPS, st.integers(0, 2 ** 32 - 1))
+def test_tower_bands_keep_every_pair_below_cap_at_their_edges(n, cap, seed):
+    # Rows at random and wrap angles and heights in [0, 1]. Each meets
+    # columns whose height lies a few ulps either side of its band edge,
+    # unwidened (min(cap, 2 cap/(n-1))) and widened (``_band_width``), at
+    # the angle that centres the pair's drift on 0, so the pair reads just
+    # below or just above cap; and columns on its own height whose angle
+    # lies a few ulps either side of cap away, across the wrap too. The
+    # row scan and the angle band, with either batch sorted, must list every
+    # pair the dense path reads below cap, with the same bits.
+    rng = np.random.default_rng(seed)
+    system = tower_system(PowerHeights(1))
+    dtype = system.pack([], n).dtype
+    a = np.zeros(4, dtype)
+    # angles within 2 cap of 0 put columns across the wrap, where the
+    # rounding of a wrap image can move a window's end past a pair
+    a["angle"] = rng.choice([rng.choice(WRAP_ANGLES) % 1.0, rng.random(), 2.0 * cap * rng.random(),
+                             1.0 - 2.0 * cap * rng.random()], 4)
+    a["height"] = rng.choice([0.0, 1.0, 0.5, 1e-3, rng.random()], 4)
+    w0, w = min(cap, 2.0 * cap / (n - 1)), systems._band_width(n, cap)
+    cols = []
+    for theta, h in a.tolist():
+        for edge in (h - w0, h + w0, h - w, h + w):
+            for k in range(-3, 4):
+                hb = _ulps(edge, k)
+                if 0.0 <= hb <= 1.0:
+                    cols.append(((theta + (n - 1) * (h - hb) / 2.0) % 1.0, hb))
+        for side in (-cap, cap):
+            cols += [(_ulps(theta + side, k) % 1.0, h) for k in range(-3, 4)]
+    b = np.array(cols, dtype)
+    for x, y in ((a, b), (b, a), (a[:1], b), (b[:3], a), (b[:1], a)):
+        _assert_pair_contract(system.orbit_pairs(x, y, n, cap), _dense(system, x, y, n), cap)
+
+
 def test_product_pairs_line_up_factor_lists_in_any_order():
     # the first factor's angle band lists its pairs in its own sort order,
     # and coarse grids on the base circle and one slow level put many pairs

@@ -817,3 +817,61 @@ def test_product_pack_of_a_sample_matches_its_pair_list_bitwise(spec):
         lazy, listed = system.pack(sample, n), system.pack(list(sample), n)
         assert lazy.dtype == listed.dtype
         assert lazy.tobytes() == listed.tobytes()
+
+
+@pytest.mark.parametrize("spec", [f"product:tower-power:1,sturmian:{GOLDEN!r}",
+                                  f"product:sturmian:{GOLDEN!r},tower-exp"])
+def test_product_sample_slices_are_lists_of_pairs(spec):
+    # as a grid's slices are lists of points: every slice form, the
+    # reproducer included, gives the pairs of its indices
+    sample = make_system(spec).sampler(3)
+    pairs = [sample[i] for i in range(len(sample))]
+    assert sample[1:3] == pairs[1:3] and isinstance(sample[1:3], list)
+    for cut in (slice(None), slice(-4, None), slice(None, None, -5), slice(5, 2),
+                slice(2, 1000, 7)):
+        assert sample[cut] == pairs[cut]
+
+
+def _row_range_samples():
+    """(id, system, sample) for every built-in sample kind: grids over a
+    stepped range, a tuple and an empty level list, lazy products in both
+    factor orders, and plain lists."""
+    tower, exp = tower_system(PowerHeights(2)), tower_system(ExpHeights())
+    cases = [("grid stepped", tower, tower_sample(7, range(40, 3, -7))),
+             ("grid tuple", exp, tower_sample(5, (0, 5, 2, 900, 5, 0))),
+             ("grid empty", tower, tower_sample(3, range(0)))]
+    for spec in (f"tower-power:2,sturmian:{GOLDEN!r}", f"sturmian:{GOLDEN!r},tower-power:2",
+                 "tower-exp,tower-power:1", f"sturmian:{GOLDEN!r},full-shift:2"):
+        system = make_system("product:" + spec)
+        cases.append((spec, system, system.sampler(5)))
+        cases.append((spec + " list", system, list(system.sampler(4))))
+    for system in (tower, sturmian_system(GOLDEN), full_shift(3), circle_rotation(0.3)):
+        cases.append((system.name + " list", system, list(system.sampler(30))))
+    return cases
+
+
+@pytest.mark.parametrize("case", _row_range_samples(), ids=lambda c: c[0])
+def test_row_range_pack_is_the_same_rows_of_the_whole_pack(case):
+    # ranges that split a level or a factor row, empty ones, ones reaching
+    # past the end, and the whole sample
+    _, system, sample = case
+    m = len(sample)
+    ranges = [(0, None), (0, 0), (m, m), (3, 3), (5, 2), (0, 1), (1, m - 1), (3, 17),
+              (m - 8, m), (m - 3, m + 10), (m + 4, m + 9)]
+    for n in (1, 9):
+        whole = system.pack(sample, n)
+        assert len(whole) == m
+        for lo, hi in ranges:
+            part = system.pack(sample, n, lo, hi)
+            assert part.dtype == whole.dtype
+            assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+@pytest.mark.parametrize("levels", [range(40, 3, -7), range(0, 3000, 113), (0, 5, 2, 900, 5)])
+def test_grid_rows_are_its_points_axes_bitwise(levels):
+    grid = tower_sample(7, levels)
+    for lo, hi in ((0, None), (3, 20), (6, 8), (9, 9)):
+        angles, lv = grid.rows(lo, hi)
+        points = grid[lo:hi]
+        assert angles.tobytes() == np.array([p.angle for p in points]).tobytes()
+        assert lv.dtype == np.int64 and lv.tolist() == [p.level for p in points]
