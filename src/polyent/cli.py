@@ -120,6 +120,11 @@ def _parse_ratio(text: str) -> float:
     return value
 
 
+# the kinds --which and --check take
+WHICH_KINDS = ("spanning", "separated", "factor-shifts")
+CHECK_KINDS = ("recurrence", "complexity", "distality")
+
+
 class _Option(NamedTuple):
     parse: Callable[[str], Any]
     default: Any
@@ -140,12 +145,11 @@ OPTIONS: dict[str, _Option] = {
     "grid": _Option(_parse_int("grid", 1), None, "INT",
                     "angles per circle / sample resolution"),
     "out": _Option(str, ".", "DIR", "output directory"),
-    "method": _Option(str, "greedy", "NAME", "greedy | analytic | symbolic"),
+    "method": _Option(str, "greedy", "NAME", " | ".join(METHOD_CHOICES)),
     "seed": _Option(_parse_int("seed"), 0, "INT",
                     "echoed into the outputs; no computation reads it"),
-    "which": _Option(str, None, "KIND", "spanning | separated | factor-shifts",
-                     ("verify-construction",)),
-    "check": _Option(str, None, "KIND", "recurrence | complexity | distality", ("diagnose",)),
+    "which": _Option(str, None, "KIND", " | ".join(WHICH_KINDS), ("verify-construction",)),
+    "check": _Option(str, None, "KIND", " | ".join(CHECK_KINDS), ("diagnose",)),
     "m_bound": _Option(_parse_int("m_bound", 1), None, "INT",
                        "recurrence step bound (default: ceil(1/eps))", ("diagnose",)),
     "n_max": _Option(_parse_int("n_max", 1), 20, "INT",
@@ -188,8 +192,8 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     if cfg["system"] is None:
         raise ValueError("a system spec is required (--system or config key 'system')")
     if cfg["method"] not in METHOD_CHOICES:
-        raise ValueError(f"method must be greedy, analytic, or symbolic, "
-                         f"got {cfg['method']!r}")
+        raise ValueError(f"method must be {', '.join(METHOD_CHOICES[:-1])}, or "
+                         f"{METHOD_CHOICES[-1]}, got {cfg['method']!r}")
 
     ns: list[int] = []
     for k in range(cfg["steps"]):
@@ -254,6 +258,12 @@ def _write_json(path: str, doc: dict[str, Any]) -> None:
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _document(cfg: dict[str, Any], **body: Any) -> dict[str, Any]:
+    """A JSON output document: the tool, its version and the config, then
+    ``body`` in order."""
+    return {"tool": "polyent", "version": __version__, "config": _config_json(cfg), **body}
+
+
 def _point_json(p: Any) -> Any:
     if isinstance(p, TowerPoint):
         return {"angle": p.angle, "level": p.level}
@@ -261,9 +271,7 @@ def _point_json(p: Any) -> Any:
         return {"shift_offset": p.offset}
     if isinstance(p, tuple):
         return [_point_json(q) for q in p]
-    if isinstance(p, (int, float)):
-        return p
-    return repr(p)
+    return p  # a factor shift's offset
 
 
 def _grid_points_json(grid: AngleLevelGrid) -> str:
@@ -325,11 +333,9 @@ def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
               for est in estimates for r in est.records]
     _write_text(os.path.join(out, "counts.csv"), "\n".join(lines) + "\n")
 
-    _write_json(os.path.join(out, "fits.json"), {
-        "tool": "polyent",
-        "version": __version__,
-        "config": _config_json(cfg),
-        "estimates": [
+    _write_json(os.path.join(out, "fits.json"), _document(
+        cfg,
+        estimates=[
             {
                 "method": method,
                 "mode": "polynomial",
@@ -338,8 +344,8 @@ def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
             }
             for method, est in zip(variants, estimates)
         ],
-        "headline": estimates[0].headline,
-    })
+        headline=estimates[0].headline,
+    ))
 
     for eps in epss:
         series = [r for r in estimates[0].records if r.eps == eps]
@@ -354,9 +360,8 @@ def cmd_estimate(cfg: dict[str, Any], system: SystemHandle) -> int:
 
 def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
     which = cfg["which"]
-    if which not in ("spanning", "separated", "factor-shifts"):
-        raise ValueError("verify-construction needs --which "
-                         "spanning | separated | factor-shifts")
+    if which not in WHICH_KINDS:
+        raise ValueError(f"verify-construction needs --which {' | '.join(WHICH_KINDS)}")
     window = max(cfg["ns"])
     eps = min(cfg["eps"])
 
@@ -376,26 +381,21 @@ def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
         word = system.word_fn(0, word_window(system, window) - 1)
         report, check = certified_factor_shifts(system, word, window)
 
-    doc: dict[str, Any] = {
-        "tool": "polyent",
-        "version": __version__,
-        "config": _config_json(cfg),
-        "report": {
-            "kind": report.kind,
-            "window": report.window,
-            "eps": report.eps,
-            "family": report.family,
-            "predicted_size": report.predicted_size,
-            "size": report.size,
-            "cutoff": report.cutoff,
-            "depth": report.depth,
-            "levels": report.levels,
-            "verified": report.verified,
-            "strict": report.strict,
-            "notes": [],  # no report carries notes; the file format keeps the key
-            "check": _check_json(check),
-        },
-    }
+    doc = _document(cfg, report={
+        "kind": report.kind,
+        "window": report.window,
+        "eps": report.eps,
+        "family": report.family,
+        "predicted_size": report.predicted_size,
+        "size": report.size,
+        "cutoff": report.cutoff,
+        "depth": report.depth,
+        "levels": report.levels,
+        "verified": report.verified,
+        "strict": report.strict,
+        "notes": [],  # no report carries notes; the file format keeps the key
+        "check": _check_json(check),
+    })
     points = report.points if report.size <= POINT_DUMP_LIMIT else None
     if isinstance(points, AngleLevelGrid):
         # json's indent encoder is pure Python: the grid's records are
@@ -421,8 +421,8 @@ def cmd_verify_construction(cfg: dict[str, Any], system: SystemHandle) -> int:
 
 def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
     check = cfg["check"]
-    if check not in ("recurrence", "complexity", "distality"):
-        raise ValueError("diagnose needs --check recurrence | complexity | distality")
+    if check not in CHECK_KINDS:
+        raise ValueError(f"diagnose needs --check {' | '.join(CHECK_KINDS)}")
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
 
@@ -437,12 +437,7 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
                             "times": times})
             print(f"eps {_fmt(eps)}: all {len(sample)} points return within "
                   f"{m} steps: {all_within}")
-        _write_json(os.path.join(out, "recurrence.json"), {
-            "tool": "polyent",
-            "version": __version__,
-            "config": _config_json(cfg),
-            "reports": reports,
-        })
+        _write_json(os.path.join(out, "recurrence.json"), _document(cfg, reports=reports))
         return EXIT_OK
 
     if check == "complexity":
@@ -455,13 +450,8 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
                  for n, count in zip(ns, word_complexities(word, ns, [word.end] * n_max))]
         for row in table:
             print(f"p({row['n']}) = {row['complexity']}")
-        _write_json(os.path.join(out, "complexity.json"), {
-            "tool": "polyent",
-            "version": __version__,
-            "config": _config_json(cfg),
-            "range": [word.start, word.end],
-            "table": table,
-        })
+        _write_json(os.path.join(out, "complexity.json"), _document(
+            cfg, range=[word.start, word.end], table=table))
         return EXIT_OK
 
     if system.heights is None:
@@ -479,15 +469,8 @@ def cmd_diagnose(cfg: dict[str, Any], system: SystemHandle) -> int:
                          f"their distality gap is trivially 0")
     print(f"levels {la},{lb}: min orbit distance {_fmt(gap)} over |n| <= {window} "
           f"(height gap {_fmt(gap)})")
-    _write_json(os.path.join(out, "distality.json"), {
-        "tool": "polyent",
-        "version": __version__,
-        "config": _config_json(cfg),
-        "levels": [la, lb],
-        "window": window,
-        "gap": gap,
-        "height_gap": gap,
-    })
+    _write_json(os.path.join(out, "distality.json"), _document(
+        cfg, levels=[la, lb], window=window, gap=gap, height_gap=gap))
     return EXIT_OK
 
 

@@ -20,8 +20,13 @@ on the binary64 value of eps (levels also on the float heights). Near
 decimal scales like 0.1 the float sits a hair off the nominal value, and a
 naive float floor of 1/eps lands on the wrong side of the boundary,
 producing witness families that miss their own strictness guarantee.
-Drift cutoffs compare ``window * height(n)`` with eps exactly, on the
-float heights the kernel reads.
+Drift cutoffs compare ``window * height(n)`` with eps exactly: on the
+exact heights 1/n^c for integer-exponent power families, and on the float
+heights the kernel reads otherwise. The two rules can put a cutoff one
+level apart: ``drift_cutoff(2, 0.1, PowerHeights(1))`` is 20, as 2/20 lies
+below the binary value of 0.1, where 2 * height(20) of the float heights
+does not and would give 21; the covering audit certifies the family of
+cutoff 20 strictly, and a test holds that cell.
 """
 
 from __future__ import annotations

@@ -109,14 +109,17 @@ builds ``TowerPoint`` objects. The product ``pack`` packs only the factor
 rows a run spans, each once.
 
 Subshift points are the rule-backed ``SymbolicPoint`` objects of
-:mod:`polyent.symbolic`. The subshift ``pack`` gives each point a row over
-its coding window [offset - 64, offset + n + 64), central block first, and
-keeps the block as one opaque n-symbol key. A rule group of two or more
-points takes one rule call over the merged runs of its windows, cast to
-the symbol dtype, and reads each row from a sliding view of those symbols,
-so no rows x (n + 128) index array is built; a one-member group, as every
-full-shift sample point is, calls its rule on its row's own indices, which
-costs less than merging. At a cap of at most 1 the subshift candidates are
+:mod:`polyent.symbolic`. The subshift ``pack`` gives each point one row,
+its coding window [offset - 64, offset + n + 64) in natural order, and a
+second field of the same dtype, the key, views the row's central n
+symbols as one opaque byte string, so no block is stored twice. A rule
+group of two or more points takes one rule call over the merged runs of
+its windows, cast to the symbol dtype, and reads each row from a sliding
+view of those symbols, so no rows x (n + 128) index array is built; a
+one-member group, as every full-shift sample point is, calls its rule on
+its row's own indices, which costs less than merging. The evaluator reads
+the two flanks outward, -1, n, -2, n + 1, ..., so the first mismatch it
+meets is the nearest. At a cap of at most 1 the subshift candidates are
 the pairs of equal keys. Two batches of two or more rows join on the keys, the
 cell list of the tower bands: the longer batch is stably sorted once and
 each key of the other finds its run of equal keys by binary search. numpy
@@ -401,7 +404,7 @@ WORD_SYMBOL_LIMIT = 1 << 23
 def check_pack_limit(task: str, system: SystemHandle, size: int, n: int) -> None:
     """Refuse a ``task`` whose ``size`` points, packed for window n, would
     take more than ``PACK_LIMIT`` bytes; a tower row holds 16 bytes and a
-    subshift row 2n + 128, so n + 1 subshift rows pass up to n = 4063."""
+    subshift row n + 128, so n + 1 subshift rows pass up to n = 5728."""
     nbytes = size * system.pack([], n).itemsize
     if nbytes > PACK_LIMIT:
         raise ValueError(f"{task} packs a family of {size} points into {nbytes} bytes, "
@@ -702,26 +705,23 @@ def _key_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (si, qi) if s_is_a else (qi, si)
 
 
-def _windowed_rows(rule: Callable[[np.ndarray], np.ndarray], offsets: np.ndarray,
-                   cols: np.ndarray, symbol: np.dtype) -> np.ndarray:
-    """The packed rows of a rule group of two or more points: one rule call
-    over the merged runs of their windows [offset + cols.min(), offset +
-    cols.max()], each row then read from a sliding view of the symbols
-    (module docstring). The merged runs keep the least and the greatest
-    index, so the rule refuses exactly what a call per row would."""
-    first, width = cols.min(), cols.max() - cols.min() + 1
-    starts = np.sort(offsets) + first
+def _windowed_rows(rule: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, width: int,
+                   symbol: np.dtype) -> np.ndarray:
+    """The packed rows [lo, lo + width) of a rule group of two or more
+    points: one rule call over the merged runs of their windows, each row
+    then read from a sliding view of the symbols (module docstring). The
+    merged runs keep the least and the greatest index, so the rule refuses
+    exactly what a call per row would."""
+    starts = np.sort(lo)
     # a run breaks where a window starts past the end of the one before
     cut = np.flatnonzero(np.diff(starts) > width) + 1
     run_lo = starts[np.concatenate(([0], cut))]
     lengths = starts[np.concatenate((cut - 1, [-1]))] + width - run_lo
     base = np.cumsum(lengths) - lengths
     symbols = rule(_run_positions(run_lo, lengths)).astype(symbol)
-    lo = offsets + first
     run = np.searchsorted(run_lo, lo, "right") - 1
-    at = lo - run_lo[run] + base[run]
     view = np.lib.stride_tricks.sliding_window_view(symbols, width)
-    return view[at[:, None], cols - first]
+    return view[lo - run_lo[run] + base[run]]
 
 
 def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
@@ -731,44 +731,46 @@ def _shift_dynamics(alphabet_size: int) -> dict[str, Callable]:
 
     def pack(points: Sequence[SymbolicPoint], n: int, lo: int = 0,
              hi: int | None = None) -> np.ndarray:
-        # rows hold the symbols at 0..n-1, then at -1, n, -2, n+1, ... out to
-        # the coding window, so the first mismatch in column n + m lies at
-        # distance m // 2 + 1 from the block; the central n symbols are also
-        # kept as one opaque byte string so blocks compare and sort as one
-        # key. A row past the budget is refused before any dtype is made:
-        # numpy may sum a dtype's field sizes in 32 bits, wrapping past 2 GiB.
-        width = n + 2 * _CODING_WINDOW
-        if (width + n) * symbol.itemsize > PACK_LIMIT:
-            raise ValueError(f"a window of {n} packs {(width + n) * symbol.itemsize} bytes "
+        # a row holds the coding window [offset - 64, offset + n + 64) in
+        # natural order, and the key field views its central n symbols as
+        # one opaque byte string, so blocks compare and sort as one key. A
+        # row past the budget is refused before any dtype is made: numpy
+        # makes no dtype with a row of 2^31 symbols or more.
+        w = _CODING_WINDOW
+        width = n + 2 * w
+        if width * symbol.itemsize > PACK_LIMIT:
+            raise ValueError(f"a window of {n} packs {width * symbol.itemsize} bytes "
                              f"per point, beyond the limit of {PACK_LIMIT}")
-        key = np.dtype((np.void, n * symbol.itemsize))
         points = points[lo:hi]
-        batch = np.empty(len(points), [("rows", symbol, (width,)), ("key", key)])
-        if not len(points):
-            return batch
-        outward = np.stack((-np.arange(1, _CODING_WINDOW + 1),
-                            np.arange(n, n + _CODING_WINDOW)), axis=1)
-        order = np.concatenate((np.arange(n), outward.ravel()))
+        batch = np.empty(len(points), {
+            "names": ["rows", "key"],
+            "formats": [(symbol, (width,)), (np.void, n * symbol.itemsize)],
+            "offsets": [0, w * symbol.itemsize]})
         groups: dict[Callable[[np.ndarray], np.ndarray], list[int]] = {}
         for i, p in enumerate(points):
             groups.setdefault(p.rule, []).append(i)
         for rule, members in groups.items():
-            offsets = np.array([points[i].offset for i in members], np.int64)
+            starts = np.array([points[i].offset - w for i in members], np.int64)
             if len(members) == 1:
                 # a lone point (every full-shift sample point has its own
                 # rule) reads its row's indices directly
-                batch["rows"][members] = rule(offsets[:, None] + order)
+                batch["rows"][members] = rule(starts[:, None] + np.arange(width))
             else:
-                batch["rows"][members] = _windowed_rows(rule, offsets, order, symbol)
-        batch["key"] = np.ascontiguousarray(batch["rows"][:, :n]).view(key)[:, 0]
+                batch["rows"][members] = _windowed_rows(rule, starts, width, symbol)
         return batch
 
     def outward_scan(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray,
                      n: int) -> np.ndarray:
         # Bowen max over k in [0, n) of the coding metric = 2^-(distance from
         # the nearest differing coordinate to the index block [0, n-1]) for
-        # pairs with equal central blocks; any other pair lies at distance 1
-        diff = a["rows"][i, n:] != b["rows"][j, n:]
+        # pairs with equal central blocks; any other pair lies at distance 1.
+        # The flanks are read outward, -1, n, -2, n + 1, ..., so the first
+        # mismatch in column c lies at distance c // 2 + 1 from the block.
+        w = _CODING_WINDOW
+        diff = np.empty((len(i), w, 2), bool)
+        np.not_equal(a["rows"][i, w - 1::-1], b["rows"][j, w - 1::-1], out=diff[:, :, 0])
+        np.not_equal(a["rows"][i, w + n:], b["rows"][j, w + n:], out=diff[:, :, 1])
+        diff = diff.reshape(len(i), 2 * w)
         hit = diff.any(axis=1)
         d = np.zeros(len(diff))
         d[hit] = 2.0 ** -(diff[hit].argmax(axis=1) // 2 + 1)

@@ -338,17 +338,17 @@ REFUSED = [
      "the separated audit at n=10000000000, eps=0.1 packs a family of 2846052 points "
      "into 45536832 bytes, beyond the limit of 33554432"),
     # past the word limit's reach: a 296,417-symbol word, but 100,001 rows of
-    # 200,128 bytes each would pack into about 19 GiB
+    # 100,128 bytes each would pack into about 9.3 GiB
     (("verify-construction", "--system", f"sturmian:{GOLDEN!r}", "--which", "factor-shifts",
       "--n0", "100000", "--steps", "1"), None,
      "the factor-shift audit at n=100000 packs a family of 100001 points into "
-     "20013000128 bytes, beyond the limit of 33554432"),
+     "10012900128 bytes, beyond the limit of 33554432"),
 ]
 
 # greedy samples sized before they are built: a tower factor samples levels
 # 0..8, so grid 600 crosses 5,400 points with 5,400, and the default grid 500
-# crosses 4,500 with 4,500; a subshift row holds 2n + 128 bytes, and a window
-# of 2^30 would need a 2 GiB row
+# crosses 4,500 with 4,500; a subshift row holds n + 128 bytes, and a window
+# of 2^30 would need a 1 GiB row
 OVERSIZED_GREEDY = [
     (("estimate", "--system", "product:tower-power:2,tower-power:2", "--method", "greedy",
       "--grid", "600"),
@@ -360,10 +360,10 @@ OVERSIZED_GREEDY = [
     (("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "greedy", "--grid", "10000",
       "--n0", "4096", "--steps", "6"),
      "greedy counting at n=4096, eps=0.2 packs a family of 10000 points into "
-     "83200000 bytes, beyond the limit of 33554432"),
+     "42240000 bytes, beyond the limit of 33554432"),
     (("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "greedy",
       "--n0", str(2 ** 30), "--steps", "6"),
-     "a window of 1073741824 packs 2147483776 bytes per point, beyond the limit of 33554432"),
+     "a window of 1073741824 packs 1073741952 bytes per point, beyond the limit of 33554432"),
 ]
 REFUSED += [(args, None, message) for args, message in OVERSIZED_GREEDY]
 
@@ -977,13 +977,13 @@ def test_oversized_greedy_samples_are_refused_within_a_second(tmp_path, capsys, 
     assert sizes == []
 
 
-# a Sturmian row packs 2n + 128 bytes: 20 points at n = 64 take 5,120
+# a Sturmian row packs n + 128 bytes: 20 points at n = 64 take 3,840
 GREEDY_STURMIAN = ("estimate", "--system", f"sturmian:{GOLDEN!r}", "--method", "greedy",
                    "--n0", "4", "--steps", "5", "--eps", "0.5", "--grid", "20")
 
 
 def test_pack_limit_admits_a_sturmian_sample_at_the_limit(tmp_path, monkeypatch):
-    monkeypatch.setattr(systems, "PACK_LIMIT", 20 * 256)
+    monkeypatch.setattr(systems, "PACK_LIMIT", 20 * 192)
     sizes = _count_greedy(monkeypatch)
     assert _run(*GREEDY_STURMIAN, "--out", str(tmp_path)) == 0
     assert sizes == [20] * 5
@@ -992,11 +992,11 @@ def test_pack_limit_admits_a_sturmian_sample_at_the_limit(tmp_path, monkeypatch)
 
 def test_pack_limit_refuses_a_sturmian_sample_before_any_counting(tmp_path, capsys,
                                                                   monkeypatch):
-    monkeypatch.setattr(systems, "PACK_LIMIT", 20 * 256 - 1)
+    monkeypatch.setattr(systems, "PACK_LIMIT", 20 * 192 - 1)
     sizes = _count_greedy(monkeypatch)
     assert _run(*GREEDY_STURMIAN, "--out", str(tmp_path)) == 64
-    assert ("greedy counting at n=64, eps=0.5 packs a family of 20 points into 5120 bytes, "
-            f"beyond the limit of {20 * 256 - 1}" in capsys.readouterr().err)
+    assert ("greedy counting at n=64, eps=0.5 packs a family of 20 points into 3840 bytes, "
+            f"beyond the limit of {20 * 192 - 1}" in capsys.readouterr().err)
     assert sizes == [] and not (tmp_path / "counts.csv").exists()
 
 

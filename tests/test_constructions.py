@@ -115,6 +115,20 @@ def test_drift_cutoff_is_minimal_in_exact_arithmetic(fam):
                 assert Fraction(window) * Fraction(fam.height(h - 1)) >= Fraction(eps)
 
 
+def test_integer_power_cutoff_compares_the_exact_height():
+    # integer-exponent power families compare the exact 1/n^c: at window 2
+    # and eps 0.1 level 20 drifts by 2/20, below the binary value of 0.1,
+    # while 2 * height(20) of the float height is not, which would put the
+    # cutoff at 21; the covering family of the exact cutoff audits strictly
+    fam = PowerHeights(1)
+    assert drift_cutoff(2, 0.1, fam) == 20
+    assert 2 * Fraction(fam.height(20)) >= Fraction(0.1)
+    assert 2 * Fraction(fam.height(21)) < Fraction(0.1)
+    rep, check = certified_spanning_witness(2, 0.1, fam, 1000)
+    assert rep.cutoff == 20 and rep.verified and rep.strict
+    assert check.ok and check.all_strict and check.uncovered_count == 0
+
+
 def test_drift_cutoff_monotonicity():
     fam = PowerHeights(2)
     cuts = [drift_cutoff(w, 0.1, fam) for w in (10, 100, 1000, 10 ** 4)]
@@ -479,27 +493,27 @@ def test_certified_factor_shifts():
 
 
 def test_factor_shift_families_are_sized_in_bytes_before_packing(monkeypatch):
-    # a subshift row holds 2n + 128 bytes, so n = 4063 is the longest window
+    # a subshift row holds n + 128 bytes, so n = 5728 is the longest window
     # whose n + 1 rows fit in 32 MiB
     system = sturmian_system(GOLDEN)
-    systems.check_pack_limit("audit", system, 4064, 4063)
-    with pytest.raises(ValueError, match="into 33560640 bytes, beyond the limit of 33554432"):
-        systems.check_pack_limit("audit", system, 4065, 4064)
+    systems.check_pack_limit("audit", system, 5729, 5728)
+    with pytest.raises(ValueError, match="into 33560610 bytes, beyond the limit of 33554432"):
+        systems.check_pack_limit("audit", system, 5730, 5729)
     # refused before the word is scanned
     calls = []
     monkeypatch.setattr(constructions, "separated_shift_family", lambda *a: calls.append(a))
-    with pytest.raises(ValueError, match="factor-shift audit at n=4064 packs"):
-        certified_factor_shifts(system, system.word_fn(0, 10), 4064)
+    with pytest.raises(ValueError, match="factor-shift audit at n=5729 packs"):
+        certified_factor_shifts(system, system.word_fn(0, 10), 5729)
     assert calls == []
 
 
 def test_largest_factor_shift_audit_traces_under_100_mib():
-    # n = 4063 is the largest family PACK_LIMIT admits: its 4,064 rows pack
+    # n = 5728 is the largest family PACK_LIMIT admits: its 5,729 rows pack
     # into 33.5 MB, each rule group is read by one call over its merged
     # windows, and each block's keys join by one sort, not a rows x cols
     # byte compare
     system = sturmian_system(GOLDEN)
-    n = 4063
+    n = 5728
     word = system.word_fn(0, systems.word_window(system, n) - 1)
     tracemalloc.start()
     try:

@@ -27,6 +27,7 @@ from polyent import (
     bowen_dist,
     circle_rotation,
     full_shift,
+    one_defect_point,
     periodic_point,
     product_system,
     sturmian_point,
@@ -278,6 +279,40 @@ def test_shift_key_join_lists_the_broadcast_pairs_once(kind, sizes):
             got = list(zip(i.tolist(), j.tolist()))
             assert len(set(got)) == len(got)
             assert sorted(got) == ref
+
+
+# the all-ones point and shifts of the one-defect point, which differ from
+# it at exactly one coordinate: every coordinate of both flanks of the
+# coding window, -64 .. -1 and n .. n + 63, and none at all. The shifts form
+# one rule group, the ones point a group of its own.
+FLANK_SYSTEMS = {
+    "full-shift:2": (full_shift(2), lambda p: p),
+    "tower-power:1-x-sturmian": (product_system(tower_system(PowerHeights(1)),
+                                                sturmian_system(GOLDEN)),
+                                 lambda p: (TowerPoint(0.25, 1), p)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("name", list(FLANK_SYSTEMS))
+def test_shift_flanks_read_each_coordinate_at_its_distance(name, n):
+    system, lift = FLANK_SYSTEMS[name]
+    ones = periodic_point((1,))
+    flanks = [*range(-64, 0), *range(n, n + 64)]
+    points = [lift(p) for p in [ones, *(one_defect_point().shifted(-k) for k in flanks), ones]]
+    # the ones point against every point, itself included, and each point
+    # against itself: 2^-m for the flank coordinate m steps from the block,
+    # 0 for no difference
+    ref = [bowen_dist(system, points[0], q, n) for q in points]
+    assert ref == [0.0, *(2.0 ** -(-k if k < 0 else k - n + 1) for k in flanks), 0.0]
+    assert all(bowen_dist(system, p, p, n) == 0.0 for p in points)
+    row, block = system.pack(points[:1], n), system.pack(points, n)
+    for a in (row, block):
+        dense = _dense(system, a, block, n)
+        assert dense[0].tolist() == ref
+        assert not dense.diagonal().any()
+        for cap in (*(2.0 ** -k for k in (0, 1, 2, 3, 31, 32, 63, 64, 65)), math.inf):
+            _assert_pair_contract(system.orbit_pairs(a, block, n, cap), dense, cap)
 
 
 @st.composite

@@ -4,14 +4,17 @@ The vectorized orbit-distance kernels are checked against the step-by-step
 reference here; everything downstream trusts that agreement.
 """
 
+import ast
 import functools
 import importlib
 import math
 import pkgutil
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,10 +457,9 @@ def test_shift_metric_is_window_limited():
 
 
 def _packed_rows(symbol, offsets, n, window):
-    # the subshift pack's columns: the block 0..n-1, then -1, n, -2, n + 1,
-    # ... out to the coding window
-    cols = list(range(n)) + [c for m in range(1, window + 1) for c in (-m, n + m - 1)]
-    return np.array([[symbol(o + c) for c in cols] for o in offsets])
+    # the subshift pack's rows: the coding window o - window .. o + n +
+    # window - 1 of each offset o, in natural order
+    return np.array([[symbol(o + c) for c in range(-window, n + window)] for o in offsets])
 
 
 # the last offsets o whose packed windows (n = 5, coding window 64) stay
@@ -525,6 +527,36 @@ def test_packed_periodic_and_defect_rows_are_their_rules():
     rows = full_shift(2).pack(points, 5)["rows"]
     for g, symbol in enumerate(symbols):
         assert rows[g::3].tolist() == _packed_rows(symbol, PACK_OFFSETS, 5, 64).tolist()
+
+
+# one-member rule groups (full-shift sample points, the defect point),
+# multi-member groups (shifts of one point) and one- and two-byte symbols
+KEY_LAYOUT_BATCHES = {
+    "full-shift:3": (full_shift(3), full_shift(3).sampler(9)),
+    "full-shift:300": (full_shift(300), full_shift(300).sampler(9)),
+    "sturmian": (sturmian_system(GOLDEN),
+                 [sturmian_point(GOLDEN).shifted(o) for o in (5, -3, 5, 400, 0, 1, 2, 9, 7)]),
+    "mixed": (sturmian_system(GOLDEN),
+              [sturmian_point(GOLDEN).shifted(3), one_defect_point(), sturmian_point(SILVER)]
+              + [one_defect_point().shifted(o) for o in range(-4, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(KEY_LAYOUT_BATCHES))
+def test_shift_key_is_a_view_of_the_central_block_of_its_row(name):
+    # the key field overlaps symbols 64 .. 64 + n - 1 of the row, the block
+    # itself: no key is copied, and a row is its coding window
+    system, points = KEY_LAYOUT_BATCHES[name]
+    size = system.pack([], 1)["rows"].itemsize
+    for n in (1, 5, 64):
+        for lo, hi in ((0, None), (2, 6), (4, 5), (3, 3)):
+            batch = system.pack(points, n, lo, hi)
+            assert len(batch) == len(points[lo:hi])
+            assert batch.itemsize == (n + 128) * size
+            assert batch.dtype.fields["key"][1] == 64 * size
+            assert batch["key"].itemsize == n * size
+            assert batch["key"].tobytes() == batch["rows"][:, 64:64 + n].tobytes()
+            assert np.shares_memory(batch["key"], batch["rows"]) == bool(len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +652,23 @@ def test_make_system_specs():
             make_system(bad)
     with pytest.raises(ValueError):
         make_system("sturmian:0.5")
+
+
+def test_every_module_imports_only_numpy_and_the_standard_library():
+    # the runtime dependency stays numpy only: every absolute import of a
+    # package module names numpy, the package or the standard library
+    allowed = sys.stdlib_module_names | {"numpy", "polyent"}
+    paths = sorted(Path(polyent.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert {name.split(".")[0] for name in names} <= allowed, (path.name, names)
 
 
 def test_public_names_resolve_and_every_family_carries_its_kernel():
@@ -762,9 +811,9 @@ def test_pack_limit_sizes_a_family_as_pack_lays_it_out(monkeypatch, name, n):
 
 
 def test_shift_row_at_the_budget_packs_and_one_symbol_more_is_refused(monkeypatch):
-    # a subshift row holds 2n + 128 one-byte symbols
+    # a subshift row holds n + 128 one-byte symbols
     system = sturmian_system(GOLDEN)
-    n, row = 100, 2 * 100 + 128
+    n, row = 100, 100 + 128
     monkeypatch.setattr(systems, "PACK_LIMIT", row)
     assert system.pack([], n).itemsize == row
     assert system.pack(system.sampler(3), n).nbytes == 3 * row
@@ -775,20 +824,20 @@ def test_shift_row_at_the_budget_packs_and_one_symbol_more_is_refused(monkeypatc
 
 
 def test_shift_family_is_sized_without_building_its_rows():
-    # n = 2^24 - 64 fills the 32 MiB budget with one row; its empty batch
-    # builds no index array of n + 128 entries (134 MB of int64)
+    # n = 2^25 - 128 fills the 32 MiB budget with one row; its empty batch
+    # builds no index array of n + 128 entries (268 MB of int64)
     system = full_shift(2)
     tracemalloc.start()
     try:
-        assert system.pack([], 2 ** 24 - 64).itemsize == systems.PACK_LIMIT
+        assert system.pack([], 2 ** 25 - 128).itemsize == systems.PACK_LIMIT
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # numpy may sum field sizes in 32 bits: a 2^30 window would report a
-    # negative row size, so it is refused before any dtype is made
-    with pytest.raises(ValueError, match="a window of 1073741824 packs 2147483776 bytes"):
-        system.pack([], 2 ** 30)
+    # numpy describes no row of 2^31 symbols or more, so a 2^31 window is
+    # refused by the budget before any dtype is made
+    with pytest.raises(ValueError, match="a window of 2147483648 packs 2147483776 bytes"):
+        system.pack([], 2 ** 31)
 
 
 @pytest.mark.parametrize("spec", [f"product:tower-power:2,sturmian:{GOLDEN!r}",
